@@ -7,9 +7,10 @@ export PYTHONPATH := src
 FUZZ_ITERS ?= 1000
 FUZZ_SEED ?= 0
 
-# tier-1 verification: the full unit / integration / property suite
+# tier-1 verification: the full unit / integration / property suite;
+# the 20 slowest tests are listed so outliers show in CI logs
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=20
 
 # regenerate every paper table & figure (writes benchmarks/results/*.txt)
 bench:

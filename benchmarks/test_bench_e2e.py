@@ -1,4 +1,4 @@
-"""End-to-end trace-pipeline benchmark: legacy vs chunked-columnar paths.
+"""End-to-end trace-pipeline benchmark: legacy vs fast columnar paths.
 
 ``make bench-e2e`` runs the whole record -> profile -> select -> split ->
 BBV pipeline over the 16-workload corpus twice:
@@ -7,7 +7,7 @@ BBV pipeline over the 16-workload corpus twice:
   ``Machine.run()`` recording, the scalar event-by-event walker (bulk
   replay disabled), the scalar per-event VLI splitter, and
   ``np.add.at`` BBV accumulation;
-* **fast** — the shipping defaults: the zero-object columnar recorder,
+* **fast** — the shipping defaults: the row-template recorder,
   bulk replay, the sparsity-aware split (vectorized candidate
   pre-scan), and the flattened-bincount BBV accumulator.
 

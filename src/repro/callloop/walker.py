@@ -42,9 +42,12 @@ from repro.telemetry import get_telemetry
 BULK_MIN_ROWS = 1024
 
 #: minimum back-edge run length routed through ``on_edge_iterations``;
-#: shorter runs fire the per-iteration callbacks directly (the numpy
-#: slice overhead beats the callback cost only past a few iterations)
-BATCH_MIN_RUN = 8
+#: shorter runs fire the per-iteration callbacks directly.  The batch's
+#: ``np.diff`` plus four reductions beat per-iteration callbacks only
+#: past a few dozen iterations: over the corpus profile stage, 32 beats
+#: 8 (perlbmk's strcopy runs, vortex's short loops) and 1024 (runs that
+#: would batch well go per iteration); graphs are identical at every value
+BATCH_MIN_RUN = 32
 
 
 class ContextHandler:

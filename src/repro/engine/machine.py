@@ -21,16 +21,7 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.engine.events import (
-    K_BLOCK,
-    K_BRANCH,
-    K_CALL,
-    K_RETURN,
-    BlockEvent,
-    BranchEvent,
-    CallEvent,
-    ReturnEvent,
-)
+from repro.engine.events import BlockEvent, BranchEvent, CallEvent, ReturnEvent
 from repro.engine.rng import make_rng
 from repro.ir.program import (
     BasicBlock,
@@ -56,32 +47,6 @@ class ExecutionLimitExceeded(Exception):
 
 class _StopRun(Exception):
     """Internal: unwind the interpreter when the soft cap is reached."""
-
-
-class _LoopPattern:
-    """Precomputed packed rows of one iteration of a pure-block loop.
-
-    A loop whose body is nothing but :class:`BlockStmt`\\ s consumes no
-    randomness inside an iteration, so every iteration emits the same
-    row sequence — header block, body blocks, latch block, back-edge
-    branch — except that the final iteration's branch falls through.
-    The fast recording path tiles this pattern ``trips`` times in one
-    numpy operation instead of interpreting each iteration.
-    """
-
-    __slots__ = ("kinds", "a", "b", "c", "cum_instr", "instr_per_iter", "rows")
-
-    def __init__(self, kinds, a, b, c, cum_instr, instr_per_iter):
-        self.kinds = kinds
-        self.a = a
-        self.b = b
-        self.c = c
-        #: inclusive running total of instruction contributions per row
-        self.cum_instr = cum_instr
-        self.instr_per_iter = instr_per_iter
-        #: the same rows as python tuples, for trip counts too small to
-        #: amortize np.tile
-        self.rows = list(zip(kinds.tolist(), a.tolist(), b.tolist(), c.tolist()))
 
 
 class Machine:
@@ -111,18 +76,10 @@ class Machine:
         self.max_instructions = max_instructions
         self.strict = strict
         self.instructions_executed = 0
+        #: loop entries of the last record(), by recorder path
+        self.loop_entries: Dict[str, int] = {}
         self._rng: Optional[np.random.Generator] = None
-        self._events: List[object] = []
-        self._patterns: Dict[int, Optional[_LoopPattern]] = {}
-        # Record-path caches, keyed by object identity: packed block rows
-        # (block.size walks the instruction list on every access) and
-        # per-statement control constants (branch probabilities, switch
-        # cdfs, emit addresses).  Params are fixed for the whole run, so
-        # caching keeps the values — and therefore the rng draws —
-        # identical to run()'s per-execution evaluation.
-        self._block_rows: Dict[int, tuple] = {}
-        self._branch_consts: Dict[int, tuple] = {}
-        self._cap = float("inf") if max_instructions is None else max_instructions
+        self._recorder = None
 
     # -- public API -----------------------------------------------------------
 
@@ -133,50 +90,42 @@ class Machine:
         # the binary variant: two compilations of the same source make the
         # same data-dependent decisions on the same input.
         self._rng = make_rng(self.input.seed, "control", self.input.name)
-        params = self.input.params
-        self._events = []
         try:
-            yield from self._run_body(self.program.procedures[self.program.entry].body, params)
-        except _StopRun:
-            if self.strict:
-                raise ExecutionLimitExceeded(
-                    f"{self.program.name}/{self.input.name}: exceeded "
-                    f"{self.max_instructions} instructions"
-                )
-
-    def record(self, builder=None):
-        """Run and record directly into columnar storage; returns a Trace.
-
-        The zero-object fast path: packed ``(kind, a, b, c)`` rows are
-        written into a :class:`~repro.engine.tracing.TraceBuilder`'s
-        preallocated chunks (no event objects, no generator frames), and
-        loops with pure-block bodies are emitted as one tiled numpy
-        block per entry instead of one row at a time.  Produces a trace
-        bit-identical to ``Trace.from_events(self.run())`` — the object
-        path stays as the oracle, and the equivalence is enforced by the
-        ``trace-pipeline`` verify check and the fuzz suite.
-        """
-        from repro.engine.tracing import TraceBuilder
-
-        if builder is None:
-            builder = TraceBuilder()
-        self.instructions_executed = 0
-        # Same stream as run(): identical (input name, seed) -> identical
-        # control-flow decisions, so both paths replay the same run.
-        self._rng = make_rng(self.input.seed, "control", self.input.name)
-        try:
-            self._record_body(
-                self.program.procedures[self.program.entry].body,
-                self.input.params,
-                builder,
+            yield from self._run_body(
+                self.program.procedures[self.program.entry].body, self.input.params
             )
         except _StopRun:
             if self.strict:
-                raise ExecutionLimitExceeded(
-                    f"{self.program.name}/{self.input.name}: exceeded "
-                    f"{self.max_instructions} instructions"
-                )
-        return builder.build()
+                raise self._limit_error()
+
+    def record(self):
+        """Run and record straight into a columnar Trace (the fast path).
+
+        Compiles the program once per machine into row-id templates
+        (:mod:`repro.engine.recorder`).  The trace and
+        ``instructions_executed`` equal ``run()``'s, the reference the
+        ``trace-pipeline`` verify check holds it to.
+        """
+        from repro.engine.recorder import Recorder
+
+        if self._recorder is None:
+            self._recorder = Recorder(
+                self.program, self.input.params, self.max_instructions
+            )
+        # same stream as run(): identical control-flow decisions
+        trace, self.instructions_executed, crossed = self._recorder.record(
+            make_rng(self.input.seed, "control", self.input.name)
+        )
+        self.loop_entries = self._recorder.loop_entries
+        if crossed and self.strict:
+            raise self._limit_error()
+        return trace
+
+    def _limit_error(self) -> ExecutionLimitExceeded:
+        return ExecutionLimitExceeded(
+            f"{self.program.name}/{self.input.name}: exceeded "
+            f"{self.max_instructions} instructions"
+        )
 
     # -- interpreter -------------------------------------------------------
 
@@ -239,186 +188,6 @@ class Machine:
                     case_idx != 0,
                 )
                 yield from self._run_body(stmt.cases[case_idx], params)
-            else:  # pragma: no cover - exhaustive over Stmt subclasses
-                raise TypeError(f"unknown statement {type(stmt).__name__}")
-
-    # -- fast columnar recording -------------------------------------------
-
-    def _rec_block(self, block: BasicBlock, emit) -> None:
-        row = self._block_rows.get(id(block))
-        if row is None:
-            row = self._block_rows[id(block)] = (
-                block.block_id,
-                block.address,
-                block.size,
-            )
-        executed = self.instructions_executed = self.instructions_executed + row[2]
-        if executed > self._cap:
-            # Matches _exec_block: the crossing block is counted but its
-            # event is never emitted.
-            raise _StopRun()
-        emit(K_BLOCK, row[0], row[1], row[2])
-
-    def _loop_pattern(self, stmt: LoopStmt) -> Optional[_LoopPattern]:
-        key = id(stmt)
-        if key not in self._patterns:
-            self._patterns[key] = self._build_pattern(stmt)
-        return self._patterns[key]
-
-    @staticmethod
-    def _build_pattern(stmt: LoopStmt) -> Optional[_LoopPattern]:
-        blocks = [stmt.header_block]
-        for s in stmt.body:
-            if not isinstance(s, BlockStmt):
-                return None  # body consumes randomness; interpret per iteration
-            blocks.append(s.block)
-        blocks.append(stmt.latch_block)
-        n = len(blocks)
-        kinds = np.empty(n + 1, dtype=np.int8)
-        kinds[:n] = K_BLOCK
-        kinds[n] = K_BRANCH
-        a = np.empty(n + 1, dtype=np.int64)
-        b = np.empty(n + 1, dtype=np.int64)
-        c = np.empty(n + 1, dtype=np.int64)
-        contrib = np.zeros(n + 1, dtype=np.int64)
-        for i, blk in enumerate(blocks):
-            a[i], b[i], c[i] = blk.block_id, blk.address, blk.size
-            contrib[i] = blk.size
-        # the latch's backwards branch; taken on every non-final iteration
-        a[n] = stmt.latch_block.end_address
-        b[n] = stmt.header_block.address
-        c[n] = 1
-        per_iter = int(contrib.sum())
-        if per_iter == 0:
-            return None  # degenerate all-empty blocks; scalar path handles it
-        return _LoopPattern(kinds, a, b, c, np.cumsum(contrib), per_iter)
-
-    def _record_loop_tiled(self, pat: _LoopPattern, trips: int, builder) -> None:
-        """Emit *trips* iterations of a pure-block loop in bulk."""
-        per = pat.instr_per_iter
-        if self.max_instructions is None:
-            full, truncated = trips, False
-        else:
-            fit = (self.max_instructions - self.instructions_executed) // per
-            truncated = fit < trips
-            full = fit if truncated else trips
-        if full:
-            rows = pat.rows
-            if full * len(rows) <= 32:
-                # np.tile costs more than it saves on tiny trip counts
-                emit = builder.emit
-                last = len(rows) - 1
-                for it in range(full):
-                    final = it + 1 == full and not truncated
-                    for i, (kind, a_v, b_v, c_v) in enumerate(rows):
-                        if final and i == last:
-                            c_v = 0  # final back-edge branch falls through
-                        emit(kind, a_v, b_v, c_v)
-            else:
-                kinds = np.tile(pat.kinds, full)
-                a = np.tile(pat.a, full)
-                b = np.tile(pat.b, full)
-                c = np.tile(pat.c, full)
-                if not truncated:
-                    c[-1] = 0  # final back-edge branch falls through
-                builder.append_rows(kinds, a, b, c)
-            self.instructions_executed += per * full
-        if truncated:
-            # Partial iteration: emit rows up to (excluding) the first
-            # block that crosses the cap, count that block, and stop —
-            # exactly what the per-block check in _rec_block does.
-            remaining = self.max_instructions - self.instructions_executed
-            idx = int(np.searchsorted(pat.cum_instr, remaining, side="right"))
-            if idx:
-                builder.append_rows(
-                    pat.kinds[:idx].copy(),
-                    pat.a[:idx].copy(),
-                    pat.b[:idx].copy(),
-                    pat.c[:idx].copy(),
-                )
-            self.instructions_executed += int(pat.cum_instr[idx])
-            raise _StopRun()
-
-    def _record_body(self, stmts: List[Stmt], params, builder) -> None:
-        """Mirror of _run_body that emits packed rows instead of objects.
-
-        Control-flow decisions draw from the same rng in the same order,
-        so the recorded rows match the object path bit for bit.
-        """
-        rng = self._rng
-        emit = builder.emit
-        for stmt in stmts:
-            if isinstance(stmt, BlockStmt):
-                self._rec_block(stmt.block, emit)
-            elif isinstance(stmt, LoopStmt):
-                trips = stmt.trips.sample(params, rng)
-                pat = self._loop_pattern(stmt)
-                if pat is not None:
-                    self._record_loop_tiled(pat, trips, builder)
-                    continue
-                header = stmt.header_block
-                latch = stmt.latch_block
-                back_src = latch.end_address
-                back_dst = header.address
-                for i in range(trips):
-                    self._rec_block(header, emit)
-                    self._record_body(stmt.body, params, builder)
-                    self._rec_block(latch, emit)
-                    emit(K_BRANCH, back_src, back_dst, 1 if i + 1 < trips else 0)
-            elif isinstance(stmt, CallStmt):
-                site = stmt.site_block
-                self._rec_block(site, emit)
-                consts = self._branch_consts.get(id(stmt))
-                if consts is None:
-                    callee = self.program.procedures[stmt.callee]
-                    consts = self._branch_consts[id(stmt)] = (
-                        site.end_address,
-                        callee.proc_id,
-                        callee.body,
-                    )
-                emit(K_CALL, consts[0], consts[1], 0)
-                self._record_body(consts[2], params, builder)
-                emit(K_RETURN, consts[1], 0, 0)
-            elif isinstance(stmt, IfStmt):
-                cond = stmt.cond_block
-                self._rec_block(cond, emit)
-                consts = self._branch_consts.get(id(stmt))
-                if consts is None:
-                    p = float(stmt.prob.value(params))
-                    end = cond.end_address
-                    consts = self._branch_consts[id(stmt)] = (
-                        p,
-                        end,
-                        end + _FORWARD_BRANCH_SPAN,
-                    )
-                take_then = rng.random() < consts[0]
-                # taken == jumping over the then-side (see _run_body)
-                emit(K_BRANCH, consts[1], consts[2], 0 if take_then else 1)
-                self._record_body(
-                    stmt.then_body if take_then else stmt.else_body, params, builder
-                )
-            elif isinstance(stmt, SwitchStmt):
-                cond = stmt.cond_block
-                self._rec_block(cond, emit)
-                consts = self._branch_consts.get(id(stmt))
-                if consts is None:
-                    weights = np.asarray(stmt.weights, dtype=float)
-                    probs = weights / weights.sum()
-                    # rng.choice's own sampling: normalized cdf, one
-                    # uniform draw, right-sided binary search — cached
-                    # here so each dispatch is a single random() call
-                    # drawing the very same value choice() would.
-                    cdf = probs.cumsum()
-                    cdf /= cdf[-1]
-                    consts = self._branch_consts[id(stmt)] = (cdf, cond.end_address)
-                case_idx = int(consts[0].searchsorted(rng.random(), side="right"))
-                emit(
-                    K_BRANCH,
-                    consts[1],
-                    consts[1] + _FORWARD_BRANCH_SPAN * (case_idx + 1),
-                    1 if case_idx != 0 else 0,
-                )
-                self._record_body(stmt.cases[case_idx], params, builder)
             else:  # pragma: no cover - exhaustive over Stmt subclasses
                 raise TypeError(f"unknown statement {type(stmt).__name__}")
 

@@ -19,18 +19,18 @@ K_RETURN  proc_id     0            0
 Two recording paths produce the same columnar form:
 
 * the **object path** — :meth:`Trace.from_events` consumes the event
-  objects yielded by :meth:`Machine.run`; retained as the oracle the
+  objects yielded by :meth:`Machine.run`; retained as the reference the
   fast path is differentially verified against (``repro verify``'s
   ``trace-pipeline`` check);
-* the **fast path** — :class:`TraceBuilder` accepts packed rows (and
-  whole pre-tiled row blocks) directly into preallocated numpy chunks,
-  so recording allocates no per-event objects at all.  This is what
-  :meth:`Machine.record` writes into.
+* the **fast path** — :meth:`Machine.record`, which records row ids
+  through compiled row templates (:mod:`repro.engine.recorder`) and
+  builds the columns with one ``take`` each, allocating no per-event
+  objects.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -46,119 +46,8 @@ from repro.engine.events import (
 )
 from repro.telemetry import get_telemetry
 
-#: first chunk size of a TraceBuilder; chunks grow geometrically up to
-#: MAX_CHUNK_ROWS so tiny traces stay tiny and long runs amortize growth
+#: default rows per chunk of :meth:`Trace.iter_chunks` (the streaming feed)
 DEFAULT_CHUNK_ROWS = 4096
-MAX_CHUNK_ROWS = 1 << 20
-
-
-class TraceBuilder:
-    """Zero-object event recorder: packed rows into preallocated chunks.
-
-    Rows are written column-wise into numpy chunks (``int8`` kind plus
-    three ``int64`` operand columns).  When a chunk fills, it is sealed
-    and a new one twice the size (capped) is allocated — classic
-    geometric growth, so recording is amortized O(1) per row with no
-    Python object per event.  :meth:`append_rows` splices whole
-    pre-built column blocks (e.g. a tiled loop body) in between scalar
-    rows without copying them through the chunk.
-
-    :meth:`build` concatenates the sealed chunks into one
-    :class:`Trace` — the "record_trace is a chunk concatenation" step.
-    """
-
-    __slots__ = (
-        "_segments", "_kinds", "_a", "_b", "_c", "_pos", "_start", "_cap",
-        "_next", "rows",
-    )
-
-    def __init__(self, chunk_rows: int = DEFAULT_CHUNK_ROWS):
-        if chunk_rows <= 0:
-            raise ValueError("chunk_rows must be positive")
-        self._segments: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self.rows = 0
-        self._pos = 0
-        self._start = 0  # first row of the chunk not yet sealed into a segment
-        self._cap = 0  # chunks allocate lazily on the first emit
-        self._next = chunk_rows
-
-    def _alloc(self) -> None:
-        n = self._next
-        self._kinds = np.empty(n, dtype=np.int8)
-        self._a = np.empty(n, dtype=np.int64)
-        self._b = np.empty(n, dtype=np.int64)
-        self._c = np.empty(n, dtype=np.int64)
-        self._pos = 0
-        self._start = 0
-        self._cap = n
-        self._next = min(n * 2, MAX_CHUNK_ROWS)
-
-    def _seal(self) -> None:
-        """Move the chunk's unsealed written range to the segment list.
-
-        Sealed segments are *views* of the chunk, so the chunk's
-        remaining capacity keeps being written in place — interleaving
-        scalar rows with spliced blocks never reallocates.
-        """
-        if self._pos > self._start:
-            self._segments.append(
-                (
-                    self._kinds[self._start : self._pos],
-                    self._a[self._start : self._pos],
-                    self._b[self._start : self._pos],
-                    self._c[self._start : self._pos],
-                )
-            )
-            self._start = self._pos
-
-    def emit(self, kind: int, a: int, b: int, c: int) -> None:
-        """Append one packed row."""
-        i = self._pos
-        if i >= self._cap:
-            self._seal()
-            self._alloc()
-            i = 0
-        self._kinds[i] = kind
-        self._a[i] = a
-        self._b[i] = b
-        self._c[i] = c
-        self._pos = i + 1
-        self.rows += 1
-
-    def append_rows(
-        self, kinds: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
-    ) -> None:
-        """Splice a whole pre-built column block (adopted, not copied)."""
-        n = len(kinds)
-        if n == 0:
-            return
-        self._seal()
-        self._segments.append((kinds, a, b, c))
-        self.rows += n
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self._segments) + (1 if self._pos > self._start else 0)
-
-    def build(self) -> "Trace":
-        """Concatenate all chunks into a :class:`Trace`."""
-        self._seal()
-        segments = self._segments
-        if not segments:
-            return Trace(
-                np.empty(0, dtype=np.int8),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        if len(segments) == 1:
-            return Trace(*segments[0])
-        return Trace(
-            np.concatenate([s[0] for s in segments]),
-            np.concatenate([s[1] for s in segments]),
-            np.concatenate([s[2] for s in segments]),
-            np.concatenate([s[3] for s in segments]),
-        )
 
 
 class Trace:
@@ -299,10 +188,10 @@ def record_trace(source) -> Trace:
     *source* is either an event iterable (the object path, e.g.
     ``Machine(...).run()`` or a hand-built event list) or a
     :class:`~repro.engine.machine.Machine` instance — the latter takes
-    the zero-object fast path (:meth:`Machine.record`), which writes
-    packed rows straight into columnar chunks and tiles pure-block loop
-    bodies in bulk.  Both paths produce bit-identical traces (enforced
-    by the ``trace-pipeline`` verify check).
+    the fast path (:meth:`Machine.record`).  Both paths produce
+    bit-identical traces (the ``trace-pipeline`` verify check).  Under
+    telemetry the fast path counts its loop entries by recorder path
+    (``engine.record.loops.tiled`` / ``.drawn`` / ``.per_iteration``).
     """
     from repro.engine.machine import Machine
 
@@ -312,9 +201,9 @@ def record_trace(source) -> Trace:
         return source.record() if fast else Trace.from_events(source)
     with tm.span("engine.record_trace", path="fast" if fast else "objects"):
         if fast:
-            builder = TraceBuilder()
-            trace = source.record(builder)
-            tm.counter("engine.trace.chunks", builder.num_chunks)
+            trace = source.record()
+            for path, entries in source.loop_entries.items():
+                tm.counter(f"engine.record.loops.{path}", entries)
         else:
             trace = Trace.from_events(source)
         tm.counter("engine.trace.events", len(trace))

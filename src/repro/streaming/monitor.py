@@ -9,7 +9,7 @@ and markers that adapt when behavior drifts.
 :class:`StreamingPhaseMonitor` composes the pieces:
 
 * an :class:`~repro.streaming.walker.IncrementalWalker` consumes packed
-  rows chunk by chunk (the same columns ``TraceBuilder`` records);
+  rows chunk by chunk (the same columns a recorded ``Trace`` stores);
 * every closed edge span folds into a :class:`~repro.streaming.window.
   StreamingWindow` slot of exact integer moments; slots seal every
   ``slot_instructions`` instructions and only the newest

@@ -7,9 +7,9 @@ so.  :class:`IncrementalWalker` keeps the identical state machine —
 frames, per-frame loop stacks, outermost-activation call accounting —
 as *instance* state instead of loop locals: packed rows arrive through
 :meth:`feed` / :meth:`feed_rows` (the same ``(kind, a, b, c)`` column
-representation :class:`~repro.engine.tracing.TraceBuilder` records and
-:meth:`~repro.engine.tracing.Trace.iter_chunks` serves, so recording
-and streaming share one chunk format), and the unwind happens only on
+representation a recorded :class:`~repro.engine.tracing.Trace` stores
+and :meth:`~repro.engine.tracing.Trace.iter_chunks` serves, so recording
+and streaming share one column format), and the unwind happens only on
 :meth:`finish`.
 
 Callback-for-callback equivalence with the batch walker — same
@@ -111,7 +111,7 @@ class IncrementalWalker:
 
     def feed_rows(self, kinds, a, b, c) -> None:
         """Process one packed-row column chunk (``int8`` kinds + three
-        ``int64`` operand columns, as recorded by ``TraceBuilder`` and
+        ``int64`` operand columns, as stored in a recorded ``Trace`` and
         served by ``Trace.iter_chunks``)."""
         if self._finished:
             raise RuntimeError("walker already finished; cannot feed rows")

@@ -23,8 +23,8 @@ check                     optimized side vs oracle side
                           view + threshold kernel) vs the retained scalar
                           engine, compared **bit-for-bit**
 :func:`diff_trace_pipeline`
-                          the chunked columnar recorder (``Machine`` fast
-                          emit path) vs the object-event oracle, and the
+                          the row-template recorder (``Machine.record``)
+                          vs the object-event oracle, and the
                           bulk trace replay vs the scalar walker —
                           columns, callback sequences, and row positions
                           compared **bit-for-bit**
@@ -469,8 +469,8 @@ def diff_trace_pipeline(
     Two halves, both **bit-for-bit** (the fast paths are reorderings of
     identical integer work, so no tolerance applies):
 
-    * recording — the :class:`~repro.engine.machine.Machine` chunked
-      columnar emit path (``record_trace(Machine(...))``) vs *trace*,
+    * recording — the :class:`~repro.engine.machine.Machine` row-template
+      recorder (``record_trace(Machine(...))``) vs *trace*,
       which the caller recorded through the object-yielding ``run()``
       oracle; every column must match row for row.  Skipped when
       ``compare_record`` is false (the caller truncated the event stream
@@ -902,16 +902,15 @@ def verify_program(
     report = DiffReport(program=f"{program.name}/{program_input.name}")
 
     events = Machine(program, program_input, max_instructions=max_instructions).run()
-    if max_call_depth is not None:
-        events = _depth_capped(events, max_call_depth)
-    trace = record_trace(events)
+    capped = _DepthCapped(events, max_call_depth)
+    trace = record_trace(capped)
     profiler = CallLoopProfiler(program)
     optimized = profiler.profile_trace(trace)
 
     # The columnar-record half only applies when the object stream was
     # not truncated mid-flight: a call-depth cap exists solely on the
-    # object path (it stops *consuming* the generator), so there is no
-    # equivalent fast recording to compare against.
+    # object path (it stops *consuming* the generator), so a truncated
+    # stream has no equivalent fast recording to compare against.
     report.extend(
         "trace-pipeline",
         diff_trace_pipeline(
@@ -919,7 +918,7 @@ def verify_program(
             program_input,
             trace,
             max_instructions=max_instructions,
-            compare_record=max_call_depth is None,
+            compare_record=not capped.truncated,
         ),
     )
     report.extend(
@@ -953,26 +952,37 @@ def verify_program(
     return report
 
 
-def _depth_capped(events, cap: int):
-    """Stop consuming the event stream once call nesting reaches *cap*.
+class _DepthCapped:
+    """The event stream, cut once call nesting reaches *cap* (if any).
 
     Consumption drives the interpreter's recursion, so not requesting
     further events bounds its Python stack; the truncated trace is a
     valid differential input (both sides unwind open frames at trace
-    end).
+    end).  ``truncated`` says afterwards whether the cap cut the stream.
     """
-    from repro.engine.events import CallEvent, ReturnEvent
 
-    depth = 0
-    for ev in events:
-        yield ev
-        t = type(ev)
-        if t is CallEvent:
-            depth += 1
-            if depth >= cap:
-                return
-        elif t is ReturnEvent:
-            depth -= 1
+    def __init__(self, events, cap: Optional[int]):
+        self.events = events
+        self.cap = cap
+        self.truncated = False
+
+    def __iter__(self):
+        from repro.engine.events import CallEvent, ReturnEvent
+
+        if self.cap is None:
+            yield from self.events
+            return
+        depth = 0
+        for ev in self.events:
+            yield ev
+            t = type(ev)
+            if t is CallEvent:
+                depth += 1
+                if depth >= self.cap:
+                    self.truncated = True
+                    return
+            elif t is ReturnEvent:
+                depth -= 1
 
 
 def _address_stream(trace: Trace, memory: MemorySystem, cap: int):

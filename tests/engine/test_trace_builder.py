@@ -1,15 +1,11 @@
-"""Edge cases of the chunked columnar recorder (TraceBuilder + Machine.record)."""
+"""Trace assembly in ``Machine.record``: ordering, splicing, empty and
+reused recordings, each checked against the ``Machine.run`` reference."""
 
 import numpy as np
 
 from repro.engine import Machine, record_trace
-from repro.engine.events import (
-    K_BLOCK,
-    K_CALL,
-    K_RETURN,
-    BlockEvent,
-)
-from repro.engine.tracing import DEFAULT_CHUNK_ROWS, Trace, TraceBuilder
+from repro.engine.events import K_BLOCK, K_BRANCH, K_CALL, K_RETURN
+from repro.engine.tracing import Trace
 from repro.ir import ProgramBuilder
 from repro.ir.program import ProgramInput
 
@@ -18,81 +14,78 @@ def assert_traces_equal(got: Trace, want: Trace):
     assert len(got) == len(want)
     for name in ("kinds", "a", "b", "c"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
+def record_and_reference(program, inp, **kw):
+    machine = Machine(program, inp, **kw)
+    fast = record_trace(machine)
+    reference = Machine(program, inp, **kw)
+    want = record_trace(reference.run())
+    assert_traces_equal(fast, want)
+    assert machine.instructions_executed == reference.instructions_executed
+    return fast, machine
 
 
 def test_empty_builder():
-    trace = TraceBuilder().build()
+    """A recording that emits no row still builds a well-typed Trace."""
+    b = ProgramBuilder("empty")
+    with b.proc("main"):
+        b.code(5)
+    trace, machine = record_and_reference(
+        b.build(), ProgramInput("i"), max_instructions=0
+    )
     assert len(trace) == 0
     assert trace.total_instructions == 0
     assert list(trace.replay()) == []
+    assert machine.instructions_executed == 5  # counted, never emitted
 
 
 def test_single_event():
-    b = TraceBuilder()
-    b.emit(K_BLOCK, 3, 0x1000, 7)
-    trace = b.build()
-    assert len(trace) == 1
+    b = ProgramBuilder("one")
+    with b.proc("main"):
+        b.code(7)
+    program = b.build()
+    trace, _ = record_and_reference(program, ProgramInput("i"))
+    block = program.blocks[0]
     assert trace.kinds.tolist() == [K_BLOCK]
-    assert (trace.a[0], trace.b[0], trace.c[0]) == (3, 0x1000, 7)
-
-
-def test_chunk_growth_preserves_order():
-    """Rows straddling many chunk boundaries come back in emit order."""
-    b = TraceBuilder(chunk_rows=4)
-    n = 1000
-    for i in range(n):
-        b.emit(K_BLOCK, i, i * 16, i % 7 + 1)
-    assert b.num_chunks > 1
-    trace = b.build()
-    assert len(trace) == n
-    assert trace.a.tolist() == list(range(n))
-    assert trace.b.tolist() == [i * 16 for i in range(n)]
+    assert (trace.a[0], trace.b[0], trace.c[0]) == (block.block_id, block.address, 7)
 
 
 def test_append_rows_splices_between_scalar_rows():
-    """A spliced block lands exactly between the scalar rows around it."""
-    b = TraceBuilder(chunk_rows=8)
-    b.emit(K_CALL, 1, 2, 0)
-    block = (
-        np.full(5, K_BLOCK, dtype=np.int8),
-        np.arange(5, dtype=np.int64),
-        np.arange(5, dtype=np.int64) * 10,
-        np.ones(5, dtype=np.int64),
-    )
-    b.append_rows(*block)
-    b.emit(K_RETURN, 2, 0, 0)
-    trace = b.build()
-    assert trace.kinds.tolist() == [K_CALL] + [K_BLOCK] * 5 + [K_RETURN]
-    assert trace.a.tolist() == [1, 0, 1, 2, 3, 4, 2]
+    """A long tiled loop lands exactly between the rows around it."""
+    b = ProgramBuilder("splice")
+    with b.proc("main"):
+        b.call("f")
+    with b.proc("f"):
+        b.code(3)
+        with b.loop("L", trips=500):
+            b.code(2)
+        b.code(4)
+    trace, _ = record_and_reference(b.build(), ProgramInput("i"))
+    kinds = trace.kinds.tolist()
+    assert kinds[:3] == [K_BLOCK, K_CALL, K_BLOCK]
+    assert kinds[-2:] == [K_BLOCK, K_RETURN]
+    assert kinds.count(K_BRANCH) == 500
 
 
 def test_append_empty_rows_is_noop():
-    b = TraceBuilder()
-    b.emit(K_CALL, 1, 2, 0)
-    b.append_rows(
-        np.empty(0, dtype=np.int8),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-    )
-    assert len(b.build()) == 1
-
-
-def test_splice_then_scalar_reuses_chunk_capacity():
-    """Scalar rows after a splice keep writing the same chunk (no realloc)."""
-    b = TraceBuilder(chunk_rows=64)
-    for i in range(3):
-        b.emit(K_BLOCK, i, i, 1)
-    b.append_rows(
-        np.full(2, K_BLOCK, dtype=np.int8),
-        np.array([100, 101], dtype=np.int64),
-        np.zeros(2, dtype=np.int64),
-        np.ones(2, dtype=np.int64),
-    )
-    for i in range(3, 6):
-        b.emit(K_BLOCK, i, i, 1)
-    trace = b.build()
-    assert trace.a.tolist() == [0, 1, 2, 100, 101, 3, 4, 5]
+    """Zero-trip loops on every recorder path add no rows."""
+    b = ProgramBuilder("zero")
+    with b.proc("main"):
+        b.code(3)
+        with b.loop("tiled", trips=0):
+            b.code(2)
+        with b.loop("drawn", trips=0):
+            with b.if_(0.5):
+                b.code(2)
+        with b.loop("iter", trips=0):
+            with b.loop("inner", trips=2):
+                b.code(2)
+        b.code(4)
+    trace, machine = record_and_reference(b.build(), ProgramInput("i"))
+    assert trace.c.tolist() == [3, 4]
+    assert machine.loop_entries == {"tiled": 1, "drawn": 1, "per_iteration": 1}
 
 
 def test_fast_record_matches_object_path(toy_program, toy_input):
@@ -120,27 +113,12 @@ def test_fast_record_with_instruction_cap(loop_only_program, toy_input):
 
 
 def test_tiled_loop_straddles_chunk_boundary():
-    """A pure-block loop big enough for the np.tile path, recorded into
-    tiny chunks, still matches the object path row for row."""
+    """A pure-block loop long enough to tile in bulk matches the object
+    path row for row."""
     b = ProgramBuilder("tile")
     with b.proc("main"):
         with b.loop("L", trips=300):
             b.code(3)
             b.code(5)
-    program = b.build()
-    inp = ProgramInput("t", {}, seed=1)
-    builder = TraceBuilder(chunk_rows=4)
-    fast = Machine(program, inp).record(builder)
-    oracle = record_trace(Machine(program, inp).run())
-    assert_traces_equal(fast, oracle)
-
-
-def test_default_chunk_reused_across_build():
-    """build() on exactly one chunk returns its view without concatenation."""
-    b = TraceBuilder()
-    for i in range(10):
-        b.emit(K_BLOCK, i, i, 1)
-    assert b.num_chunks == 1
-    trace = b.build()
-    assert len(trace) == 10
-    assert 10 < DEFAULT_CHUNK_ROWS  # stayed inside the first chunk
+    _, machine = record_and_reference(b.build(), ProgramInput("t", {}, seed=1))
+    assert machine.loop_entries["tiled"] == 1

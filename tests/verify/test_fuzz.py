@@ -205,3 +205,26 @@ def test_committed_repros_stay_fixed():
     for path in sorted(repro_dir.glob("*.json")):
         report = fuzz_mod.replay_repro(path)
         assert report.ok, f"{path.name}: {report.describe()}"
+
+
+def test_check_spec_compares_the_recorder(monkeypatch):
+    """A broken recorder surfaces as a trace mismatch in every fuzz
+    iteration the call-depth cap did not cut short."""
+    from repro.engine.machine import Machine
+    from repro.engine.tracing import Trace
+
+    real_record = Machine.record
+
+    def broken_record(self):
+        trace = real_record(self)
+        c = trace.c.copy()
+        c[-1] += 1
+        return Trace(trace.kinds, trace.a, trace.b, c)
+
+    monkeypatch.setattr(Machine, "record", broken_record)
+    report = fuzz_mod._check_spec(
+        _spec_with_noise(),
+        fuzz_mod.DEFAULT_MAX_INSTRUCTIONS,
+        fuzz_mod.DEFAULT_REUSE_CAP,
+    )
+    assert [m.key for m in report.mismatches if m.kind == "trace"] == ["column c"]
