@@ -129,6 +129,12 @@ class MarkerTracker:
         for pair in self._counters:
             self._counters[pair] = 0
 
+    def watches(self, src: int, dst: int) -> bool:
+        """Whether opening edge ``(src, dst)`` can fire a marker or reset
+        a merged marker's counter; when not, :meth:`edge_opened` on it
+        changes nothing and returns ``None``."""
+        return (src, dst) in self._by_pair or dst in self._reset_on_head
+
     def edge_opened(self, src: int, dst: int) -> Optional[PhaseMarker]:
         """Returns the marker that fires on this edge opening, if any."""
         resets = self._reset_on_head.get(dst)

@@ -207,6 +207,7 @@ class ContextWalker:
         self._loop_source: Dict[int, SourceLoc] = {
             header: loop.source for header, loop in table.loops.items()
         }
+        self._proc_by_id = {p.proc_id: p for p in program.procedures.values()}
         # Lazily built vectorized lookup tables for the bulk replay mode.
         self._addr_tables: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -257,8 +258,10 @@ class ContextWalker:
         block-size column, and the shadow stack is fed only the
         *interesting* rows — control events plus the small subset of
         blocks that can move a loop stack.  Handlers that do override
-        ``on_block`` (or short traces) take the scalar path.  The two
-        paths produce identical callback sequences (pinned by the
+        ``on_block`` (or short traces, or traces with a block address
+        outside the program) take the scalar path, counted under
+        telemetry as ``callloop.walk.scalar.<reason>``.  The two paths
+        produce identical callback sequences (pinned by the
         ``trace-pipeline`` verify check and fuzz suite).
 
         ``bulk`` overrides the length heuristic: ``True`` runs the bulk
@@ -288,12 +291,20 @@ class ContextWalker:
         cls = type(handler)
         if bulk is None:
             bulk = len(trace) >= BULK_MIN_ROWS
-        if bulk and cls.on_block is ContextHandler.on_block:
+        if not bulk:
+            reason = "short_trace"
+        elif cls.on_block is not ContextHandler.on_block:
+            reason = "on_block"
+        else:
             result = self._walk_bulk(
                 trace, handler, cls.on_branch is not ContextHandler.on_branch
             )
             if result is not None:
                 return result
+            reason = "unknown_address"
+        tm = get_telemetry()
+        if tm.enabled:
+            tm.counter(f"callloop.walk.scalar.{reason}")
         return self._walk_packed(trace.iter_packed(), handler, num_rows=len(trace))
 
     # -- bulk replay -------------------------------------------------------
@@ -494,14 +505,12 @@ class ContextWalker:
         unwind: bool = True,
         loop_state: Tuple[Tuple[int, int, int], ...] = (),
     ) -> Optional[int]:
-        """Vectorized replay over the interesting rows only.
+        """Vectorized replay of a whole trace (or one segment of it).
 
-        Segments the trace at control events, accumulates instruction
-        counts with one ``cumsum``, and runs the scalar state machine
-        over control events plus loop-relevant blocks (headers, chain
-        changes, frame boundaries).  Returns ``None`` when the trace
-        references addresses outside the program (caller falls back to
-        the scalar walker).
+        Sets up the entry frame around one :meth:`_interesting_rows` +
+        :meth:`_replay_rows` pass and unwinds it at the end.  Returns
+        ``None`` when the trace references addresses outside the program
+        (caller falls back to the scalar walker).
 
         ``start``/``stop``/``t_start``/``open_entry``/``unwind``
         restrict the replay to one segment of a cut trace (see
@@ -510,16 +519,96 @@ class ContextWalker:
         if stop is None:
             stop = len(trace.kinds)
         kinds = trace.kinds[start:stop]
-        a_col = trace.a[start:stop]
         b_col = trace.b[start:stop]
         c_col = trace.c[start:stop]
-        n = len(kinds)
+        selected = self._interesting_rows(kinds, b_col, c_col, need_branch, t_start)
+        if selected is None:
+            return None
+        rows, rt_arr, total = selected
 
+        program = self.table.program
+        entry = program.procedures[program.entry]
+        root = 0
+        main_frame = _Frame(
+            entry.proc_id,
+            self.table.proc_head[entry.name],
+            self.table.proc_body[entry.name],
+            0,
+            outermost=True,
+            head_parent=root,
+            site_source=self._proc_source.get(entry.proc_id),
+        )
+        active: Dict[int, int] = {entry.proc_id: 1}
+        if open_entry:
+            handler.on_edge_open(root, main_frame.head_node, 0, main_frame.site_source)
+            handler.on_edge_open(main_frame.head_node, main_frame.body_node, 0, None)
+        frames: List[_Frame] = [main_frame]
+        if loop_state:
+            # Restore the loop stack a previous segment left open (the
+            # spans were opened there; their callbacks already fired).
+            parent_ctx = main_frame.body_node
+            for header, head_open_t, iter_open_t in loop_state:
+                span = _LoopSpan(
+                    header,
+                    self.loops_by_header[header].latch_branch_address,
+                    self.table.loop_head[header],
+                    self.table.loop_body[header],
+                    parent_ctx,
+                    head_open_t,
+                    self._loop_source.get(header),
+                )
+                span.iter_open_t = iter_open_t
+                main_frame.loop_stack.append(span)
+                parent_ctx = span.body_node
+
+        self._replay_rows(
+            self, handler, kinds, trace.a[start:stop], b_col, c_col,
+            rows, rt_arr, start, frames, active,
+        )
+        self.row = stop
+        if unwind:
+            on_close = handler.on_edge_close
+            while frames:
+                frame = frames.pop()
+                self._close_frame(frame, total, on_close)
+                active[frame.proc_id] -= 1
+        elif frames != [main_frame]:
+            # A non-final segment must end at call depth zero, where the
+            # next one restarts.  Anything else means the cut row was
+            # not frame-boundary-safe.
+            raise RuntimeError(
+                f"segment [{start}, {stop}) did not end at a clean frame "
+                "boundary; segments must come from plan_segments()"
+            )
+        return total
+
+    def _interesting_rows(
+        self,
+        kinds: np.ndarray,
+        b_col: np.ndarray,
+        c_col: np.ndarray,
+        need_branch: bool,
+        t_start: int,
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+        """The rows of one column chunk the state machine has to see.
+
+        Instruction counts come from a single ``cumsum`` over the
+        block-size column starting at *t_start*.  The rows kept are the
+        control events (branches only when *need_branch*) plus the
+        blocks that can move a loop stack: headers, the first block
+        after a call/return (frame or region boundary), blocks whose
+        static loop chain differs from the previous block's (region
+        exit/entry), and the chunk's first block, whose predecessor the
+        chunk cannot see.  Returns ``(rows, t_before, total)`` —
+        chunk-relative row indexes, the instruction count before each
+        of them, and the count at chunk end — or ``None`` when a block
+        address lies outside the program, leaving that chunk to the
+        scalar walker.
+        """
         block_mask = kinds == K_BLOCK
         sizes = np.where(block_mask, c_col, 0)
-        t_after = t_start + np.cumsum(sizes)
-        total = int(t_after[-1]) if n else t_start
-        t_before = t_after - sizes
+        t_after = np.cumsum(sizes)
+        total = t_start + int(t_after[-1]) if len(kinds) else t_start
 
         cr_mask = (kinds == K_CALL) | (kinds == K_RETURN)
         ctrl_mask = cr_mask | (kinds == K_BRANCH) if need_branch else cr_mask
@@ -534,10 +623,6 @@ class ContextWalker:
             pos = np.minimum(pos, len(addr_arr) - 1)
             if not np.array_equal(addr_arr[pos], baddrs):
                 return None  # unknown block address — let the oracle decide
-            # A block row is interesting iff it can touch the loop stack:
-            # loop headers, the first block after a call/return (frame or
-            # region boundary), and blocks whose static loop chain differs
-            # from the previous block's (region exit/entry).
             interesting = is_header[pos].copy()
             interesting[0] = True
             cr_at = np.cumsum(cr_mask)[blk_rows]
@@ -547,62 +632,52 @@ class ContextWalker:
             rows.sort()
         else:
             rows = np.nonzero(ctrl_mask)[0]
+        return rows, t_start + (t_after[rows] - sizes[rows]), total
 
-        program = self.table.program
-        entry = program.procedures[program.entry]
+    def _replay_rows(
+        self,
+        cursor,
+        handler: ContextHandler,
+        kinds: np.ndarray,
+        a_col: np.ndarray,
+        b_col: np.ndarray,
+        c_col: np.ndarray,
+        rows: np.ndarray,
+        rt_arr: np.ndarray,
+        row0: int,
+        frames: List[_Frame],
+        active: Dict[int, int],
+    ) -> None:
+        """Run the shadow-stack state machine over selected chunk rows.
+
+        The one bulk row loop, shared by :meth:`_walk_bulk` (once per
+        trace) and :class:`~repro.streaming.IncrementalWalker` (once per
+        fed chunk).  *rows*/*rt_arr* come from :meth:`_interesting_rows`;
+        *frames* and *active* (per-procedure activation counts) are the
+        caller's shadow stack, updated in place; *row0* is the absolute
+        row of the chunk's first row.  ``cursor.row`` (and, inside an
+        ``on_edge_iterations`` callback, ``cursor.iter_rows``) report
+        absolute rows exactly as the scalar walker would.  Consecutive
+        back-edge arrivals of one loop span are absorbed in one tight
+        loop — or, for a handler overriding ``on_edge_iterations``, one
+        callback per run of at least :data:`BATCH_MIN_RUN`.
+        """
         proc_head = self.table.proc_head
         proc_body = self.table.proc_body
         loop_head_ids = self.table.loop_head
         loop_body_ids = self.table.loop_body
         loops_by_header = self.loops_by_header
-
-        active: Dict[int, int] = {}
-        root = 0
-        main_frame = _Frame(
-            entry.proc_id,
-            proc_head[entry.name],
-            proc_body[entry.name],
-            0,
-            outermost=True,
-            head_parent=root,
-            site_source=self._proc_source.get(entry.proc_id),
-        )
-        active[entry.proc_id] = 1
-        if open_entry:
-            handler.on_edge_open(root, main_frame.head_node, 0, main_frame.site_source)
-            handler.on_edge_open(main_frame.head_node, main_frame.body_node, 0, None)
-        frames: List[_Frame] = [main_frame]
-        if loop_state:
-            # Restore the loop stack a previous segment left open (the
-            # spans were opened there; their callbacks already fired).
-            parent_ctx = main_frame.body_node
-            for header, head_open_t, iter_open_t in loop_state:
-                lp = loops_by_header[header]
-                span = _LoopSpan(
-                    header,
-                    lp.latch_branch_address,
-                    loop_head_ids[header],
-                    loop_body_ids[header],
-                    parent_ctx,
-                    head_open_t,
-                    self._loop_source.get(header),
-                )
-                span.iter_open_t = iter_open_t
-                main_frame.loop_stack.append(span)
-                parent_ctx = span.body_node
-
-        proc_by_id = {p.proc_id: p for p in program.procedures.values()}
+        proc_by_id = self._proc_by_id
         on_branch = handler.on_branch
         on_open = handler.on_edge_open
         on_close = handler.on_edge_close
 
-        rt_arr = t_before[rows]
         rk = kinds[rows].tolist()
         ra = a_col[rows].tolist()
         rb = b_col[rows].tolist()
         rc = c_col[rows].tolist()
         rt = rt_arr.tolist()
-        rlist = (rows + start).tolist() if start else rows.tolist()
+        rlist = (rows + row0).tolist() if row0 else rows.tolist()
 
         m = len(rlist)
         run_end = None
@@ -622,13 +697,13 @@ class ContextWalker:
             idx = np.arange(m)
             ends = np.where(np.append(~same, True), idx, m)
             run_end = np.minimum.accumulate(ends[::-1])[::-1].tolist()
-            rows_abs = rows + start if start else rows
+            rows_abs = rows + row0 if row0 else rows
 
         j = 0
         while j < m:
             kind = rk[j]
             t = rt[j]
-            self.row = rlist[j]
+            cursor.row = rlist[j]
             if kind == K_BLOCK:
                 addr = rb[j]
                 frame = frames[-1]
@@ -656,7 +731,7 @@ class ContextWalker:
                         source = span.source
                         e = run_end[j] if run_end is not None else j
                         if e - j + 1 >= BATCH_MIN_RUN:
-                            self.iter_rows = rows_abs[j : e + 1]
+                            cursor.iter_rows = rows_abs[j : e + 1]
                             handler.on_edge_iterations(
                                 head_node,
                                 body_node,
@@ -664,10 +739,10 @@ class ContextWalker:
                                 rt_arr[j : e + 1],
                                 source,
                             )
-                            self.iter_rows = None
+                            cursor.iter_rows = None
                             span.iter_open_t = rt[e]
                             j = e
-                            self.row = rlist[e]
+                            cursor.row = rlist[e]
                         else:
                             prev_t = span.iter_open_t
                             while True:
@@ -679,7 +754,7 @@ class ContextWalker:
                                     break
                                 j = jn
                                 t = rt[jn]
-                                self.row = rlist[jn]
+                                cursor.row = rlist[jn]
                             span.iter_open_t = prev_t
                     else:
                         parent_ctx = ls[-1].body_node if ls else frame.body_node
@@ -725,22 +800,6 @@ class ContextWalker:
                 active[frame.proc_id] -= 1
             j += 1
 
-        self.row = stop
-        if unwind:
-            while frames:
-                frame = frames.pop()
-                self._close_frame(frame, total, on_close)
-                active[frame.proc_id] -= 1
-        elif frames != [main_frame]:
-            # A non-final segment must end at call depth zero, where the
-            # next one restarts.  Anything else means the cut row was
-            # not frame-boundary-safe.
-            raise RuntimeError(
-                f"segment [{start}, {stop}) did not end at a clean frame "
-                "boundary; segments must come from plan_segments()"
-            )
-        return total
-
     def _walk_packed(self, packed_events, handler: ContextHandler, num_rows) -> int:
         program = self.table.program
         entry = program.procedures[program.entry]
@@ -769,7 +828,7 @@ class ContextWalker:
         handler.on_edge_open(main_frame.head_node, main_frame.body_node, t, None)
         frames: List[_Frame] = [main_frame]
 
-        proc_by_id = {p.proc_id: p for p in program.procedures.values()}
+        proc_by_id = self._proc_by_id
         on_block = handler.on_block
         on_branch = handler.on_branch
         on_open = handler.on_edge_open

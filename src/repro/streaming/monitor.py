@@ -9,11 +9,13 @@ and markers that adapt when behavior drifts.
 :class:`StreamingPhaseMonitor` composes the pieces:
 
 * an :class:`~repro.streaming.walker.IncrementalWalker` consumes packed
-  rows chunk by chunk (the same columns a recorded ``Trace`` stores);
+  rows chunk by chunk (the same columns a recorded ``Trace`` stores)
+  through the batch walker's bulk row loop;
 * every closed edge span folds into a :class:`~repro.streaming.window.
-  StreamingWindow` slot of exact integer moments; slots seal every
-  ``slot_instructions`` instructions and only the newest
-  ``window_slots`` are retained;
+  StreamingWindow` slot of exact integer moments — a back-edge run on
+  an edge no marker watches folds in as one batch; slots seal every
+  ``slot_instructions`` instructions, cut at the block row that reaches
+  the boundary, and only the newest ``window_slots`` are retained;
 * the current :class:`~repro.callloop.markers.MarkerSet` is applied
   online exactly as the batch :class:`~repro.runtime.monitor.
   PhaseMonitor` applies it (same tracker, same hysteresis, same dwell
@@ -38,15 +40,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.callloop.graph import CallLoopGraph, NodeTable
 from repro.callloop.markers import MarkerSet, MarkerTracker
 from repro.callloop.selection import SelectionParams, SelectionResult, select_markers
 from repro.callloop.walker import ContextHandler
+from repro.engine.events import K_BLOCK
 from repro.engine.tracing import DEFAULT_CHUNK_ROWS, Trace
 from repro.ir.program import Program, SourceLoc
 from repro.runtime.monitor import PhaseChange
 from repro.streaming.drift import DriftDetector
-from repro.streaming.walker import IncrementalWalker
+from repro.streaming.walker import IncrementalWalker, chunk_length
 from repro.streaming.window import StreamingWindow
 from repro.telemetry import get_telemetry
 
@@ -170,7 +175,6 @@ class StreamingPhaseMonitor(ContextHandler):
             else None
         )
         self._next_slot_t = self.config.slot_instructions
-        self._last_t = 0
         tm = get_telemetry()
         self._tm = tm if tm.enabled else None
         # last: construction fires the entry-edge opens into this handler
@@ -213,16 +217,35 @@ class StreamingPhaseMonitor(ContextHandler):
         t_close: int,
         source: Optional[SourceLoc],
     ) -> None:
-        self.window.observe(src, dst, t_close - t_open, source)
+        self.window.live.on_edge_close(src, dst, t_open, t_close, source)
 
-    def on_block(self, block_id: int, size: int, t: int) -> None:
-        t_after = t + size
-        self._last_t = t_after
-        while t_after >= self._next_slot_t:
-            self._next_slot_t += self.config.slot_instructions
-            self._seal_slot(t_after)
+    def on_edge_iterations(
+        self,
+        head: int,
+        body: int,
+        t_prev: int,
+        ts: np.ndarray,
+        source: Optional[SourceLoc],
+    ) -> None:
+        if not self.tracker.watches(head, body):
+            self.window.live.on_edge_iterations(head, body, t_prev, ts, source)
+            return
+        # A marker edge: every opening advances the every-Nth cadence
+        # and may change phase under hysteresis, so replay per iteration.
+        prev = t_prev
+        for t in ts.tolist():
+            self.on_edge_close(head, body, prev, t, source)
+            self.on_edge_open(head, body, t, source)
+            prev = t
 
     # -- windowing + re-selection ---------------------------------------------
+
+    def _seal_through(self, t: int) -> None:
+        """Seal every slot whose boundary the instruction count *t* has
+        reached (a long block can cross several)."""
+        while t >= self._next_slot_t:
+            self._next_slot_t += self.config.slot_instructions
+            self._seal_slot(t)
 
     def _seal_slot(self, t: int) -> None:
         evicted = self.window.seal()
@@ -322,13 +345,41 @@ class StreamingPhaseMonitor(ContextHandler):
 
     def feed(self, kind: int, a: int, b: int, c: int) -> None:
         """Feed one packed row."""
-        self._walker.feed(kind, a, b, c)
+        walker = self._walker
+        walker.feed(kind, a, b, c)
+        if walker.t >= self._next_slot_t:
+            self._seal_through(walker.t)
         self.events_fed += 1
 
     def feed_rows(self, kinds, a, b, c) -> None:
-        """Feed one packed-row column chunk."""
-        self._walker.feed_rows(kinds, a, b, c)
-        self.events_fed += len(kinds)
+        """Feed one packed-row column chunk.
+
+        The walker replays the chunk in bulk.  A slot seals right after
+        the block row whose instruction count reaches the slot boundary,
+        exactly where row-at-a-time :meth:`feed` seals it: the chunk's
+        block-size ``cumsum`` locates each such row, the walker is fed
+        up to and including it, the slot seals (possibly re-selecting
+        markers), and feeding continues after it.  Raises ``ValueError``
+        before any state changes unless the four columns have equal
+        lengths.
+        """
+        n = chunk_length(kinds, a, b, c)
+        walker = self._walker
+        if walker.finished:
+            raise RuntimeError("monitor already finished; cannot feed rows")
+        t_after = walker.t + np.cumsum(np.where(kinds == K_BLOCK, c, 0))
+        start = 0
+        while True:
+            # first row whose count reaches the boundary: always a block
+            stop = int(np.searchsorted(t_after, self._next_slot_t)) + 1
+            if stop > n:
+                break
+            walker.feed_rows(kinds[start:stop], a[start:stop], b[start:stop], c[start:stop])
+            self._seal_through(int(t_after[stop - 1]))
+            start = stop
+        if start < n:
+            walker.feed_rows(kinds[start:], a[start:], b[start:], c[start:])
+        self.events_fed += n
 
     def feed_trace(self, trace: Trace, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
         """Feed a recorded trace chunk-wise (testing / replay driver)."""

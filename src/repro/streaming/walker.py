@@ -12,10 +12,20 @@ and :meth:`~repro.engine.tracing.Trace.iter_chunks` serves, so recording
 and streaming share one column format), and the unwind happens only on
 :meth:`finish`.
 
+A column chunk replays through the batch walker's bulk row loop
+(:meth:`~repro.callloop.walker.ContextWalker._replay_rows`) with this
+walker's frames as the shadow stack, so the state machine only sees the
+rows that can move it.  Row-at-a-time :meth:`feed` keeps the scalar
+:meth:`_step`, which is also the fallback for a chunk when the handler
+observes individual blocks (overrides ``on_block``), the chunk is
+shorter than :data:`BULK_MIN_CHUNK_ROWS`, or it holds a block address
+outside the program.
+
 Callback-for-callback equivalence with the batch walker — same
 ``on_edge_open`` / ``on_edge_close`` sequence, same row cursor, same
 total — is pinned by the ``streaming`` verify check on every fuzz
-iteration (:func:`repro.verify.diff.diff_streaming`).
+iteration (:func:`repro.verify.diff.diff_streaming`), for a block
+observer and an edge-only handler alike.
 """
 
 from __future__ import annotations
@@ -26,6 +36,27 @@ from repro.callloop.graph import NodeTable
 from repro.callloop.walker import ContextHandler, ContextWalker, _Frame, _LoopSpan
 from repro.engine.events import K_BLOCK, K_BRANCH, K_CALL, K_RETURN
 from repro.ir.program import Program
+from repro.telemetry import get_telemetry
+
+#: chunks shorter than this step row by row through :meth:`_step`.  The
+#: bulk loop's numpy preprocessing costs ~30 µs per chunk whatever its
+#: length, which the per-row saving repays only from about 64 rows on
+#: (gzip and gcc train traces, 2-CPU Xeon VM: bulk at 64-row chunks
+#: costs 1.0-1.5x the scalar step, at 128 rows 0.5-0.7x, at 4096 rows
+#: 0.15-0.3x)
+BULK_MIN_CHUNK_ROWS = 64
+
+
+def chunk_length(kinds, a, b, c) -> int:
+    """Rows in a packed-row column chunk; ``ValueError`` unless all four
+    columns have the same length."""
+    n = len(kinds)
+    if not len(a) == len(b) == len(c) == n:
+        raise ValueError(
+            "packed-row columns must have equal lengths, got "
+            f"kinds={n}, a={len(a)}, b={len(b)}, c={len(c)}"
+        )
+    return n
 
 
 class IncrementalWalker:
@@ -39,7 +70,8 @@ class IncrementalWalker:
 
     The handler contract is :class:`~repro.callloop.walker.ContextHandler`;
     ``walker.row`` is the row currently being processed, mirroring the
-    batch walker's cursor.
+    batch walker's cursor, and ``walker.iter_rows`` holds the absolute
+    rows of a batched back-edge run during ``on_edge_iterations``.
     """
 
     def __init__(
@@ -52,8 +84,9 @@ class IncrementalWalker:
         self.table = table or NodeTable(program)
         self.handler = handler if handler is not None else ContextHandler()
         # Borrow the batch walker's static lookup state (source maps and
-        # loop regions) so both walkers resolve identically.
-        base = ContextWalker(program, self.table)
+        # loop regions) so both walkers resolve identically; its bulk
+        # row loop replays whole chunks.
+        base = self._base = ContextWalker(program, self.table)
         self._site_source = base._site_source
         self._proc_source = base._proc_source
         self._loop_source = base._loop_source
@@ -62,12 +95,18 @@ class IncrementalWalker:
         self._proc_body = self.table.proc_body
         self._loop_head_ids = self.table.loop_head
         self._loop_body_ids = self.table.loop_body
-        self._proc_by_id = {p.proc_id: p for p in program.procedures.values()}
+        self._proc_by_id = base._proc_by_id
+        cls = type(self.handler)
+        self._bulk_ok = cls.on_block is ContextHandler.on_block
+        self._need_branch = cls.on_branch is not ContextHandler.on_branch
 
         #: dynamic instruction count so far
         self.t = 0
         #: row currently being processed (batch-walker cursor semantics)
         self.row = -1
+        #: absolute rows of the current batched back-edge run (valid only
+        #: inside an ``on_edge_iterations`` callback)
+        self.iter_rows = None
         self._finished = False
         self._active: Dict[int, int] = {}
 
@@ -112,9 +151,37 @@ class IncrementalWalker:
     def feed_rows(self, kinds, a, b, c) -> None:
         """Process one packed-row column chunk (``int8`` kinds + three
         ``int64`` operand columns, as stored in a recorded ``Trace`` and
-        served by ``Trace.iter_chunks``)."""
+        served by ``Trace.iter_chunks``).
+
+        Raises ``ValueError`` — before any state changes — unless the
+        four columns have equal lengths.
+        """
         if self._finished:
             raise RuntimeError("walker already finished; cannot feed rows")
+        n = chunk_length(kinds, a, b, c)
+        tm = get_telemetry()
+        if not self._bulk_ok:
+            reason = "on_block"
+        elif n < BULK_MIN_CHUNK_ROWS:
+            reason = "short_chunk"
+        else:
+            base = self._base
+            selected = base._interesting_rows(kinds, b, c, self._need_branch, self.t)
+            if selected is not None:
+                rows, ts, total = selected
+                row0 = self.row + 1
+                base._replay_rows(
+                    self, self.handler, kinds, a, b, c,
+                    rows, ts, row0, self._frames, self._active,
+                )
+                self.t = total
+                self.row = row0 + n - 1
+                if tm.enabled:
+                    tm.counter("streaming.feed.bulk")
+                return
+            reason = "unknown_address"
+        if tm.enabled:
+            tm.counter(f"streaming.feed.scalar.{reason}")
         step = self._step
         for row in zip(kinds.tolist(), a.tolist(), b.tolist(), c.tolist()):
             step(*row)

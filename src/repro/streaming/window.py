@@ -2,8 +2,9 @@
 
 The streaming profiler partitions the live stream into fixed-size
 instruction-count *slots*; each slot accumulates its own per-edge
-:class:`~repro.callloop.stats.MomentStats` map (the exact shape the
-batch profiler's ``_MomentBuilder`` keeps).  A bounded window retains
+:class:`~repro.callloop.stats.MomentStats` map through the batch
+profiler's own ``_MomentBuilder`` — per-span closes and batched
+back-edge runs alike.  A bounded window retains
 only the newest ``window_slots`` sealed slots — memory stays constant no
 matter how long the stream runs — and aggregation happens only at
 (rare) re-selection time by merging the slot maps in arrival order.
@@ -23,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
+from repro.callloop.profiler import _MomentBuilder
 from repro.callloop.stats import MomentStats
 from repro.ir.program import SourceLoc
 
@@ -44,29 +46,36 @@ class StreamingWindow:
             raise ValueError(f"window_slots must be >= 0, got {window_slots}")
         self.window_slots = window_slots
         self.slots: Deque[SlotMap] = deque()
-        self.current: SlotMap = {}
+        #: accumulator of the live slot; its ``on_edge_close`` and
+        #: ``on_edge_iterations`` take closed spans and back-edge runs
+        self.live = _MomentBuilder()
         #: sealed slots dropped from the window bound
         self.evicted_slots = 0
-        #: observations folded in (window-wide, including evicted)
-        self.observations = 0
+        self._sealed_observations = 0
+
+    @property
+    def current(self) -> SlotMap:
+        """The live slot's edge map."""
+        return self.live.edges
+
+    @property
+    def observations(self) -> int:
+        """Observations folded in (window-wide, including evicted)."""
+        return self._sealed_observations + _count(self.current)
 
     def observe(
         self, src: int, dst: int, value: int, source: Optional[SourceLoc]
     ) -> None:
-        """Fold one closed edge span into the live slot."""
-        entry = self.current.get((src, dst))
-        if entry is None:
-            entry = self.current[(src, dst)] = [MomentStats(), set(), None]
-        entry[0].add(value)
-        if source is not None and source is not entry[2]:
-            entry[1].add(source)
-            entry[2] = source
-        self.observations += 1
+        """Fold one closed edge span of *value* instructions into the
+        live slot."""
+        self.live.on_edge_close(src, dst, 0, value, source)
 
     def seal(self) -> int:
         """Seal the live slot into the window; returns slots evicted."""
-        self.slots.append(self.current)
-        self.current = {}
+        sealed = self.current
+        self._sealed_observations += _count(sealed)
+        self.slots.append(sealed)
+        self.live = _MomentBuilder()
         evicted = 0
         if self.window_slots:
             while len(self.slots) > self.window_slots:
@@ -121,3 +130,7 @@ class StreamingWindow:
                     into = out[key] = MomentStats()
                 into.merge(entry[0])
         return out
+
+
+def _count(edges: SlotMap) -> int:
+    return sum(entry[0].count for entry in edges.values())

@@ -45,7 +45,8 @@ check                     optimized side vs oracle side
                           ``IncrementalWalker`` feed, windowed moment
                           merge, online phase monitor) vs the batch
                           walker, profiler, selection, and
-                          ``PhaseMonitor`` — callbacks, graph dicts,
+                          ``PhaseMonitor``, and chunked vs row-at-a-time
+                          monitor feeds — callbacks, graph dicts,
                           marker-set dicts, and phase changes compared
                           **bit-for-bit**
 ========================  ==================================================
@@ -63,7 +64,7 @@ logic bug).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.callloop.depth import estimate_max_depth, processing_order
 from repro.callloop.graph import CallLoopGraph, NodeTable
@@ -725,10 +726,11 @@ def _first_dict_divergence(got: Dict[str, Any], want: Dict[str, Any]) -> str:
 class _StreamLog(ContextHandler):
     """Records edge and branch callbacks without a row cursor.
 
-    The incremental walker fires its entry opens at construction time
-    (before any handler could know a row cursor), so streaming parity
-    compares the callback *sequence* plus the final cursor and total,
-    mirroring the streaming package's own contract.
+    Overrides ``on_block``, so the incremental walker feeds it through
+    the scalar per-row step.  The walker fires its entry opens at
+    construction time (before any handler could know a row cursor), so
+    streaming parity compares the callback *sequence* plus the final
+    cursor and total, mirroring the streaming package's own contract.
     """
 
     def __init__(self):
@@ -745,6 +747,39 @@ class _StreamLog(ContextHandler):
         self.blocks += 1
 
 
+def _diff_walks(
+    out: List[Mismatch],
+    label: str,
+    got: Tuple[int, int, List[tuple]],
+    want: Tuple[int, int, List[tuple]],
+) -> None:
+    """Append mismatches between two ``(total, final row, callback log)``
+    walk outcomes: totals, cursors, and the first diverging callback."""
+    (got_total, got_row, got_log), (want_total, want_row, want_log) = got, want
+    if got_total != want_total:
+        out.append(Mismatch("streaming", f"{label} total", got_total, want_total))
+    if got_row != want_row:
+        out.append(Mismatch("streaming", f"{label} final row", got_row, want_row))
+    if got_log != want_log:
+        if len(got_log) != len(want_log):
+            out.append(
+                Mismatch(
+                    "streaming", f"{label} callbacks",
+                    len(got_log), len(want_log), "callback count",
+                )
+            )
+        for i, (g, w) in enumerate(zip(got_log, want_log)):
+            if g != w:
+                out.append(Mismatch("streaming", f"{label} callback {i}", g, w))
+                break
+
+
+#: slot size of :func:`diff_streaming`'s chunked-monitor layer: about 350
+#: trace rows, so seals land inside the default 257-row chunks (and
+#: dozens of times in a 20k-instruction fuzz program)
+_CHUNKED_MONITOR_SLOT = 1000
+
+
 def diff_streaming(
     program: Program,
     trace: Trace,
@@ -754,25 +789,37 @@ def diff_streaming(
 ) -> List[Mismatch]:
     """Compare the streaming path against the batch path, **bit-for-bit**.
 
-    Three layers, all exact (the streaming implementation re-orders the
+    Four layers, all exact (the streaming implementation re-orders the
     identical integer work, so no tolerance applies):
 
     * walker — :class:`~repro.streaming.IncrementalWalker` fed the trace
       in *chunk_rows* pieces must reproduce the scalar batch walker's
-      callback sequence, instruction total, and final row cursor;
+      callback sequence, instruction total, and final row cursor, both
+      for a block-observing handler (the per-row step) and for an
+      edge-only one (the bulk chunk loop, row cursor included);
     * profile + selection — an unbounded-window, drift-disabled
       :class:`~repro.streaming.StreamingPhaseMonitor` must fold its
       window to the exact serialized batch graph, and selecting on that
       window must serialize to the exact batch marker set;
     * phases — the same streaming monitor's phase changes, dwell
       records, and per-phase time accounting must equal a batch
-      :class:`~repro.runtime.PhaseMonitor` replaying the same trace.
+      :class:`~repro.runtime.PhaseMonitor` replaying the same trace;
+    * chunked monitor — a cold-start monitor with a bounded window,
+      drift re-selection, and slots small enough that seals land inside
+      chunks, fed in *chunk_rows* pieces, must match the same monitor
+      fed row by row: re-selections, phase changes, dwells, slot
+      counts, and the window graph.
 
     *sequential* optionally supplies an already-profiled batch graph.
     """
     from repro.callloop.serialization import graph_to_dict, marker_set_to_dict
     from repro.runtime import PhaseMonitor
-    from repro.streaming import IncrementalWalker, StreamingConfig, stream_trace
+    from repro.streaming import (
+        IncrementalWalker,
+        StreamingConfig,
+        StreamingPhaseMonitor,
+        stream_trace,
+    )
 
     params = params or SelectionParams()
     out: List[Mismatch] = []
@@ -788,29 +835,33 @@ def diff_streaming(
         inc.feed_rows(*chunk)
     inc_total = inc.finish()
 
-    if inc_total != batch_total:
-        out.append(Mismatch("streaming", "walker total", inc_total, batch_total))
-    if inc.row != batch_walker.row:
-        out.append(
-            Mismatch("streaming", "walker final row", inc.row, batch_walker.row)
-        )
+    _diff_walks(
+        out, "walker",
+        (inc_total, inc.row, inc_log.log),
+        (batch_total, batch_walker.row, batch_log.log),
+    )
     if inc_log.blocks != batch_log.blocks:
         out.append(
             Mismatch("streaming", "block callbacks", inc_log.blocks, batch_log.blocks)
         )
-    if inc_log.log != batch_log.log:
-        if len(inc_log.log) != len(batch_log.log):
-            out.append(
-                Mismatch(
-                    "streaming", "callbacks",
-                    len(inc_log.log), len(batch_log.log),
-                    "callback count",
-                )
-            )
-        for i, (got, want) in enumerate(zip(inc_log.log, batch_log.log)):
-            if got != want:
-                out.append(Mismatch("streaming", f"callback {i}", got, want))
-                break
+
+    edge_walker = ContextWalker(program, table)
+    # The incremental walker fires its entry opens while it is being
+    # constructed; until then the log reads the fresh batch walker's
+    # cursor (-1), which is what that walker reports for its own.
+    edge_got = _SpanLog(edge_walker)
+    inc = IncrementalWalker(program, table, handler=edge_got)
+    edge_got.walker = inc
+    for chunk in trace.iter_chunks(chunk_rows):
+        inc.feed_rows(*chunk)
+    inc_total = inc.finish()
+    edge_want = _SpanLog(edge_walker)
+    edge_total = edge_walker.walk_scalar(trace, edge_want)
+    _diff_walks(
+        out, "walker(edges)",
+        (inc_total, inc.row, edge_got.log),
+        (edge_total, edge_walker.row, edge_want.log),
+    )
 
     batch_graph = (
         sequential
@@ -870,6 +921,55 @@ def diff_streaming(
             Mismatch(
                 "streaming", "time_in_phase",
                 monitor.time_in_phase, batch_monitor.time_in_phase,
+            )
+        )
+
+    config = StreamingConfig(
+        slot_instructions=_CHUNKED_MONITOR_SLOT,
+        window_slots=4,
+        drift_threshold=0.25,
+        selection=SelectionParams(ilower=_CHUNKED_MONITOR_SLOT / 2),
+    )
+    chunked = StreamingPhaseMonitor(program, None, config, table=table)
+    chunked.feed_trace(trace, chunk_rows)
+    chunked.finish()
+    rowwise = StreamingPhaseMonitor(program, None, config, table=table)
+    for row in trace.iter_packed():
+        rowwise.feed(*row)
+    rowwise.finish()
+    for what, got, want in (
+        ("reselections", chunked.reselections, rowwise.reselections),
+        ("phase changes", chunked.changes, rowwise.changes),
+        ("dwells", chunked.dwells, rowwise.dwells),
+    ):
+        if got != want:
+            out.append(
+                Mismatch(
+                    "streaming", f"chunked monitor {what}",
+                    len(got), len(want), "differs from row-at-a-time feed",
+                )
+            )
+    got_slots = (
+        chunked.slots_sealed, chunked.window.evicted_slots, chunked.drift_events
+    )
+    want_slots = (
+        rowwise.slots_sealed, rowwise.window.evicted_slots, rowwise.drift_events
+    )
+    if got_slots != want_slots:
+        out.append(
+            Mismatch(
+                "streaming", "chunked monitor slots", got_slots, want_slots,
+                "(sealed, evicted, drift events)",
+            )
+        )
+    got_graph = graph_to_dict(chunked.window_graph())
+    want_graph = graph_to_dict(rowwise.window_graph())
+    if got_graph != want_graph:
+        out.append(
+            Mismatch(
+                "streaming", "chunked monitor window graph", "differs",
+                "row-at-a-time feed",
+                _first_dict_divergence(got_graph, want_graph),
             )
         )
     return out

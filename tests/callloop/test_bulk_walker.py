@@ -131,3 +131,36 @@ def test_dispatch_threshold(toy_program, toy_input):
     total_forced = walker2.walk(trace, forced, bulk=False)
     assert total_auto == total_forced
     assert auto.log == forced.log
+
+
+def test_scalar_fallbacks_are_counted_with_their_reason(toy_program, toy_input):
+    """Under telemetry every walk that declines the bulk replay counts
+    one ``callloop.walk.scalar.<reason>``; a bulk walk counts none."""
+    from repro.telemetry import telemetry_session
+
+    trace = record_trace(Machine(toy_program, toy_input))
+    bogus = Trace(
+        trace.kinds.copy(), trace.a.copy(), trace.b.copy(), trace.c.copy()
+    )
+    bogus.b[np.nonzero(bogus.kinds == K_BLOCK)[0][0]] = 0x7FFF_FFFF
+    table = NodeTable(toy_program)
+    walks = [
+        (trace, EdgeLog, None),
+        (trace, EdgeLog, False),
+        (trace, BlockLog, None),
+        (bogus, EdgeLog, None),
+    ]
+    with telemetry_session() as tm:
+        for walked, handler_cls, bulk in walks:
+            walker = ContextWalker(toy_program, table)
+            walker.walk(walked, handler_cls(walker), bulk=bulk)
+    fallbacks = {
+        k: v
+        for k, v in tm.metrics.counters.items()
+        if k.startswith("callloop.walk.scalar")
+    }
+    assert fallbacks == {
+        "callloop.walk.scalar.short_trace": 1,
+        "callloop.walk.scalar.on_block": 1,
+        "callloop.walk.scalar.unknown_address": 1,
+    }
