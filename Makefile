@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-perf bench-e2e bench-profile-shards bench-split bench-telemetry bench-serve bench-stream clean-cache verify verify-fuzz verify-stream refresh-golden
+.PHONY: test bench bench-smoke bench-perf bench-e2e bench-split bench-telemetry bench-serve bench-stream clean-cache verify verify-fuzz verify-stream refresh-golden
 
 # seeded fuzz iterations for the long loop (override: make verify-fuzz FUZZ_ITERS=5000)
 FUZZ_ITERS ?= 1000
@@ -16,8 +16,9 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-only
 
-# one small experiment through the parallel (2 jobs) + cached path;
-# exports the stitched trace + metrics series to benchmarks/results/
+# one small experiment through the parallel (2 jobs) + cached path,
+# plus the e2e, profile-stage and split throughput guards; exports the
+# stitched trace + metrics series to benchmarks/results/
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks -q -k smoke
 
@@ -25,20 +26,15 @@ bench-smoke:
 bench-perf:
 	$(PYTHON) -m pytest benchmarks -q -k perf
 
-# end-to-end trace-pipeline speedup (legacy vs fast over the full corpus);
-# refreshes benchmarks/results/BENCH_e2e_*.json
+# end-to-end trace-pipeline speedup (legacy vs fast over the full corpus,
+# with per-workload stage seconds); refreshes
+# benchmarks/results/BENCH_e2e_*.json
 bench-e2e:
 	$(PYTHON) -m pytest benchmarks -q -k e2e
 
-# profile-stage speedup: Welford walk vs exact moments vs 4-shard walk,
-# with shard-merge bit-identity gates; refreshes
-# benchmarks/results/BENCH_profile_shards_*.json
-bench-profile-shards:
-	$(PYTHON) -m pytest benchmarks -q -k profile_shards
-
-# split-stage speedup: scalar splitter vs pre-scan vs 4-segment walk,
-# with bit-identity gates on every interval column; refreshes
-# benchmarks/results/BENCH_split_*.json and the shard-lane trace
+# split-stage speedup: scalar splitter vs the pre-scan split, with
+# bit-identity gates on every interval column; refreshes
+# benchmarks/results/BENCH_split_*.json
 bench-split:
 	$(PYTHON) -m pytest benchmarks -q -k bench_split
 

@@ -1,6 +1,6 @@
-"""Split-stage benchmark: scalar splitter vs pre-scan vs segmented walk.
+"""Split-stage benchmark: scalar splitter vs the shipping split.
 
-``make bench-split`` times three implementations of marker application
+``make bench-split`` times two implementations of marker application
 (the VLI split) over the 16-workload corpus (ref traces):
 
 * **legacy** — the scalar per-event splitter
@@ -9,23 +9,16 @@
 * **fast** — the shipping default (:func:`split_at_markers`): the
   vectorized candidate pre-scan, which touches only rows that can
   fire a marker and falls back to the batched walk when it must
-  decline;
-* **sharded** — the segmented walk (``shards=4``, serial executor):
-  per-segment boundary collection with exact seam fixups.
+  decline.
 
-The gate order mirrors ``bench-profile-shards``: every variant must be
-**bit-identical** to the scalar splitter on all four interval columns
-*before* any timing counts, then the fast split must beat legacy by
->= 2x overall.  Numbers land in ``benchmarks/results/BENCH_split_*.json``.
+The fast split must be **bit-identical** to the scalar splitter on all
+four interval columns *before* any timing counts, then it must beat
+legacy by >= 2x overall.  Numbers land in
+``benchmarks/results/BENCH_split_*.json``.
 
 ``test_bench_split_smoke_regression`` is the CI guard: it re-checks
 bit-identity on two workloads and fails if fast-split throughput fell
 more than 20% below the committed baseline JSON.
-
-``test_bench_split_shard_lanes_in_trace`` runs the sharded split under
-a telemetry session and exports the stitched Chrome trace with the
-per-segment ``shard N`` lanes to ``benchmarks/results/split_trace.jsonl``
-— CI uploads it as an artifact.
 """
 
 import json
@@ -35,12 +28,10 @@ from pathlib import Path
 import pytest
 
 from repro.intervals import split_at_markers, split_at_markers_scalar
-from repro.telemetry import telemetry_session, write_jsonl
 from repro.workloads import all_workloads
 
 RESULTS = Path(__file__).parent / "results"
 
-SPLIT_SHARDS = 4
 MARKER_VARIANT = "nolimit-self"
 
 
@@ -60,7 +51,7 @@ def _columns(intervals):
 
 
 def test_bench_split_speedup(runner, results_dir):
-    seconds = {"legacy": 0.0, "fast": 0.0, "sharded": 0.0}
+    seconds = {"legacy": 0.0, "fast": 0.0}
     total_instructions = 0
     total_intervals = 0
     per_workload = {}
@@ -77,27 +68,18 @@ def test_bench_split_speedup(runner, results_dir):
         fast_s, fast = _timed(
             lambda: split_at_markers(program, trace, markers)
         )
-        shard_s, sharded = _timed(
-            lambda: split_at_markers(
-                program, trace, markers, shards=SPLIT_SHARDS
-            )
-        )
 
-        # bit-identity gate: every fast path must reproduce the scalar
+        # bit-identity gate: the fast split must reproduce the scalar
         # split exactly before its timing counts for anything
-        want = _columns(legacy)
-        assert _columns(fast) == want, spec
-        assert _columns(sharded) == want, spec
+        assert _columns(fast) == _columns(legacy), spec
 
         seconds["legacy"] += legacy_s
         seconds["fast"] += fast_s
-        seconds["sharded"] += shard_s
         total_instructions += trace.total_instructions
         total_intervals += len(legacy)
         per_workload[spec] = {
             "legacy_seconds": legacy_s,
             "fast_seconds": fast_s,
-            "sharded_seconds": shard_s,
             "intervals": len(legacy),
             "instructions": trace.total_instructions,
         }
@@ -126,11 +108,7 @@ def test_bench_split_speedup(runner, results_dir):
                 **common,
                 "variant": "fast (vectorized candidate pre-scan)",
                 "seconds": seconds["fast"],
-                "sharded_seconds": seconds["sharded"],
                 "speedup_vs_legacy": speedup,
-                "sharded_speedup_vs_legacy": (
-                    seconds["legacy"] / seconds["sharded"]
-                ),
                 "instructions_per_second": (
                     total_instructions / seconds["fast"]
                 ),
@@ -142,9 +120,7 @@ def test_bench_split_speedup(runner, results_dir):
     )
     print(
         f"\nsplit: legacy {seconds['legacy']:.2f}s -> fast "
-        f"{seconds['fast']:.2f}s ({speedup:.2f}x), sharded "
-        f"{seconds['sharded']:.2f}s "
-        f"({seconds['legacy'] / seconds['sharded']:.2f}x)"
+        f"{seconds['fast']:.2f}s ({speedup:.2f}x)"
     )
     assert speedup >= 2.0
 
@@ -192,25 +168,3 @@ def test_bench_split_smoke_regression(runner):
         f"fast split regressed >20%: {throughput:.0f} instr/s vs "
         f"committed baseline {baseline:.0f}"
     )
-
-
-def test_bench_split_shard_lanes_in_trace(runner, results_dir):
-    """The sharded split stitches per-segment spans onto ``shard N``
-    lanes; export the trace so CI uploads an inspectable timeline."""
-    spec = "gzip"
-    program = runner.program(spec)
-    trace = runner.trace(spec)
-    markers = runner.markers(spec, MARKER_VARIANT)
-    want = _columns(split_at_markers_scalar(program, trace, markers))
-    with telemetry_session() as tm:
-        got = split_at_markers(
-            program, trace, markers, shards=SPLIT_SHARDS, executor="threads"
-        )
-    assert _columns(got) == want
-    write_jsonl(tm, results_dir / "split_trace.jsonl")
-    assert any(
-        label.startswith("shard ") for label in tm.lane_labels.values()
-    ), "sharded split should stitch shard lanes into the trace"
-    names = {s.name for s in tm.spans}
-    assert "vli.split_segments" in names
-    assert "vli.split_segment" in names

@@ -3,12 +3,11 @@
 This is what ``make bench-telemetry`` runs.  Two checks:
 
 * **Overhead gate** — the same small experiment (Figure 7 over one
-  workload through the jobs=2 / profile-shards=2 path, fresh Runner
-  each time so nothing is memoized) executed with telemetry disabled
-  and enabled, min-of-3 wall clock each.  The enabled side runs the
-  whole observability surface: span recording, cross-worker snapshot
-  stitching, per-shard lane spans, and a live background metrics
-  sampler.  The headline guarantee of the no-op fast path and the
+  workload through the jobs=2 path, fresh Runner each time so nothing
+  is memoized) executed with telemetry disabled and enabled, min-of-3
+  wall clock each.  The enabled side runs the whole observability
+  surface: span recording, cross-worker snapshot stitching, and a live
+  background metrics sampler.  The headline guarantee of the no-op fast path and the
   bulk-granularity instrumentation: **enabling it all costs < 10%**.
 
 * **Critical-path reconciliation** — the ``repro stats
@@ -47,7 +46,7 @@ MAX_OVERHEAD = 0.10
 
 def _run_once() -> float:
     start = time.perf_counter()
-    runner = Runner(jobs=2, profile_shards=2)
+    runner = Runner(jobs=2)
     runner.prefetch_graphs(PAIRS)
     fig7.run(runner, specs=SPECS)
     return time.perf_counter() - start
@@ -76,7 +75,7 @@ def test_bench_telemetry_overhead(results_dir):
 
     table = Table(
         f"Telemetry overhead: fig7 over {SPECS} "
-        f"(jobs=2, shards=2, sampler on), min of {REPEATS}",
+        f"(jobs=2, sampler on), min of {REPEATS}",
         ["mode", "wall seconds", "overhead %"],
         digits=3,
     )

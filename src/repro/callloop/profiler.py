@@ -5,79 +5,31 @@ This is the reproduction of the paper's ATOM-based profiling step
 folding every edge traversal's hierarchical instruction count into that
 edge's running statistics.
 
-The default path accumulates **exact integer moments** per edge
+The profile accumulates **exact integer moments** per edge
 (:class:`~repro.callloop.stats.MomentStats`) and derives the float
-:class:`~repro.callloop.stats.RunningStats` once at the end.  Exact
-moments are associative, which unlocks the segmented profile: the trace
-is cut at frame-boundary-safe rows (:meth:`ContextWalker.plan_segments`)
-and the segments are walked independently — serially, on a thread pool,
-or on a forked process pool — then merged, with a result bit-identical
-to the sequential walk.  ``profile_trace(trace, shards=N)`` (the
-``--profile-shards`` CLI flag) selects the segmented path; the
-``segmented-profile`` verify check pins its equivalence on every fuzz
-iteration.
-
-:class:`_GraphBuilder` — the pre-segmentation handler that streamed
-every traversal through a per-edge Welford accumulator — is retained as
-the legacy reference implementation; ``benchmarks/
-test_bench_profile_shards.py`` measures the shipping path against it.
+:class:`~repro.callloop.stats.RunningStats` once at the end, so the
+per-edge statistics do not depend on how the walker batches loop
+back-edge runs.  :func:`repro.verify.oracles.oracle_call_loop_graph` is
+the independent reference the ``graph`` verify check diffs it against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.callloop.graph import CallLoopGraph, NodeTable
-from repro.callloop.shards import SHARD_EXECUTORS, run_segments
 from repro.callloop.stats import MomentStats
-from repro.callloop.walker import ContextHandler, ContextWalker, TraceSegment
+from repro.callloop.walker import ContextHandler, ContextWalker
 from repro.engine.machine import Machine
 from repro.engine.tracing import Trace, record_trace
-from repro.engine.events import K_BLOCK
 from repro.ir.program import Program, ProgramInput, SourceLoc
 from repro.telemetry import get_telemetry
 
 
-class _GraphBuilder(ContextHandler):
-    """Per-traversal Welford accumulation into a CallLoopGraph.
-
-    The legacy (pre-segmentation) handler, kept as the baseline side of
-    the profile-shards benchmark and as an independent second
-    implementation: it streams ``t_close - t_open`` straight into each
-    edge's :class:`RunningStats`, one callback per traversal.
-    """
-
-    def __init__(self, graph: CallLoopGraph, table: NodeTable):
-        self.graph = graph
-        self.table = table
-        # (src, dst) node-id pair -> (RunningStats, site_sources); spares
-        # the per-traversal Node hashing of CallLoopGraph.edge on the
-        # walk's hottest callback.
-        self._edge_cache = {}
-
-    def on_edge_close(
-        self,
-        src: int,
-        dst: int,
-        t_open: int,
-        t_close: int,
-        source: Optional[SourceLoc],
-    ) -> None:
-        cached = self._edge_cache.get((src, dst))
-        if cached is None:
-            nodes = self.table.nodes
-            edge = self.graph.edge(nodes[src], nodes[dst])
-            cached = (edge.stats, edge.site_sources)
-            self._edge_cache[(src, dst)] = cached
-        cached[0].add(t_close - t_open)
-        if source is not None:
-            cached[1].add(source)
-
-
 class _MomentBuilder(ContextHandler):
-    """Exact integer edge moments — the default profiling handler.
+    """Exact integer edge moments — the profiling handler.
 
     Keyed by ``(src, dst)`` node-id pair in first-close order (dict
     insertion order), which is what fixes the graph's edge order when
@@ -131,172 +83,44 @@ class CallLoopProfiler:
 
     Multiple traces (e.g. several inputs of a train set) can be folded into
     the same graph with repeated :meth:`profile_trace` calls.
-
-    ``shards`` sets the default segment count for :meth:`profile_trace`
-    (``None``/``1`` = sequential); ``shard_executor`` picks how segments
-    run (see :data:`SHARD_EXECUTORS`, default ``"threads"``).  The
-    segmented result is bit-identical to the sequential one, so sharding
-    is purely a throughput knob.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        table: Optional[NodeTable] = None,
-        shards: Optional[int] = None,
-        shard_executor: Optional[str] = None,
-    ):
+    def __init__(self, program: Program, table: Optional[NodeTable] = None):
         self.program = program
         self.table = table or NodeTable(program)
         self.graph = CallLoopGraph(program.name, program.variant)
-        self.shards = shards
-        self.shard_executor = shard_executor
         self._walker = ContextWalker(program, self.table)
 
-    def profile_trace(
-        self,
-        trace: Trace,
-        shards: Optional[int] = None,
-        executor: Optional[str] = None,
-    ) -> CallLoopGraph:
-        """Fold one recorded trace into the graph.
-
-        ``shards > 1`` cuts the trace at frame-boundary-safe rows and
-        walks the segments independently (*executor*: ``"serial"``,
-        ``"threads"`` — the default — or ``"processes"``), merging the
-        exact per-segment moments afterwards; traces without safe cut
-        points fall back to the sequential walk.  Either way the
-        resulting graph is bit-identical.
-        """
+    def profile_trace(self, trace: Trace) -> CallLoopGraph:
+        """Fold one recorded trace into the graph."""
         tm = get_telemetry()
-        shards = self.shards if shards is None else shards
-        executor = executor or self.shard_executor
         if not tm.enabled:
-            return self._profile_trace(trace, shards, executor)
-        with tm.span(
-            "callloop.profile_trace",
-            program=self.program.name,
-            shards=shards or 1,
-        ):
-            graph = self._profile_trace(trace, shards, executor)
+            return self._profile_trace(trace)
+        with tm.span("callloop.profile_trace", program=self.program.name):
+            graph = self._profile_trace(trace)
             tm.gauge("callloop.graph.nodes", self.graph.num_nodes)
             tm.gauge("callloop.graph.edges", self.graph.num_edges)
         return graph
 
-    def _profile_trace(
-        self, trace: Trace, shards: Optional[int], executor: Optional[str]
-    ) -> CallLoopGraph:
-        tm = get_telemetry()
-        if shards is not None and shards > 1:
-            segments = self._walker.plan_segments(trace, shards)
-            if segments:
-                return self._profile_segmented(trace, segments, executor)
-            if tm.enabled:
-                tm.counter("callloop.profile.sequential_fallbacks")
+    def _profile_trace(self, trace: Trace) -> CallLoopGraph:
         handler = _MomentBuilder()
         total = self._walker.walk(trace, handler)
-        self._fold_edges([handler.edges])
+        self._fold_edges(handler.edges)
         self.graph.total_instructions += total
-        if tm.enabled:
-            tm.counter("callloop.profile.instructions", total)
-        return self.graph
-
-    def _profile_segmented(
-        self, trace: Trace, segments: List[TraceSegment], executor: Optional[str]
-    ) -> CallLoopGraph:
         tm = get_telemetry()
-        executor = executor or "threads"
-        if executor not in SHARD_EXECUTORS:
-            raise ValueError(
-                f"unknown shard executor {executor!r}; "
-                f"expected one of {SHARD_EXECUTORS}"
-            )
-        # Build the shared lookup tables once, before any worker touches
-        # the walker (they are lazily cached and not locked).
-        self._walker._ensure_addr_tables()
-        total = int(
-            np.sum(np.where(trace.kinds == K_BLOCK, trace.c, 0), dtype=np.int64)
-        )
-        with tm.span(
-            "callloop.profile_segments",
-            segments=len(segments),
-            executor=executor,
-        ):
-            sharded = self._run_segments(trace, segments, executor)
-            edge_maps = [edges for edges, _ in sharded]
-            if tm.enabled:
-                # Parent-emitted shard spans: workers only *measure*
-                # (monotonic_ns brackets), so nothing touches the
-                # session from worker threads or forked children.
-                for i, (_, (t0, t1)) in enumerate(sharded):
-                    tm.emit_span(
-                        "callloop.walk_segment",
-                        t0,
-                        t1,
-                        tid=tm.lane(f"shard {i}"),
-                        segment=i,
-                        executor=executor,
-                    )
-        self._fold_edges(edge_maps)
-        self.graph.total_instructions += total
         if tm.enabled:
             tm.counter("callloop.profile.instructions", total)
-            tm.counter("callloop.profile.segments", len(segments))
         return self.graph
 
-    def _run_segments(
-        self, trace: Trace, segments: List[TraceSegment], executor: str
-    ) -> List[Tuple[Dict[Tuple[int, int], list], Tuple[int, int]]]:
-        """Walk every segment under *executor*; segment-ordered
-        ``(edge_map, (start_ns, end_ns))`` pairs.
+    def _fold_edges(self, edges: Dict[Tuple[int, int], list]) -> None:
+        """Fold one walk's edge map into the graph, in first-close order.
 
-        Delegates to the shared :func:`repro.callloop.shards.run_segments`
-        machinery: each worker gets its own :class:`ContextWalker` cursor
-        (sharing the parent's lazily built address tables) and its own
-        :class:`_MomentBuilder`; only the per-segment edge maps (exact
-        integer moments + source sets) come back.
+        The derived :class:`RunningStats` adopt exactly when the edge is
+        fresh and fold via the parallel merge formula when several
+        traces accumulate into one graph.
         """
-        shared_tables = self._walker._addr_tables
-
-        def walker_for() -> ContextWalker:
-            walker = ContextWalker(self.program, self.table)
-            walker._addr_tables = shared_tables
-            return walker
-
-        return run_segments(
-            walker_for,
-            lambda walker: _MomentBuilder(),
-            lambda handler: handler.edges,
-            trace,
-            segments,
-            executor,
-            workers=_shard_workers(),
-        )
-
-    def _fold_edges(
-        self, edge_maps: Iterable[Dict[Tuple[int, int], list]]
-    ) -> None:
-        """Merge per-segment edge maps into the graph, in segment order.
-
-        Exact integer moments merge by addition, so the totals equal the
-        sequential walk's regardless of the segmentation; per-segment
-        first-close order concatenates to the sequential first-close
-        order, fixing the graph's edge order.  The derived
-        :class:`RunningStats` adopt exactly when the edge is fresh and
-        fold via the parallel merge formula when several traces
-        accumulate into one graph.
-        """
-        merged: Dict[Tuple[int, int], list] = {}
-        for edges in edge_maps:
-            for key, entry in edges.items():
-                into = merged.get(key)
-                if into is None:
-                    merged[key] = entry
-                else:
-                    into[0].merge(entry[0])
-                    into[1] |= entry[1]
         nodes = self.table.nodes
-        for (src, dst), entry in merged.items():
+        for (src, dst), entry in edges.items():
             edge = self.graph.edge(nodes[src], nodes[dst])
             edge.stats = edge.stats.merge(entry[0].to_running_stats())
             edge.site_sources |= entry[1]
@@ -309,13 +133,6 @@ class CallLoopProfiler:
             Machine(self.program, program_input, max_instructions=max_instructions)
         )
         return self.profile_trace(trace)
-
-
-def _shard_workers() -> int:
-    """Worker cap for shard executors: the CPUs available to us."""
-    from repro.runner.parallel import available_cpus
-
-    return available_cpus()
 
 
 def build_call_loop_graph(

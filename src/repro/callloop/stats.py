@@ -7,14 +7,14 @@ numerically stable single-pass mean/variance; `merge` combines stats from
 independent profiles (used when aggregating multiple runs of the same
 input set).
 
-:class:`MomentStats` is the accumulator behind the (default) segmented
-profile path: it keeps the *raw* moments — count, sum, sum of squares —
-as arbitrary-precision Python integers.  Hierarchical instruction counts
-are integers, so the moments are exact, and exact addition is
-associative and commutative: folding a trace in one pass, in N segment
-passes, or in any interleaving produces the same integers, which is what
-makes the sharded profile bit-identical to the sequential one.  The
-float statistics are derived once at the end
+:class:`MomentStats` is the accumulator behind the profile: it keeps
+the *raw* moments — count, sum, sum of squares — as arbitrary-precision
+Python integers.  Hierarchical instruction counts are integers, so the
+moments are exact, and exact addition is associative and commutative:
+folding observations one at a time, in vectorized back-edge batches, or
+as merged streaming window slots produces the same integers, which is
+what makes the streaming window's merged graph bit-identical to the
+batch profile.  The float statistics are derived once at the end
 (:meth:`MomentStats.to_running_stats`), each with a single
 correctly-rounded division.
 
@@ -113,7 +113,7 @@ class MomentStats:
 
     ``add``/``add_run``/``merge`` are all plain integer additions, so
     any partition of the observations into batches — per-iteration
-    callbacks, vectorized back-edge runs, or whole trace segments —
+    callbacks, vectorized back-edge runs, or streaming window slots —
     accumulates to identical integers.  ``to_running_stats`` converts to
     the float :class:`RunningStats` form the graph stores:
 

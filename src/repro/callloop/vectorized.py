@@ -24,8 +24,8 @@ selections byte-for-byte.
 The inputs are as reproducible as the kernels: edge statistics are
 derived from exact integer moments
 (:class:`~repro.callloop.stats.MomentStats`), so the arrays built here
-are identical whether the profile ran sequentially or segmented across
-any number of shards (``--profile-shards``).
+are identical whether the profile came from the batch walk or the
+streaming window's slot merges.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ Edge endpoints are integer node ids from a :class:`NodeTable`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -99,25 +98,6 @@ class ContextHandler:
 
     def on_branch(self, address: int, target: int, taken: bool) -> None:
         pass
-
-
-@dataclass(frozen=True)
-class TraceSegment:
-    """One independently walkable slice of a trace.
-
-    ``loop_state`` reconstructs the entry frame's loop stack at the
-    segment boundary: ``(header, head_open_t, iter_open_t)`` triples,
-    outermost first.  Both timestamps are *absolute* instruction counts,
-    derived statically from the block-size cumsum (see
-    :meth:`ContextWalker.plan_segments`), so a segment can restore the
-    exact shadow-stack state the sequential walker would hold there
-    without replaying the prefix.
-    """
-
-    start: int
-    stop: int
-    t_start: int
-    loop_state: Tuple[Tuple[int, int, int], ...] = ()
 
 
 class _LoopSpan:
@@ -210,7 +190,7 @@ class ContextWalker:
         self._proc_by_id = {p.proc_id: p for p in program.procedures.values()}
         # Lazily built vectorized lookup tables for the bulk replay mode.
         self._addr_tables: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+            Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
 
     def walk_events(self, events, handler: ContextHandler) -> int:
@@ -311,18 +291,14 @@ class ContextWalker:
 
     def _ensure_addr_tables(
         self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted block-address table with per-address loop metadata.
 
-        For every static block address: whether it is a loop header, a
-        dense id for its *static loop chain* (the set of loop regions
-        covering the address), and whether that chain is empty.  Two
-        consecutive block rows in the same frame with equal chain ids,
-        neither a header, cannot move the loop stack — that is what lets
-        the bulk walker skip them.  A chain-empty block executed at call
-        depth zero leaves the shadow stack in a statically known state,
-        which is what makes the row after it a safe segment cut point
-        (:meth:`segment_cut_rows`).
+        For every static block address: whether it is a loop header and
+        a dense id for its *static loop chain* (the set of loop regions
+        covering the address).  Two consecutive block rows in the same
+        frame with equal chain ids, neither a header, cannot move the
+        loop stack — that is what lets the bulk walker skip them.
         """
         if self._addr_tables is not None:
             return self._addr_tables
@@ -331,7 +307,6 @@ class ContextWalker:
         addr_arr = np.asarray(addrs, dtype=np.int64)
         is_header = np.zeros(len(addrs), dtype=bool)
         chain_ids = np.zeros(len(addrs), dtype=np.int64)
-        chain_empty = np.zeros(len(addrs), dtype=bool)
         chain_map: Dict[tuple, int] = {}
         for i, addr in enumerate(addrs):
             if addr in loops:
@@ -344,184 +319,21 @@ class ContextWalker:
                 )
             )
             chain_ids[i] = chain_map.setdefault(chain, len(chain_map))
-            chain_empty[i] = not chain
-        self._addr_tables = (addr_arr, is_header, chain_ids, chain_empty)
+        self._addr_tables = (addr_arr, is_header, chain_ids)
         return self._addr_tables
 
-    def plan_segments(
-        self, trace: Trace, num_segments: int
-    ) -> List[TraceSegment]:
-        """Cut *trace* into up to *num_segments* frame-boundary-safe slices.
-
-        A cut is placed only after a block executed at call depth zero:
-        there the shadow stack holds exactly the entry frame, and the
-        frame's loop stack is the static loop chain of that block's
-        address.  Each open span's timestamps are recovered from the
-        block-size cumsum — ``head_open_t`` at the activation's entry
-        row (first in-region depth-0 block of the current run),
-        ``iter_open_t`` at the last execution of its header — so every
-        segment starts from a state identical to the sequential
-        walker's, without replaying the prefix (see
-        :class:`TraceSegment` and :meth:`walk_segment`).
-
-        Cut rows are chosen nearest the ideal equal row division and
-        deduplicated, so fewer than *num_segments* slices can come
-        back.  An **empty list** means the trace cannot be segmented —
-        too short, never at depth zero (one call frame spans
-        everything), or referencing unknown block addresses — and the
-        caller should fall back to the sequential walk.
-        """
-        n = len(trace)
-        if num_segments <= 1 or n < 2:
-            return []
-        kinds = trace.kinds
-        block_mask = kinds == K_BLOCK
-        blk_rows = np.nonzero(block_mask)[0]
-        if not len(blk_rows):
-            return []
-        addr_arr, _, _, _ = self._ensure_addr_tables()
-        if len(addr_arr) == 0:
-            return []
-        baddrs = trace.b[blk_rows]
-        pos = np.searchsorted(addr_arr, baddrs)
-        pos = np.minimum(pos, len(addr_arr) - 1)
-        if not np.array_equal(addr_arr[pos], baddrs):
-            return []  # unknown block address: bulk replay would bail too
-        depth = np.cumsum(
-            (kinds == K_CALL).astype(np.int64) - (kinds == K_RETURN)
-        )
-        d0 = blk_rows[depth[blk_rows] == 0]
-        starts = d0 + 1
-        starts = starts[starts < n]
-        if not len(starts):
-            return []
-        ideals = (np.arange(1, num_segments, dtype=np.int64) * n) // num_segments
-        right = np.clip(np.searchsorted(starts, ideals), 0, len(starts) - 1)
-        left = np.maximum(right - 1, 0)
-        use_left = np.abs(starts[left] - ideals) <= np.abs(starts[right] - ideals)
-        cuts = sorted(set(np.where(use_left, starts[left], starts[right]).tolist()))
-        if not cuts:
-            return []
-
-        sizes = np.where(block_mask, trace.c, 0)
-        t_before = np.cumsum(sizes) - sizes
-        loops = self.loops_by_header
-        d0_addrs = trace.b[d0]
-        # Per header: its depth-0 execution rows and the depth-0 rows
-        # where its static region is (re-)entered — one activation each.
-        row_memo: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-        def header_rows(h: int) -> Tuple[np.ndarray, np.ndarray]:
-            got = row_memo.get(h)
-            if got is None:
-                latch = loops[h].latch_branch_address
-                in_region = (d0_addrs >= h) & (d0_addrs <= latch)
-                occ = d0[d0_addrs == h]
-                enters = d0[
-                    in_region & np.concatenate(([True], ~in_region[:-1]))
-                ]
-                got = row_memo[h] = (occ, enters)
-            return got
-
-        bounds = [0] + cuts + [n]
-        segments: List[TraceSegment] = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if a == 0:
-                segments.append(TraceSegment(a, b, 0, ()))
-                continue
-            r = a - 1  # the depth-0 block row this cut follows
-            addr = int(trace.b[r])
-            chain = sorted(
-                h
-                for h, lp in loops.items()
-                if h <= addr <= lp.latch_branch_address
-            )
-            state = []
-            for h in chain:  # ascending header address = outermost first
-                occ, enters = header_rows(h)
-                oi = int(np.searchsorted(occ, r, side="right")) - 1
-                ei = int(np.searchsorted(enters, r, side="right")) - 1
-                if oi < 0 or ei < 0:
-                    # Region covers the cut row but its header never ran
-                    # (unstructured flow): refuse to segment the trace.
-                    return []
-                state.append(
-                    (h, int(t_before[enters[ei]]), int(t_before[occ[oi]]))
-                )
-            segments.append(TraceSegment(a, b, int(t_before[a - 1] + sizes[a - 1]), tuple(state)))
-        return segments
-
-    def walk_segment(
-        self,
-        trace: Trace,
-        handler: ContextHandler,
-        segment: TraceSegment,
-        is_first: bool = False,
-        is_last: bool = False,
-    ) -> int:
-        """Replay one :class:`TraceSegment` from :meth:`plan_segments`.
-
-        Only the first segment emits the entry-procedure opens; only
-        the last unwinds still-open frames at trace end — so the
-        per-segment callback sequences of consecutive segments
-        concatenate to exactly the sequential walk's (the
-        ``segmented-profile`` verify check pins this against
-        :meth:`walk_scalar`).  ``walker.row`` reports absolute trace
-        rows throughout.  Returns the instruction count at segment end.
-        """
-        cls = type(handler)
-        if cls.on_block is not ContextHandler.on_block:
-            raise ValueError(
-                "segmented replay requires a bulk-eligible handler "
-                "(on_block must stay the base no-op)"
-            )
-        result = self._walk_bulk(
-            trace,
-            handler,
-            cls.on_branch is not ContextHandler.on_branch,
-            start=segment.start,
-            stop=segment.stop,
-            t_start=segment.t_start,
-            open_entry=is_first,
-            unwind=is_last,
-            loop_state=segment.loop_state,
-        )
-        if result is None:
-            raise ValueError(
-                "segmented replay requires all block addresses to be known "
-                "(plan_segments returns no segments for such traces)"
-            )
-        return result
-
     def _walk_bulk(
-        self,
-        trace: Trace,
-        handler: ContextHandler,
-        need_branch: bool,
-        start: int = 0,
-        stop: Optional[int] = None,
-        t_start: int = 0,
-        open_entry: bool = True,
-        unwind: bool = True,
-        loop_state: Tuple[Tuple[int, int, int], ...] = (),
+        self, trace: Trace, handler: ContextHandler, need_branch: bool
     ) -> Optional[int]:
-        """Vectorized replay of a whole trace (or one segment of it).
+        """Vectorized replay of a whole trace.
 
         Sets up the entry frame around one :meth:`_interesting_rows` +
         :meth:`_replay_rows` pass and unwinds it at the end.  Returns
         ``None`` when the trace references addresses outside the program
         (caller falls back to the scalar walker).
-
-        ``start``/``stop``/``t_start``/``open_entry``/``unwind``
-        restrict the replay to one segment of a cut trace (see
-        :meth:`walk_segment`); the defaults replay the whole trace.
         """
-        if stop is None:
-            stop = len(trace.kinds)
-        kinds = trace.kinds[start:stop]
-        b_col = trace.b[start:stop]
-        c_col = trace.c[start:stop]
-        selected = self._interesting_rows(kinds, b_col, c_col, need_branch, t_start)
+        kinds, b_col, c_col = trace.kinds, trace.b, trace.c
+        selected = self._interesting_rows(kinds, b_col, c_col, need_branch, 0)
         if selected is None:
             return None
         rows, rt_arr, total = selected
@@ -539,47 +351,20 @@ class ContextWalker:
             site_source=self._proc_source.get(entry.proc_id),
         )
         active: Dict[int, int] = {entry.proc_id: 1}
-        if open_entry:
-            handler.on_edge_open(root, main_frame.head_node, 0, main_frame.site_source)
-            handler.on_edge_open(main_frame.head_node, main_frame.body_node, 0, None)
+        handler.on_edge_open(root, main_frame.head_node, 0, main_frame.site_source)
+        handler.on_edge_open(main_frame.head_node, main_frame.body_node, 0, None)
         frames: List[_Frame] = [main_frame]
-        if loop_state:
-            # Restore the loop stack a previous segment left open (the
-            # spans were opened there; their callbacks already fired).
-            parent_ctx = main_frame.body_node
-            for header, head_open_t, iter_open_t in loop_state:
-                span = _LoopSpan(
-                    header,
-                    self.loops_by_header[header].latch_branch_address,
-                    self.table.loop_head[header],
-                    self.table.loop_body[header],
-                    parent_ctx,
-                    head_open_t,
-                    self._loop_source.get(header),
-                )
-                span.iter_open_t = iter_open_t
-                main_frame.loop_stack.append(span)
-                parent_ctx = span.body_node
 
         self._replay_rows(
-            self, handler, kinds, trace.a[start:stop], b_col, c_col,
-            rows, rt_arr, start, frames, active,
+            self, handler, kinds, trace.a, b_col, c_col, rows, rt_arr, 0,
+            frames, active,
         )
-        self.row = stop
-        if unwind:
-            on_close = handler.on_edge_close
-            while frames:
-                frame = frames.pop()
-                self._close_frame(frame, total, on_close)
-                active[frame.proc_id] -= 1
-        elif frames != [main_frame]:
-            # A non-final segment must end at call depth zero, where the
-            # next one restarts.  Anything else means the cut row was
-            # not frame-boundary-safe.
-            raise RuntimeError(
-                f"segment [{start}, {stop}) did not end at a clean frame "
-                "boundary; segments must come from plan_segments()"
-            )
+        self.row = len(kinds)
+        on_close = handler.on_edge_close
+        while frames:
+            frame = frames.pop()
+            self._close_frame(frame, total, on_close)
+            active[frame.proc_id] -= 1
         return total
 
     def _interesting_rows(
@@ -615,7 +400,7 @@ class ContextWalker:
 
         blk_rows = np.nonzero(block_mask)[0]
         if len(blk_rows):
-            addr_arr, is_header, chain_ids, _ = self._ensure_addr_tables()
+            addr_arr, is_header, chain_ids = self._ensure_addr_tables()
             if len(addr_arr) == 0:
                 return None
             baddrs = b_col[blk_rows]

@@ -23,10 +23,7 @@ Commands (full reference with examples: ``docs/CLI.md``)
 ``experiment NAME``
     Regenerate one of the paper's figures (fig3, fig4, fig56, fig7,
     fig8, fig9, fig10, fig11, fig12, crossbin, selection).  Supports
-    ``--jobs N`` (parallel profiling), ``--profile-shards N``
-    (segmented parallel trace walk, bit-identical results),
-    ``--split-shards N`` (segmented marker application, bit-identical
-    intervals), ``--cache-dir DIR`` and
+    ``--jobs N`` (parallel profiling), ``--cache-dir DIR`` and
     ``--no-cache`` (on-disk profile cache); a run summary with per-job
     timings and cache hit/miss counters is printed to stderr, keeping
     stdout byte-identical across serial, parallel, and cached runs.
@@ -139,9 +136,7 @@ def _cmd_phases(args: argparse.Namespace) -> int:
     workload, program, graph, markers = _select(args)
     ref = workload.ref_input
     trace = record_trace(Machine(program, ref))
-    intervals = split_at_markers(
-        program, trace, markers, shards=args.split_shards
-    )
+    intervals = split_at_markers(program, trace, markers)
     attach_metrics(intervals, trace, program, ref)
     cov = phase_cov(intervals)
     print(
@@ -309,12 +304,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.runner import ProfileCache
 
     cache = None if args.no_cache else ProfileCache(args.cache_dir)
-    runner = Runner(
-        cache=cache,
-        jobs=args.jobs,
-        profile_shards=args.profile_shards,
-        split_shards=args.split_shards,
-    )
+    runner = Runner(cache=cache, jobs=args.jobs)
     plan = PROFILE_PLANS.get(args.name, ())
     if plan and args.jobs > 1:
         runner.prefetch_graphs(plan)
@@ -461,9 +451,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         }
     )
     cache, store = _serving_stores(args)
-    payload = compute_payload(
-        query, cache=cache, trace_store=store, split_shards=args.split_shards
-    )
+    payload = compute_payload(query, cache=cache, trace_store=store)
     if args.output:
         with open(args.output, "wb") as f:
             f.write(payload)
@@ -492,7 +480,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_root=args.trace_root,
         batch_window_s=args.batch_window,
         max_batch=args.max_batch,
-        split_shards=args.split_shards,
     )
 
     async def _serve() -> None:
@@ -657,12 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         "phases", help="summarize the phases markers define", parents=[tel]
     )
     add_selection_args(p_phases)
-    p_phases.add_argument(
-        "--split-shards", type=int, default=None, metavar="N",
-        help="apply markers over N parallel trace segments "
-        "(bit-identical intervals; default: the sparsity-aware "
-        "sequential fast path)",
-    )
     p_phases.set_defaults(fn=_cmd_phases)
 
     p_plot = sub.add_parser(
@@ -758,17 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="disable the on-disk profile cache",
     )
-    p_exp.add_argument(
-        "--profile-shards", type=int, default=None, metavar="N",
-        help="walk each profiled trace as N parallel segments "
-        "(bit-identical results; default: sequential walk)",
-    )
-    p_exp.add_argument(
-        "--split-shards", type=int, default=None, metavar="N",
-        help="apply markers over N parallel trace segments "
-        "(bit-identical intervals; default: the sparsity-aware "
-        "sequential fast path)",
-    )
     p_exp.set_defaults(fn=_cmd_experiment)
 
     p_verify = sub.add_parser(
@@ -797,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--skip-split", action="store_true",
-        help="skip the segmented-split equivalence pass",
+        help="skip the split equivalence pass",
     )
     p_verify.add_argument(
         "--refresh-golden", action="store_true",
@@ -906,11 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_query_args(p_query, positional=True)
     add_store_args(p_query)
     p_query.add_argument(
-        "--split-shards", type=int, default=None, metavar="N",
-        help="segment the VLI split of bbv/vli/phases payloads "
-        "(payload bytes are shard-count-invariant)",
-    )
-    p_query.add_argument(
         "-o", "--output", help="write the payload bytes to a file"
     )
     p_query.set_defaults(fn=_cmd_query)
@@ -940,11 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=None, metavar="N",
         help="dispatch a batch at N queries even inside the window "
         "(default 16)",
-    )
-    p_serve.add_argument(
-        "--split-shards", type=int, default=None, metavar="N",
-        help="segment the VLI split of bbv/vli/phases payloads in "
-        "workers (payload bytes are shard-count-invariant)",
     )
     p_serve.set_defaults(fn=_cmd_serve)
 

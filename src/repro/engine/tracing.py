@@ -199,7 +199,7 @@ def record_trace(source) -> Trace:
     fast = isinstance(source, Machine)
     if not tm.enabled:
         return source.record() if fast else Trace.from_events(source)
-    with tm.span("engine.record_trace", path="fast" if fast else "objects"):
+    with tm.span("engine.record_trace", recorder="rows" if fast else "objects"):
         if fast:
             trace = source.record()
             for path, entries in source.loop_entries.items():

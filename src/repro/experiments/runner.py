@@ -84,14 +84,7 @@ class Runner:
 
     *cache* (optional) is an on-disk :class:`~repro.runner.cache.ProfileCache`
     consulted before any call-loop profiling; *jobs* is the default
-    worker count for :meth:`prefetch_graphs`; *profile_shards* walks
-    each profiled trace as that many parallel segments (``--profile-shards``
-    on the CLI) — results are bit-identical to the sequential walk, so
-    the knob composes freely with caching and job fan-out.
-    *split_shards* does the same for the VLI split stage
-    (``--split-shards``): the marker-application walk is segmented and
-    the per-segment boundary lists merged with exact seam fixups, so
-    interval sets are bit-identical at any shard count.
+    worker count for :meth:`prefetch_graphs`.
     """
 
     def __init__(
@@ -100,14 +93,10 @@ class Runner:
         cache: Optional[ProfileCache] = None,
         jobs: int = 1,
         trace_store: Optional[TraceStore] = None,
-        profile_shards: Optional[int] = None,
-        split_shards: Optional[int] = None,
     ):
         self.config = config
         self.cache = cache
         self.jobs = jobs
-        self.profile_shards = profile_shards
-        self.split_shards = split_shards
         # Large traces spill here (memmap-backed columns) instead of
         # living in the process heap; workers hand traces back through
         # the store as path handles rather than pickled arrays.  Follows
@@ -199,9 +188,7 @@ class Runner:
                     start = time.perf_counter()
                     program = self.program(spec)
                     profiler = CallLoopProfiler(program)
-                    profiler.profile_trace(
-                        self.trace(spec, which), shards=self.profile_shards
-                    )
+                    profiler.profile_trace(self.trace(spec, which))
                     self.log.record(key[0], which, PROFILED, time.perf_counter() - start)
                     self._graphs[key] = profiler.graph
                     if self.cache is not None:
@@ -249,12 +236,7 @@ class Runner:
             )
             results = run_profile_jobs(
                 [
-                    ProfileJob(
-                        spec,
-                        which,
-                        trace_root=trace_root,
-                        profile_shards=self.profile_shards,
-                    )
+                    ProfileJob(spec, which, trace_root=trace_root)
                     for spec, which in needed
                 ],
                 max_workers=jobs,
@@ -374,9 +356,7 @@ class Runner:
         program = self.program(spec)
         trace = self.trace(spec, which)
         markers = self.markers(spec, marker_variant)
-        intervals = split_at_markers(
-            program, trace, markers, shards=self.split_shards
-        )
+        intervals = split_at_markers(program, trace, markers)
         profile = attach_metrics(
             intervals,
             trace,

@@ -14,27 +14,21 @@ procedure-level edges), which makes marker application an extremely
 sparse scan: almost every edge the walker opens misses the marker table.
 The shipping path exploits that two ways:
 
-* **batched sparsity** — :class:`_FastBoundaryCollector` implements the
-  walker's ``on_edge_iterations`` hook, so a whole run of loop
-  back-edge arrivals costs one marker-table lookup; candidate-free runs
-  (the overwhelming majority) are skipped wholesale, and marked runs
-  extend the boundary list vectorized;
-* **segmentation** — ``split_at_markers(..., shards=N)`` cuts the trace
-  at the frame-boundary-safe rows planned by
-  :meth:`ContextWalker.plan_segments`, collects boundaries per segment
-  on the shared shard executors (serial / threads / forked processes),
-  and merges the per-segment lists with exact seam fixups: coincident
-  firings straddling a seam collapse exactly as the sequential
-  collector would, and the prologue / t==0 / end-of-trace rules apply
-  only after the merge.
+* **candidate pre-scan** — :func:`_prescan_boundaries` resolves every
+  firing from a handful of vectorized column scans, without walking the
+  trace at all, whenever the program's structure lets it derive each
+  edge's source context statically;
+* **batched sparsity** — when the pre-scan declines,
+  :class:`_FastBoundaryCollector` rides the bulk walker and implements
+  its ``on_edge_iterations`` hook, so a whole run of loop back-edge
+  arrivals costs one marker-table lookup; candidate-free runs (the
+  overwhelming majority) are skipped wholesale, and marked runs extend
+  the boundary list vectorized.
 
-Merged (every-Nth-iteration) markers carry cross-segment counter state,
-so marker sets containing them apply sequentially — still batched — and
-the segmented request falls back (counted in telemetry).  The per-event
-:func:`split_at_markers_scalar` stays in-tree as the oracle and the
-``bench-split`` baseline; the ``segmented-split`` verify check pins the
-fast and segmented paths against it on every fuzz iteration and golden
-workload.
+The per-event :func:`split_at_markers_scalar` stays in-tree as the
+oracle and the ``bench-split`` baseline; the ``split`` verify check pins
+the pre-scan and its fallback against it on every fuzz iteration and
+golden workload.
 """
 
 from __future__ import annotations
@@ -45,8 +39,7 @@ import numpy as np
 
 from repro.callloop.graph import NodeTable
 from repro.callloop.markers import MarkerSet, MarkerTracker
-from repro.callloop.shards import SHARD_EXECUTORS, run_segments
-from repro.callloop.walker import ContextHandler, ContextWalker, TraceSegment
+from repro.callloop.walker import ContextHandler, ContextWalker
 from repro.engine.events import K_BLOCK, K_CALL, K_RETURN
 from repro.engine.tracing import Trace
 from repro.intervals.base import IntervalSet
@@ -165,9 +158,8 @@ def _prescan_boundaries(
     context — the parent of a call site or loop header is the innermost
     static loop region covering its address, else the enclosing
     procedure's body — as long as every loop region is entered through
-    its header (the same structural property
-    :meth:`ContextWalker.plan_segments` relies on).  That turns marker
-    application into a handful of column scans over the packed trace:
+    its header.  That turns marker application into a handful of column
+    scans over the packed trace:
 
     * **call markers** ``(X -> P.head)`` fire at CALL rows whose callee
       is P, whose activation is outermost (a searchsorted against P's
@@ -212,10 +204,13 @@ def _prescan_boundaries(
     loops = table.loops
     entry = program.procedures[program.entry]
     procs = {p.proc_id: p for p in program.procedures.values()}
+    # Address range of each procedure's code, up to its last
+    # instruction: a call site is its block's *end* address, which lies
+    # past the last block's start when that block ends in the call.
     proc_span = {
         p.proc_id: (
             min(b.address for b in p.blocks),
-            max(b.address for b in p.blocks),
+            max(b.end_address for b in p.blocks),
         )
         for p in procs.values()
         if p.blocks
@@ -436,40 +431,15 @@ def _proc_of_addr(addr: int, proc_span: dict) -> Optional[int]:
     return None
 
 
-def _merge_boundaries(
-    per_segment: List[List[Tuple[int, int, int]]],
-) -> List[Tuple[int, int, int]]:
-    """Concatenate per-segment boundary lists with exact seam fixups.
-
-    Each segment's list is already internally collapsed (strictly
-    increasing t), so the only possible coincidence is the first firing
-    of a segment landing on the last firing before the seam — collapse
-    it exactly as the sequential collector would: keep the earlier row,
-    take the innermost (later) marker.  Empty segments (no candidate in
-    their span) drop out naturally, which also lets a coincidence reach
-    across them.
-    """
-    merged: List[Tuple[int, int, int]] = []
-    for bounds in per_segment:
-        if not bounds:
-            continue
-        if merged and merged[-1][1] == bounds[0][1]:
-            merged[-1] = (merged[-1][0], merged[-1][1], bounds[0][2])
-            merged.extend(bounds[1:])
-        else:
-            merged.extend(bounds)
-    return merged
-
-
 def _finalize(
     program: Program,
     num_rows: int,
     total: int,
     bounds: List[Tuple[int, int, int]],
 ) -> IntervalSet:
-    """Turn a merged boundary list into the :class:`IntervalSet`.
+    """Turn a collapsed boundary list into the :class:`IntervalSet`.
 
-    Applies the post-merge rules shared by every split path: firings at
+    Applies the rules shared by every split path: firings at
     t == 0 set the first interval's phase id and drop (the prologue
     would be empty), and a firing exactly at end of execution drops its
     empty tail interval.
@@ -510,8 +480,8 @@ def split_at_markers_prescan(
     """The pure pre-scan split, or ``None`` if its preconditions fail.
 
     :func:`split_at_markers` uses this internally; the verify harness
-    probes it directly so the ``segmented-split`` check can tell
-    whether a fuzz program exercised the pre-scan or its fallback.
+    probes it directly so the ``split`` check can tell whether a fuzz
+    program exercised the pre-scan or its fallback.
     """
     table = table or NodeTable(program)
     tracker = MarkerTracker(marker_set, table)
@@ -530,10 +500,10 @@ def split_at_markers_scalar(
 ) -> IntervalSet:
     """Marker application through per-event callbacks — the oracle.
 
-    One marker-table probe per edge open, no batching, no segmentation:
-    the pre-sparsity implementation, retained as the reference the
-    ``segmented-split`` verify check pins the fast paths against and as
-    the baseline side of ``make bench-split``.
+    One marker-table probe per edge open, no batching: the pre-sparsity
+    implementation, retained as the reference the ``split`` verify
+    check pins the fast paths against and as the baseline side of
+    ``make bench-split``.
     """
     table = table or NodeTable(program)
     walker = ContextWalker(program, table)
@@ -548,36 +518,22 @@ def split_at_markers(
     trace: Trace,
     marker_set: MarkerSet,
     table: Optional[NodeTable] = None,
-    shards: Optional[int] = None,
-    executor: Optional[str] = None,
 ) -> IntervalSet:
     """Partition *trace* into VLIs at the executions of *marker_set*.
 
-    The default (``shards`` ``None``/``1``) walks once with the batched
-    sparsity-aware collector.  ``shards > 1`` additionally cuts the
-    trace at frame-boundary-safe rows and collects boundaries per
-    segment under *executor* (``"serial"``, ``"threads"`` — the default
-    — or ``"processes"``), merging with exact seam fixups; traces
-    without safe cut points, and marker sets with merged
-    (every-Nth-iteration) markers, fall back to the sequential fast
-    walk.  Every path returns a result identical to
-    :func:`split_at_markers_scalar`, so sharding is purely a throughput
-    knob — the ``segmented-split`` verify check pins this.
+    Runs the vectorized candidate pre-scan, or — when its preconditions
+    fail — one bulk walk with the batched sparsity-aware collector.
+    Either way the result is identical to
+    :func:`split_at_markers_scalar` (the ``split`` verify check pins
+    this).
     """
-    if executor is not None and executor not in SHARD_EXECUTORS:
-        raise ValueError(
-            f"unknown shard executor {executor!r}; "
-            f"expected one of {SHARD_EXECUTORS}"
-        )
     table = table or NodeTable(program)
     tracker = MarkerTracker(marker_set, table)
     tm = get_telemetry()
     if not tm.enabled:
-        return _split(program, trace, tracker, table, shards, executor)
-    with tm.span(
-        "vli.split", program=program.name, shards=shards or 1
-    ):
-        result = _split(program, trace, tracker, table, shards, executor)
+        return _split(program, trace, tracker, table)
+    with tm.span("vli.split", program=program.name):
+        result = _split(program, trace, tracker, table)
         tm.counter("vli.split.intervals", len(result.lengths))
     return result
 
@@ -587,84 +543,17 @@ def _split(
     trace: Trace,
     tracker: MarkerTracker,
     table: NodeTable,
-    shards: Optional[int],
-    executor: Optional[str],
 ) -> IntervalSet:
     tm = get_telemetry()
+    got = _prescan_boundaries(program, table, tracker, trace)
+    if got is not None:
+        bounds, total = got
+        if tm.enabled:
+            tm.counter("vli.split.prescans")
+        return _finalize(program, len(trace), total, bounds)
+    if tm.enabled:
+        tm.counter("vli.split.prescan_fallbacks")
     walker = ContextWalker(program, table)
-    if shards is not None and shards > 1:
-        # Merged markers carry cross-segment counter state; apply them
-        # sequentially (the batched collector still handles them).
-        segments = (
-            walker.plan_segments(trace, shards) if not tracker._counters else []
-        )
-        if segments:
-            return _split_segmented(
-                program, trace, tracker, table, walker, segments, executor
-            )
-        if tm.enabled:
-            tm.counter("vli.split.sequential_fallbacks")
-    else:
-        got = _prescan_boundaries(program, table, tracker, trace)
-        if got is not None:
-            bounds, total = got
-            if tm.enabled:
-                tm.counter("vli.split.prescans")
-            return _finalize(program, len(trace), total, bounds)
-        if tm.enabled:
-            tm.counter("vli.split.prescan_fallbacks")
     collector = _FastBoundaryCollector(tracker, walker)
     total = walker.walk(trace, collector)
     return _finalize(program, len(trace), total, collector.boundaries)
-
-
-def _split_segmented(
-    program: Program,
-    trace: Trace,
-    tracker: MarkerTracker,
-    table: NodeTable,
-    walker: ContextWalker,
-    segments: List[TraceSegment],
-    executor: Optional[str],
-) -> IntervalSet:
-    tm = get_telemetry()
-    executor = executor or "threads"
-    # Build the shared lookup tables once, before any worker touches
-    # the walker (they are lazily cached and not locked).
-    shared_tables = walker._ensure_addr_tables()
-    total = int(
-        np.sum(np.where(trace.kinds == K_BLOCK, trace.c, 0), dtype=np.int64)
-    )
-
-    def walker_for() -> ContextWalker:
-        w = ContextWalker(program, table)
-        w._addr_tables = shared_tables
-        return w
-
-    with tm.span(
-        "vli.split_segments", segments=len(segments), executor=executor
-    ):
-        sharded = run_segments(
-            walker_for,
-            lambda w: _FastBoundaryCollector(tracker, w),
-            lambda collector: collector.boundaries,
-            trace,
-            segments,
-            executor,
-        )
-        if tm.enabled:
-            # Parent-emitted shard spans: workers only *measure*
-            # (monotonic_ns brackets), so nothing touches the session
-            # from worker threads or forked children.
-            for i, (_, (t0, t1)) in enumerate(sharded):
-                tm.emit_span(
-                    "vli.split_segment",
-                    t0,
-                    t1,
-                    tid=tm.lane(f"shard {i}"),
-                    segment=i,
-                    executor=executor,
-                )
-            tm.counter("vli.split.segments", len(segments))
-    bounds = _merge_boundaries([b for b, _ in sharded])
-    return _finalize(program, len(trace), total, bounds)

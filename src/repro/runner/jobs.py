@@ -53,25 +53,17 @@ class ProfileJob:
     itself, so the parent memory-maps the columns rather than having
     them pickled back through the pool's result pipe.
 
-    ``profile_shards`` (optional) walks the trace as that many
-    independent segments inside the job (see
-    :meth:`repro.callloop.profiler.CallLoopProfiler.profile_trace`);
-    the graph is bit-identical either way, so the field never affects
-    cache keys or results — only wall-clock.  Shard workers are threads
-    inside the job's process, composing with the job-level pool.
-
     ``run_id`` (optional) is the parent session's telemetry run id:
     the worker's local session inherits it, so spans shipped back in
     the result snapshot stitch into one identified run (see
-    :meth:`repro.telemetry.Telemetry.merge_snapshot`).  Like
-    ``profile_shards`` it never affects results, only observability.
+    :meth:`repro.telemetry.Telemetry.merge_snapshot`).  It never
+    affects results, only observability.
     """
 
     spec: str
     which: str = "ref"
     workload: Optional[Workload] = field(default=None, compare=False)
     trace_root: Optional[str] = None
-    profile_shards: Optional[int] = field(default=None, compare=False)
     run_id: Optional[str] = field(default=None, compare=False)
 
     def resolve_workload(self) -> Workload:
@@ -153,7 +145,7 @@ def run_profile_job(job: ProfileJob) -> ProfileJobResult:
             else:
                 trace_handle = TraceHandle(str(store.path_for(key)), len(trace))
             profiler = CallLoopProfiler(program)
-            profiler.profile_trace(trace, shards=job.profile_shards)
+            profiler.profile_trace(trace)
         seconds = time.perf_counter() - start
     finally:
         if local is not None:

@@ -12,11 +12,10 @@ cache instead of private heap copies, and the OS can evict cold trace
 pages under pressure.
 
 The mapped columns are read-only and never remapped, which also makes
-them safe for *concurrent* readers: the segmented profile
-(``--profile-shards``) walks disjoint row ranges of one mapped column
-set from several threads — or forked children sharing the same pages —
-without any copies or locks.  See ``docs/PARALLELISM.md`` for the full
-concurrency model.
+them safe for *concurrent* readers: pool workers and serving workers
+replaying the same trace share one set of mapped pages without any
+copies or locks.  See ``docs/PARALLELISM.md`` for the full concurrency
+model.
 
 Layout mirrors :class:`~repro.runner.cache.ProfileCache`: two-level
 fan-out directories keyed by a SHA-256 fingerprint, atomic writes via a

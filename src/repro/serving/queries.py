@@ -259,17 +259,15 @@ def _select(query: Query, graph):
 
 
 def compute_result(
-    query: Query, cache=None, trace_store=None, split_shards=None
+    query: Query, cache=None, trace_store=None
 ) -> Tuple[Dict[str, Any], str]:
     """Compute the payload document for *query*.
 
     Returns ``(document, graph_source)``; the document is JSON-ready and
     deterministic (see module docstring).  *cache* is an optional
-    :class:`~repro.runner.cache.ProfileCache`, *trace_store* an optional
-    :class:`~repro.runner.traces.TraceStore`, and *split_shards*
-    segments the VLI split of the ``bbv``/``vli``/``phases`` kinds
-    (``--split-shards``); all three only change wall-clock, never bytes
-    — shard count is deliberately **not** part of the query identity.
+    :class:`~repro.runner.cache.ProfileCache` and *trace_store* an
+    optional :class:`~repro.runner.traces.TraceStore`; both only change
+    wall-clock, never bytes.
     """
     from repro.callloop.serialization import graph_to_dict, marker_set_to_dict
     from repro.workloads import get_workload
@@ -336,8 +334,7 @@ def compute_result(
         return doc, source
 
     # bbv / vli / phases: split the recorded run at the selected markers
-    # (optionally segmented — the split is bit-identical either way, so
-    # the payload stays a pure function of the query) and summarize
+    # and summarize
     import hashlib as _hashlib
 
     import numpy as np
@@ -345,7 +342,7 @@ def compute_result(
     from repro.intervals import collect_bbvs, split_at_markers
 
     trace = _acquire_trace(query, program, program_input, trace_store)
-    intervals = split_at_markers(program, trace, markers, shards=split_shards)
+    intervals = split_at_markers(program, trace, markers)
 
     def _digest(column) -> str:
         return _hashlib.sha256(
@@ -406,14 +403,10 @@ def compute_result(
     return doc, source
 
 
-def compute_payload(
-    query: Query, cache=None, trace_store=None, split_shards=None
-) -> bytes:
+def compute_payload(query: Query, cache=None, trace_store=None) -> bytes:
     """The canonical payload bytes for *query* (the byte-equivalence
     contract between ``repro query`` and ``repro serve``)."""
-    doc, _ = compute_result(
-        query, cache=cache, trace_store=trace_store, split_shards=split_shards
-    )
+    doc, _ = compute_result(query, cache=cache, trace_store=trace_store)
     return canonical_json_bytes(doc)
 
 
@@ -427,16 +420,12 @@ class QueryJob:
     ``cache_dir``/``trace_root`` point the worker at the shared on-disk
     stores (None disables them); ``run_id`` stitches the worker's
     telemetry snapshot into the server session, exactly like
-    :class:`~repro.runner.jobs.ProfileJob`.  ``split_shards`` segments
-    the VLI split inside the worker (``--split-shards``); like
-    ``profile_shards`` on :class:`ProfileJob` it never affects payload
-    bytes — only wall-clock — so it is excluded from job equality.
+    :class:`~repro.runner.jobs.ProfileJob`.
     """
 
     query: Query
     cache_dir: Optional[str] = None
     trace_root: Optional[str] = None
-    split_shards: Optional[int] = field(default=None, compare=False)
     run_id: Optional[str] = field(default=None, compare=False)
 
 
@@ -479,10 +468,7 @@ def run_query_job(job: QueryJob) -> QueryJobResult:
             cache = ProfileCache(job.cache_dir) if job.cache_dir else None
             store = TraceStore(job.trace_root) if job.trace_root else None
             doc, source = compute_result(
-                job.query,
-                cache=cache,
-                trace_store=store,
-                split_shards=job.split_shards,
+                job.query, cache=cache, trace_store=store
             )
             span.set("graph_source", source)
         seconds = time.perf_counter() - start

@@ -117,16 +117,12 @@ class PhaseMarkerServer:
         trace_root: Optional[str] = None,
         batch_window_s: Optional[float] = None,
         max_batch: Optional[int] = None,
-        split_shards: Optional[int] = None,
     ) -> None:
         from repro.runner.cache import default_cache_dir
         from repro.runner.parallel import default_jobs
         from repro.runner.traces import default_trace_dir
 
         self.host = host
-        # segmented VLI split inside workers; payload bytes are
-        # shard-count-invariant, so this is purely a throughput knob
-        self.split_shards = split_shards
         self.port = port
         self.jobs = jobs if jobs is not None else default_jobs()
         if self.jobs < 1:
@@ -227,7 +223,6 @@ class PhaseMarkerServer:
             query=query,
             cache_dir=self.cache_dir,
             trace_root=self.trace_root,
-            split_shards=self.split_shards,
             run_id=tm.run_id if tm.enabled else None,
         )
         loop = asyncio.get_running_loop()

@@ -13,8 +13,7 @@ Exactness is the point: ``MomentStats`` is integer and associative, so
 merging slot maps in order reproduces, bit for bit, what a sequential
 walk over the same span would have accumulated; and per-slot first-close
 order concatenates to the sequential first-close order, fixing the edge
-order of any graph built from the merge (the same argument the
-segmented profile's ``_fold_edges`` relies on).  With an unbounded
+order of any graph built from the merge.  With an unbounded
 window (``window_slots=0``) this is what makes streaming selection
 bit-identical to the batch path.
 """

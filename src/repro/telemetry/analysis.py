@@ -16,8 +16,7 @@ workers).  This module answers both from a stitched Chrome-trace JSONL
   end;
 * per-lane **busy time** (union of span intervals per ``tid``) and
   **parallel efficiency** — worker-lane busy time / (wall x worker
-  lanes) — for both ``--jobs`` pool workers and ``--profile-shards``
-  shard lanes;
+  lanes) — for ``--jobs`` pool workers;
 * the **series report** behind ``repro stats --series``: per-metric
   first/last/min/max and rate over a sampler time series.
 """

@@ -33,7 +33,7 @@ same thread, and an asyncio coroutine must not hold one open across an
 *flat* recording surface is safe to share: :meth:`Telemetry.emit_span`,
 :meth:`Telemetry.instant`, :meth:`Telemetry.record_span`,
 :meth:`Telemetry.lane`, and :meth:`Telemetry.merge_snapshot` allocate
-ids and lanes under a lock, so concurrent asyncio tasks, shard threads,
+ids and lanes under a lock, so concurrent asyncio tasks, helper threads,
 and the background :class:`~repro.telemetry.sampler.MetricsSampler` can
 record into one session without losing or cross-wiring records — the
 contract the serving layer (``repro serve``) leans on.
@@ -43,15 +43,14 @@ Cross-worker stitching
 A session carries a **run id** (propagated to pool workers through
 :class:`~repro.runner.jobs.ProfileJob`) and a set of named **lanes** —
 Chrome-trace ``tid`` values with human labels ("main", "worker 1234",
-"shard 2", "phase 3").  :meth:`Telemetry.lane` allocates/looks up a
-lane by label; :meth:`Telemetry.emit_span` records an
-externally-timed span onto a lane (shard workers and forked shard
-pools measure with ``time.monotonic_ns`` — system-wide on one machine
-— and the parent emits the spans); :meth:`Telemetry.merge_snapshot`
-remaps worker span/parent ids onto fresh local ids and worker lanes
-onto fresh local lanes, so a ``--jobs N --profile-shards M`` run
-exports **one** coherent multi-lane timeline instead of disconnected
-per-worker fragments.
+"phase 3").  :meth:`Telemetry.lane` allocates/looks up a lane by
+label; :meth:`Telemetry.emit_span` records an externally-timed span
+onto a lane (the caller measures with ``time.monotonic_ns`` —
+system-wide on one machine — and emits the span afterwards);
+:meth:`Telemetry.merge_snapshot` remaps worker span/parent ids onto
+fresh local ids and worker lanes onto fresh local lanes, so a
+``--jobs N`` run exports **one** coherent multi-lane timeline instead
+of disconnected per-worker fragments.
 """
 
 from __future__ import annotations
@@ -192,7 +191,7 @@ class Telemetry:
     def lane(self, label: str) -> int:
         """The lane id for *label*, allocating one on first use.
 
-        Labels are stable within a session: asking for ``"shard 0"``
+        Labels are stable within a session: asking for ``"phase 0"``
         twice returns the same lane, so repeated pipeline stages share
         timeline rows instead of sprawling.
         """
@@ -296,8 +295,8 @@ class Telemetry:
         """Record an externally-timed span onto a lane.
 
         *start_ns*/*end_ns* are ``time.monotonic_ns`` readings —
-        CLOCK_MONOTONIC is system-wide, so timings taken on shard
-        threads or forked shard workers land on the session timeline
+        CLOCK_MONOTONIC is system-wide, so timings taken on helper
+        threads or forked workers land on the session timeline
         exactly where they ran.  The span parents under the innermost
         open span (the caller emits from the orchestrating stage), but
         renders on lane *tid*.
@@ -381,7 +380,7 @@ class Telemetry:
         Lanes stitch: the snapshot's main lane maps to a local lane
         labelled *lane* (default ``"worker <pid>"``) and every other
         worker lane maps to ``"<base> · <worker label>"`` — so a
-        worker's own shard lanes stay distinguishable in the merged
+        worker's own lanes stay distinguishable in the merged
         timeline.  A snapshot recorded under a different run id still
         merges, but the mismatch is counted
         (``telemetry.merge.run_id_mismatch``).

@@ -21,7 +21,7 @@ labels), ``span``, ``instant``, ``counter``, ``gauge``, or
 ``histogram``; span ``args`` carry the span ``path``, ``id``,
 ``parent``, and user attributes; counter/gauge ``args`` carry
 ``{"value": v}``; histogram ``args`` map bucket labels to counts.
-``tid`` is the lane (one per worker/shard/phase track — see
+``tid`` is the lane (one per worker/phase track — see
 :meth:`~repro.telemetry.core.Telemetry.lane`); the header carries the
 run id.
 
@@ -97,7 +97,7 @@ def chrome_events(tm: Telemetry) -> Iterator[Dict[str, Any]]:
     All events share one ``pid`` (the session's) and spread across
     lanes via ``tid``; ``thread_name`` metadata labels every lane, so
     Chrome-trace viewers render one process group with one named row
-    per worker/shard/phase track.
+    per worker/phase track.
     """
     pid = tm.pid
     yield {

@@ -28,12 +28,12 @@ the algorithms themselves:
   selection, and phase changes bit for bit (the same
   :func:`~repro.verify.diff.diff_streaming` check also rides every fuzz
   iteration);
-* :mod:`repro.verify.split` — the segmented-split equivalence pass:
-  every workload's ``train`` trace is split through the vectorized
-  pre-scan, the batched collector, and the segmented parallel walk,
-  and all must reproduce the scalar per-event splitter's intervals bit
-  for bit (the same :func:`~repro.verify.diff.diff_segmented_split`
-  check also rides every fuzz iteration).
+* :mod:`repro.verify.split` — the split equivalence pass: every
+  workload's ``train`` trace is split through the vectorized pre-scan
+  and its batched-collector fallback, and both must reproduce the
+  scalar per-event splitter's intervals bit for bit (the same
+  :func:`~repro.verify.diff.diff_split` check also rides every fuzz
+  iteration).
 
 Entry points: ``repro verify`` (CLI), ``make verify`` (golden corpus +
 fuzz smoke), ``make verify-fuzz FUZZ_ITERS=N`` (long fuzz loop).  The
@@ -48,9 +48,8 @@ from repro.verify.diff import (
     diff_graphs,
     diff_intervals,
     diff_reuse,
-    diff_segmented_profile,
-    diff_segmented_split,
     diff_selection,
+    diff_split,
     diff_streaming,
     diff_trace_pipeline,
     diff_vectorized_kernels,
@@ -98,9 +97,8 @@ __all__ = [
     "diff_graphs",
     "diff_intervals",
     "diff_reuse",
-    "diff_segmented_profile",
-    "diff_segmented_split",
     "diff_selection",
+    "diff_split",
     "diff_streaming",
     "diff_trace_pipeline",
     "diff_vectorized_kernels",

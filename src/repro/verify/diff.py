@@ -7,9 +7,9 @@ stage-by-stage checks are also usable on their own:
 ========================  ==================================================
 check                     optimized side vs oracle side
 ========================  ==================================================
-:func:`diff_graphs`       ``CallLoopProfiler`` (shadow stack + Welford)
-                          vs :func:`oracle_call_loop_graph` (naive walk +
-                          two-pass statistics)
+:func:`diff_graphs`       ``CallLoopProfiler`` (shadow stack + exact
+                          integer moments) vs :func:`oracle_call_loop_graph`
+                          (naive walk + two-pass statistics)
 :func:`diff_depths`       ``estimate_max_depth`` / ``processing_order``
                           vs recursive transliteration; plus exact
                           longest-simple-path brute force on acyclic graphs
@@ -28,19 +28,11 @@ check                     optimized side vs oracle side
                           bulk trace replay vs the scalar walker —
                           columns, callback sequences, and row positions
                           compared **bit-for-bit**
-:func:`diff_segmented_profile`
-                          the segmented parallel profile (cut plan +
-                          per-segment walks + exact moment merge) vs the
-                          sequential walk and the scalar oracle —
-                          callback concatenation and the merged graph
-                          compared **bit-for-bit**
-:func:`diff_segmented_split`
-                          the sparsity-aware VLI split (vectorized
-                          candidate pre-scan, batched collector, and
-                          segmented parallel walk with seam merge) vs
-                          the scalar per-event splitter — interval
-                          boundaries, timestamps, lengths, and phase
-                          ids compared **bit-for-bit**
+:func:`diff_split`        the sparsity-aware VLI split (vectorized
+                          candidate pre-scan and its batched-collector
+                          fallback) vs the scalar per-event splitter —
+                          interval boundaries, timestamps, lengths, and
+                          phase ids compared **bit-for-bit**
 :func:`diff_streaming`    the incremental streaming path (chunked
                           ``IncrementalWalker`` feed, windowed moment
                           merge, online phase monitor) vs the batch
@@ -54,7 +46,7 @@ check                     optimized side vs oracle side
 Tolerance rules: traversal counts, depths, orders, marker sets, interval
 boundaries, and reuse distances must match **exactly** (they are integer
 or set valued).  Means, maxima, totals, and CoV values are floats
-produced by different summation orders (Welford vs two-pass), so they
+produced by different summation orders (exact moments vs two-pass), so they
 compare under a relative tolerance; a selection decision that differs is
 forgiven only when the edge's CoV sits within the float tolerance of the
 applied threshold on both sides (a genuinely borderline edge, not a
@@ -549,126 +541,12 @@ def diff_trace_pipeline(
     return out
 
 
-def diff_segmented_profile(
-    program: Program,
-    trace: Trace,
-    shards: int = 4,
-    sequential: Optional[CallLoopGraph] = None,
-) -> List[Mismatch]:
-    """Compare the segmented profile against the sequential walk.
-
-    Two layers, both **bit-for-bit**:
-
-    * replay — each planned segment is walked under a
-      :class:`_SpanLog`; the per-segment callback sequences must
-      concatenate to exactly the scalar oracle's (same order, same
-      timestamps, same absolute row positions), and the last segment's
-      instruction total and final row cursor must equal the oracle's.
-    * merge — the graph profiled at *shards* segments (serial and
-      thread executors) must serialize to exactly the same dict as the
-      sequentially profiled graph: the exact integer moments make the
-      merge associative, so not even float noise is tolerated.
-
-    Traces that :meth:`ContextWalker.plan_segments` declines to cut
-    exercise the fallback instead: the sharded call must still produce
-    the sequential graph.  *sequential* optionally supplies an
-    already-profiled sequential graph to compare against.
-    """
-    from repro.callloop.serialization import graph_to_dict
-
-    out: List[Mismatch] = []
-    table = NodeTable(program)
-    walker = ContextWalker(program, table)
-    segments = walker.plan_segments(trace, shards)
-
-    def profile(shard_count=None, executor=None) -> Dict[str, Any]:
-        profiler = CallLoopProfiler(program, table=table)
-        profiler.profile_trace(trace, shards=shard_count, executor=executor)
-        return graph_to_dict(profiler.graph)
-
-    want_graph = (
-        graph_to_dict(sequential) if sequential is not None else profile()
-    )
-
-    if not segments:
-        # Unsegmentable trace: the sharded entry point must fall back to
-        # the sequential walk and produce the identical graph.
-        if profile(shards, "serial") != want_graph:
-            out.append(
-                Mismatch(
-                    "segmented", "fallback graph", "differs", "sequential",
-                    f"{shards} shards, unsegmentable trace",
-                )
-            )
-        return out
-
-    scalar_walker = ContextWalker(program, table)
-    scalar_log = _SpanLog(scalar_walker)
-    scalar_total = scalar_walker.walk_scalar(trace, scalar_log)
-
-    seg_log: List[tuple] = []
-    seg_total = 0
-    last_walker = None
-    for i, seg in enumerate(segments):
-        w = ContextWalker(program, table)
-        log = _SpanLog(w)
-        seg_total = w.walk_segment(
-            trace, log, seg,
-            is_first=i == 0,
-            is_last=i == len(segments) - 1,
-        )
-        seg_log.extend(log.log)
-        last_walker = w
-
-    if seg_total != scalar_total:
-        out.append(
-            Mismatch(
-                "segmented", "total", seg_total, scalar_total,
-                f"{len(segments)} segments",
-            )
-        )
-    if last_walker.row != scalar_walker.row:
-        out.append(
-            Mismatch(
-                "segmented", "final row", last_walker.row, scalar_walker.row
-            )
-        )
-    if seg_log != scalar_log.log:
-        if len(seg_log) != len(scalar_log.log):
-            out.append(
-                Mismatch(
-                    "segmented", "callbacks",
-                    len(seg_log), len(scalar_log.log),
-                    "concatenated callback count",
-                )
-            )
-        for i, (got, want) in enumerate(zip(seg_log, scalar_log.log)):
-            if got != want:
-                out.append(
-                    Mismatch("segmented", f"callback {i}", got, want)
-                )
-                break
-
-    for executor in ("serial", "threads"):
-        got_graph = profile(shards, executor)
-        if got_graph != want_graph:
-            detail = _first_dict_divergence(got_graph, want_graph)
-            out.append(
-                Mismatch(
-                    "segmented", f"merged graph ({executor})",
-                    "differs", "sequential", detail,
-                )
-            )
-    return out
-
-
-def diff_segmented_split(
+def diff_split(
     program: Program,
     trace: Trace,
     marker_set: MarkerSet,
-    shards: int = 4,
 ) -> List[Mismatch]:
-    """Compare every fast VLI split path against the scalar splitter.
+    """Compare the fast VLI split paths against the scalar splitter.
 
     The scalar per-event splitter (:func:`split_at_markers_scalar`) is
     the oracle; against it, **bit-for-bit** on ``row_bounds`` /
@@ -679,12 +557,7 @@ def diff_segmented_split(
     * the pre-scan probed directly (:func:`split_at_markers_prescan`),
       when its preconditions hold — so a program that routes the
       default path through the fallback still pins the pre-scan
-      whenever it *can* run;
-    * the segmented walk at *shards* segments under the serial and
-      thread executors, exercising the seam merge (coincident-firing
-      collapse across cuts, prologue handling after the merge).
-      Unsegmentable traces exercise the sequential fallback instead,
-      which must still match.
+      whenever it *can* run.
     """
     out: List[Mismatch] = []
     want = split_at_markers_scalar(program, trace, marker_set)
@@ -694,21 +567,12 @@ def diff_segmented_split(
             got_col = getattr(got, name).tolist()
             want_col = getattr(want, name).tolist()
             if got_col != want_col:
-                out.append(
-                    Mismatch("segmented-split", f"{label} {name}", got_col, want_col)
-                )
+                out.append(Mismatch("split", f"{label} {name}", got_col, want_col))
 
     compare("default", split_at_markers(program, trace, marker_set))
     prescan = split_at_markers_prescan(program, trace, marker_set)
     if prescan is not None:
         compare("prescan", prescan)
-    for executor in ("serial", "threads"):
-        compare(
-            f"{shards} shards ({executor})",
-            split_at_markers(
-                program, trace, marker_set, shards=shards, executor=executor
-            ),
-        )
     return out
 
 
@@ -1022,10 +886,6 @@ def verify_program(
         ),
     )
     report.extend(
-        "segmented-profile",
-        diff_segmented_profile(program, trace, sequential=optimized),
-    )
-    report.extend(
         "streaming",
         diff_streaming(program, trace, params, sequential=optimized),
     )
@@ -1038,9 +898,7 @@ def verify_program(
 
     markers = select_markers(optimized, params).markers
     report.extend("intervals", diff_intervals(program, trace, markers))
-    report.extend(
-        "segmented-split", diff_segmented_split(program, trace, markers)
-    )
+    report.extend("split", diff_split(program, trace, markers))
 
     if check_reuse:
         memory = MemorySystem(program, program_input)

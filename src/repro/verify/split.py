@@ -1,12 +1,12 @@
-"""Segmented-split equivalence pass over the bundled workload corpus.
+"""Split equivalence pass over the bundled workload corpus.
 
-The VLI split ships three fast paths — the vectorized candidate
-pre-scan, the batched-collector walk, and the segmented parallel walk
-with seam merge — all claiming bit-identity with the scalar per-event
-splitter (see ``docs/PERFORMANCE.md``).  :func:`check_split_corpus`
-proves that claim on every bundled workload's ``train`` trace by
-running :func:`~repro.verify.diff.diff_segmented_split` on each, the
-same check that rides every fuzz iteration inside
+The VLI split ships two fast paths — the vectorized candidate pre-scan
+and the batched-collector walk it falls back to — both claiming
+bit-identity with the scalar per-event splitter (see
+``docs/PERFORMANCE.md``).  :func:`check_split_corpus` proves that claim
+on every bundled workload's ``train`` trace by running
+:func:`~repro.verify.diff.diff_split` on each, the same check that
+rides every fuzz iteration inside
 :func:`~repro.verify.diff.verify_program`.
 
 Like the streaming pass, nothing is pinned on disk — both sides are
@@ -25,13 +25,13 @@ from repro.callloop.selection import SelectionParams, select_markers
 from repro.engine.machine import Machine
 from repro.engine.tracing import record_trace
 from repro.intervals.vli import split_at_markers_prescan
-from repro.verify.diff import diff_segmented_split
+from repro.verify.diff import diff_split
 from repro.workloads import all_workloads, get_workload
 
 
 @dataclass
 class SplitCheckResult:
-    """Outcome of the segmented-split pass over the corpus."""
+    """Outcome of the split pass over the corpus."""
 
     checked: List[str] = field(default_factory=list)
     prescanned: List[str] = field(default_factory=list)
@@ -45,11 +45,11 @@ class SplitCheckResult:
     def describe(self) -> str:
         if self.ok:
             return (
-                f"segmented split: {len(self.checked)} workload(s) match "
+                f"split: {len(self.checked)} workload(s) match "
                 f"the scalar splitter ({len(self.prescanned)} via pre-scan)"
             )
         lines = [
-            f"segmented split: {len(self.failed)} of "
+            f"split: {len(self.failed)} of "
             f"{len(self.checked)} workload(s) diverge from the scalar splitter"
         ]
         for name in self.failed:
@@ -61,10 +61,9 @@ class SplitCheckResult:
 def check_split_corpus(
     workloads: Optional[List[str]] = None,
     params: Optional[SelectionParams] = None,
-    shards: int = 4,
     detail_limit: int = 8,
 ) -> SplitCheckResult:
-    """Run :func:`diff_segmented_split` on every workload's ``train`` trace."""
+    """Run :func:`diff_split` on every workload's ``train`` trace."""
     names = workloads or [w.name for w in all_workloads()]
     params = params or SelectionParams()
     result = SplitCheckResult()
@@ -74,7 +73,7 @@ def check_split_corpus(
         trace = record_trace(Machine(program, workload.train_input))
         graph = CallLoopProfiler(program).profile_trace(trace)
         markers = select_markers(graph, params).markers
-        mismatches = diff_segmented_split(program, trace, markers, shards=shards)
+        mismatches = diff_split(program, trace, markers)
         result.checked.append(name)
         if split_at_markers_prescan(program, trace, markers) is not None:
             result.prescanned.append(name)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.callloop import CallLoopProfiler, build_call_loop_graph
-from repro.callloop.graph import NodeKind
+from repro.callloop.graph import NodeKind, NodeTable
+from repro.callloop.profiler import _MomentBuilder
+from repro.callloop.walker import ContextHandler, ContextWalker
 from repro.engine import Machine, record_trace
 from repro.ir.program import ProgramInput
 
@@ -94,3 +96,25 @@ def test_summary_mentions_counts(toy_program, toy_input):
     graph = build_call_loop_graph(toy_program, [toy_input])
     text = graph.summary()
     assert "toy" in text and "edges" in text
+
+
+def test_batched_iteration_hook_matches_per_close(toy_program, toy_input):
+    """The vectorized back-edge batches accumulate the same moments as
+    per-iteration close callbacks."""
+
+    class Unbatched(_MomentBuilder):
+        # Restoring the base hook makes the walker dispatch per-close.
+        on_edge_iterations = ContextHandler.on_edge_iterations
+
+    trace = record_trace(Machine(toy_program, toy_input))
+    table = NodeTable(toy_program)
+    batched, unbatched = _MomentBuilder(), Unbatched()
+    ContextWalker(toy_program, table).walk(trace, batched, bulk=True)
+    ContextWalker(toy_program, table).walk(trace, unbatched, bulk=True)
+    assert batched.edges.keys() == unbatched.edges.keys()
+    for key, entry in batched.edges.items():
+        other = unbatched.edges[key]
+        assert (entry[0].count, entry[0].total, entry[0].sumsq) == (
+            other[0].count, other[0].total, other[0].sumsq
+        )
+        assert entry[1] == other[1]

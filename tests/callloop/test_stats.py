@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.callloop.stats import RunningStats
+from repro.callloop.stats import MomentStats, RunningStats
 
 finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 
@@ -101,3 +101,48 @@ class TestRunningStats:
         s = fill(values)
         assert s.max_value >= s.mean - 1e-9 or math.isclose(s.max_value, s.mean)
         assert s.min_value <= s.mean + 1e-9
+
+
+# -- exact integer moments ---------------------------------------------------
+
+
+def test_moment_stats_partition_invariance():
+    """Any batching of the same observations gives identical moments."""
+    values = [3, 7, 7, 1, 0, 12, 7, 5, 9, 2, 2, 8]
+    one_by_one = MomentStats()
+    for v in values:
+        one_by_one.add(v)
+
+    batched = MomentStats()
+    batched.add_run(np.asarray(values[:5], dtype=np.int64))
+    batched.add_run(np.asarray(values[5:], dtype=np.int64))
+
+    merged = MomentStats()
+    for lo, hi in ((0, 3), (3, 4), (4, 12)):
+        part = MomentStats()
+        for v in values[lo:hi]:
+            part.add(v)
+        merged.merge(part)
+
+    for other in (batched, merged):
+        assert other.count == one_by_one.count
+        assert other.total == one_by_one.total
+        assert other.sumsq == one_by_one.sumsq
+        assert other.max_value == one_by_one.max_value
+        assert other.min_value == one_by_one.min_value
+
+    rs = one_by_one.to_running_stats()
+    assert rs.count == len(values)
+    assert rs.mean == pytest.approx(sum(values) / len(values))
+    assert rs.variance == pytest.approx(np.var(values))
+    assert rs.max_value == max(values)
+    assert rs.min_value == min(values)
+
+
+def test_moment_stats_empty():
+    empty = MomentStats()
+    assert empty.to_running_stats() == RunningStats()
+    target = MomentStats()
+    target.add(4)
+    target.merge(empty)
+    assert target.count == 1 and target.total == 4

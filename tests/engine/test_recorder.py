@@ -11,7 +11,7 @@ from repro.engine.rng import make_rng
 from repro.engine.tracing import Trace
 from repro.ir import NormalTrips, ProgramBuilder, UniformTrips
 from repro.ir.program import ProgramInput
-from repro.telemetry import telemetry_session
+from repro.telemetry import chrome_events, telemetry_session
 
 INPUT = ProgramInput("i", {"n": 40}, seed=9)
 
@@ -213,3 +213,9 @@ def test_loop_path_counters_under_telemetry():
     assert counters["engine.record.loops.drawn"] == 1
     assert counters["engine.record.loops.per_iteration"] == 1
     assert "engine.trace.chunks" not in counters
+    # the recorder attribute must not clobber the exported span path
+    spans = [e for e in chrome_events(tm) if e["name"] == "engine.record_trace"]
+    assert len(spans) == 2
+    for span in spans:
+        assert span["args"]["path"] == "engine.record_trace"
+        assert span["args"]["recorder"] == "rows"

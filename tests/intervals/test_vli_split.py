@@ -1,32 +1,27 @@
-"""Segmented / sparsity-aware VLI split: seams, fallbacks, pre-scan.
+"""Sparsity-aware VLI split: pre-scan, batched fallback, edge cases.
 
-The split's contract is that every fast path — the vectorized candidate
-pre-scan, the batched collector, and the segmented walk with seam merge
-— is bit-identical to the scalar per-event splitter.  These tests pin
-the seam mechanics and the fallback triggers the corpus-level
-``segmented-split`` verify check cannot target deterministically.
+The split's contract is that both fast paths — the vectorized candidate
+pre-scan and the batched-collector walk it falls back to — are
+bit-identical to the scalar per-event splitter.  These tests pin the
+fallback triggers and corner cases the corpus-level ``split`` verify
+check cannot target deterministically.
 """
 
 import time
+from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.callloop import SelectionParams, build_call_loop_graph, select_markers
-from repro.callloop.graph import NodeTable
-from repro.callloop.markers import MarkerSet, MarkerTracker
-from repro.callloop.walker import ContextWalker
+from repro.callloop.markers import MarkerSet
 from repro.engine import Machine, Trace, record_trace
 from repro.intervals import (
     split_at_markers,
     split_at_markers_prescan,
     split_at_markers_scalar,
+    vli,
 )
-from repro.intervals.vli import (
-    _FastBoundaryCollector,
-    _finalize,
-    _merge_boundaries,
-)
+from repro.intervals.vli import _finalize
 from repro.ir import ProgramBuilder
 from repro.ir.program import ProgramInput
 
@@ -38,6 +33,12 @@ def columns(intervals):
         intervals.lengths.tolist(),
         intervals.phase_ids.tolist(),
     )
+
+
+def walked(program, trace, markers):
+    """The default path with the pre-scan declining: the batched walk."""
+    with mock.patch.object(vli, "_prescan_boundaries", lambda *args: None):
+        return split_at_markers(program, trace, markers)
 
 
 @pytest.fixture
@@ -58,41 +59,17 @@ def test_all_paths_match_scalar(toy_program, toy_split):
     prescan = split_at_markers_prescan(toy_program, trace, markers)
     assert prescan is not None
     assert columns(prescan) == want
-    for shards in (2, 3, 4, 8):
-        for executor in ("serial", "threads"):
-            got = split_at_markers(
-                toy_program, trace, markers, shards=shards, executor=executor
-            )
-            assert columns(got) == want, f"shards={shards} {executor}"
-
-
-def test_marker_firing_at_a_segment_cut_row(toy_program, toy_split):
-    """Some shard plan must cut exactly at a boundary row, and the merge
-    must still reproduce the scalar split there."""
-    trace, markers = toy_split
-    want = split_at_markers_scalar(toy_program, trace, markers)
-    boundary_rows = set(want.row_bounds[1:-1].tolist())
-    walker = ContextWalker(toy_program, NodeTable(toy_program))
-    hit = False
-    for shards in range(2, 17):
-        segments = walker.plan_segments(trace, shards)
-        cut_rows = {seg.start for seg in segments[1:]}
-        hit = hit or bool(cut_rows & boundary_rows)
-        got = split_at_markers(
-            toy_program, trace, markers, shards=shards, executor="serial"
-        )
-        assert columns(got) == columns(want), f"shards={shards}"
-    assert hit, "no shard plan cut at a marker-firing row; widen the scan"
+    assert columns(walked(toy_program, trace, markers)) == want
 
 
 def test_candidate_free_segment():
-    """A segment whose whole span contains no marker candidate yields an
-    empty boundary list and drops out of the merge."""
+    """A long candidate-free stretch of the trace followed by one late
+    firing: the split must find exactly that boundary."""
     from repro.callloop.graph import Node, NodeKind
     from repro.callloop.markers import PhaseMarker
 
     # one marker that fires exactly once, at the very end of the run:
-    # every earlier segment's span is candidate-free
+    # everything before it is candidate-free
     b = ProgramBuilder("onefire")
     with b.proc("main"):
         with b.loop("big", trips=400):
@@ -118,43 +95,24 @@ def test_candidate_free_segment():
             )
         ],
     )
-    table = NodeTable(program)
-    walker = ContextWalker(program, table)
-    segments = walker.plan_segments(trace, 8)
-    assert len(segments) > 1
-    tracker = MarkerTracker(single, table)
-    per_segment = []
-    for i, seg in enumerate(segments):
-        w = ContextWalker(program, table)
-        collector = _FastBoundaryCollector(tracker, w)
-        w.walk_segment(
-            trace, collector, seg,
-            is_first=i == 0, is_last=i == len(segments) - 1,
-        )
-        per_segment.append(collector.boundaries)
-    assert any(not bounds for bounds in per_segment)
     want = columns(split_at_markers_scalar(program, trace, single))
-    got = split_at_markers(program, trace, single, shards=8, executor="serial")
-    assert columns(got) == want
+    assert len(want[0]) == 3  # prologue + the one late interval
+    assert columns(split_at_markers(program, trace, single)) == want
+    assert columns(walked(program, trace, single)) == want
 
 
-def test_unsegmentable_plan_degrades_to_sequential(toy_program, toy_split):
-    """A trace too small to cut (plan_segments returns no cut points)
-    must fall back to the sequential fast walk, identically."""
+def test_one_row_trace_matches_scalar(toy_program, toy_split):
     trace, markers = toy_split
     tiny = Trace(trace.kinds[:1], trace.a[:1], trace.b[:1], trace.c[:1])
-    walker = ContextWalker(toy_program, NodeTable(toy_program))
-    assert walker.plan_segments(tiny, 4) == []
     want = columns(split_at_markers_scalar(toy_program, tiny, markers))
-    got = split_at_markers(
-        toy_program, tiny, markers, shards=4, executor="serial"
-    )
-    assert columns(got) == want
+    assert columns(split_at_markers(toy_program, tiny, markers)) == want
+    assert columns(walked(toy_program, tiny, markers)) == want
 
 
-def test_merged_markers_fall_back_to_sequential(loop_only_program):
-    """Merged (every-Nth-iteration) markers carry cross-segment counter
-    state: the sharded entry point must apply them sequentially."""
+def test_merged_markers_match_scalar(loop_only_program):
+    """Merged (every-Nth-iteration) markers: the pre-scan's modular
+    arithmetic and the batched collector's run counters both reproduce
+    the scalar splitter's per-event counter."""
     import dataclasses
 
     from repro.callloop.graph import NodeKind
@@ -177,38 +135,8 @@ def test_merged_markers_fall_back_to_sequential(loop_only_program):
     )
     assert any(m.merge_iterations > 1 for m in markers)
     want = columns(split_at_markers_scalar(loop_only_program, trace, markers))
-    for shards in (None, 2, 4):
-        got = split_at_markers(loop_only_program, trace, markers, shards=shards)
-        assert columns(got) == want, f"shards={shards}"
-
-
-def test_unknown_executor_rejected(toy_program, toy_split):
-    trace, markers = toy_split
-    with pytest.raises(ValueError, match="unknown shard executor"):
-        split_at_markers(
-            toy_program, trace, markers, shards=4, executor="carrier-pigeon"
-        )
-
-
-# -- seam merge unit behavior ------------------------------------------------
-
-
-def test_merge_collapses_coincident_firings_across_a_seam():
-    """The first firing after a seam landing on the same t as the last
-    firing before it collapses exactly like the sequential collector:
-    keep the earlier row, take the innermost (later) marker."""
-    merged = _merge_boundaries([[(5, 100, 1)], [(7, 100, 2), (9, 150, 3)]])
-    assert merged == [(5, 100, 2), (9, 150, 3)]
-
-
-def test_merge_coincidence_reaches_across_empty_segments():
-    merged = _merge_boundaries([[(5, 100, 1)], [], [(7, 100, 2)]])
-    assert merged == [(5, 100, 2)]
-
-
-def test_merge_keeps_distinct_firings():
-    merged = _merge_boundaries([[(5, 100, 1)], [(7, 120, 2)], []])
-    assert merged == [(5, 100, 1), (7, 120, 2)]
+    assert columns(split_at_markers(loop_only_program, trace, markers)) == want
+    assert columns(walked(loop_only_program, trace, markers)) == want
 
 
 # -- prologue drop regression ------------------------------------------------

@@ -1,10 +1,10 @@
-"""Shard-count invariance: ``--split-shards`` must never leak into
-query identity or payload bytes.
+"""The ``vli`` and ``phases`` query kinds.
 
-The ``vli`` and ``phases`` kinds are served from the segmented splitter,
-but the shard count is purely a throughput knob: the payload is a pure
-function of the :class:`Query`, byte-identical whether the split ran
-sequentially, via the pre-scan, or over N segments.
+Both are served from the variable-length-interval splitter: ``vli``
+reports the interval boundaries and phase ids as digests, ``phases``
+the per-phase interval and instruction totals. The payload is a pure
+function of the :class:`Query`, so a worker job and an inline compute
+return the same bytes.
 """
 
 import json
@@ -27,33 +27,10 @@ def test_vli_and_phases_are_query_kinds():
     assert "phases" in QUERY_KINDS
     # and the wire validator accepts them
     assert query_from_dict({"kind": "vli", "workload": WORKLOAD}).kind == "vli"
-
-
-def test_query_has_no_shard_field():
-    """Shard count must not be part of query identity: Query has no such
-    field, so two clients asking with different server shard settings
-    share one cache entry."""
-    assert "split_shards" not in Query.__dataclass_fields__
-    a = Query(kind="vli", workload=WORKLOAD)
-    assert a.key() == Query(kind="vli", workload=WORKLOAD).key()
-
-
-def test_vli_payload_bytes_are_shard_count_invariant(serving_dirs):
-    from repro.runner.cache import ProfileCache
-    from repro.runner.traces import TraceStore
-
-    cache_dir, trace_root = serving_dirs
-    cache, store = ProfileCache(cache_dir), TraceStore(trace_root)
-    for kind in ("vli", "phases"):
-        query = Query(kind=kind, workload=WORKLOAD)
-        base = compute_payload(
-            query, cache=cache, trace_store=store, split_shards=1
-        )
-        for shards in (None, 2, 4):
-            got = compute_payload(
-                query, cache=cache, trace_store=store, split_shards=shards
-            )
-            assert got == base, f"{kind} shards={shards}"
+    assert (
+        query_from_dict({"kind": "phases", "workload": WORKLOAD}).kind
+        == "phases"
+    )
 
 
 def test_vli_payload_document_shape(serving_dirs):
@@ -97,28 +74,15 @@ def test_vli_payload_document_shape(serving_dirs):
     )
 
 
-def test_query_job_equality_ignores_split_shards(serving_dirs):
-    cache_dir, trace_root = serving_dirs
-    query = Query(kind="vli", workload=WORKLOAD)
-    a = QueryJob(query=query, cache_dir=cache_dir, trace_root=trace_root)
-    b = QueryJob(
-        query=query,
-        cache_dir=cache_dir,
-        trace_root=trace_root,
-        split_shards=4,
-    )
-    assert a == b
-
-
 def test_run_query_job_sharded_matches_inline_compute(serving_dirs):
+    """A ``vli`` query run as a worker job returns the inline payload."""
     cache_dir, trace_root = serving_dirs
     query = Query(kind="vli", workload=WORKLOAD)
     job = QueryJob(
         query=query,
         cache_dir=cache_dir,
         trace_root=trace_root,
-        split_shards=4,
-        run_id="shardrun",
+        run_id="vlirun",
     )
     result = run_query_job(job)
     assert result.key == query.key()
