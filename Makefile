@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-perf bench-e2e bench-split bench-telemetry bench-serve bench-stream clean-cache verify verify-fuzz verify-stream refresh-golden
+.PHONY: test bench bench-smoke bench-perf bench-e2e bench-split bench-telemetry bench-serve bench-stream bench-simpoint clean-cache verify verify-fuzz verify-stream refresh-golden
 
 # seeded fuzz iterations for the long loop (override: make verify-fuzz FUZZ_ITERS=5000)
 FUZZ_ITERS ?= 1000
@@ -54,6 +54,14 @@ bench-serve:
 # benchmarks/results/BENCH_stream_*.json
 bench-stream:
 	$(PYTHON) -m pytest benchmarks -q -k bench_stream
+
+# SimPoint-evaluation gates: stack depths over 16 ref traces and lucas/mgrid
+# clustering, bit-identical to the per-event cache loop and plain k-means,
+# each cell within 25% of the committed baseline (HostClock-scaled), and
+# the one-set stream within 1.5x of the reference loop; refreshes
+# benchmarks/results/BENCH_simpoint_fast.json
+bench-simpoint:
+	$(PYTHON) -m pytest benchmarks -q -k bench_simpoint
 
 # differential-oracle verification: golden corpus + streaming equivalence
 # + short fuzz smoke (~CI budget)

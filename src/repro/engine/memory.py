@@ -84,6 +84,7 @@ class MemorySystem:
                 self._block_pool.append(None)
             else:
                 self._block_pool.append(self._pool_for(block.mem))
+        self._index_pools()
 
     # -- pool construction ------------------------------------------------------
 
@@ -119,6 +120,30 @@ class MemorySystem:
         self._pools[key] = pool
         return pool
 
+    def _index_pools(self) -> None:
+        """Lay every pool out in one table (each pool's addresses become
+        a view of its slice) and number pools per block, so a whole
+        block sequence can be gathered with array arithmetic."""
+        pools = list(self._pools.values())
+        self._pool_list = pools
+        sizes = np.array([len(p.addresses) for p in pools], dtype=np.int64)
+        self._pool_sizes = sizes
+        self._pool_starts = np.cumsum(sizes) - sizes
+        self._pool_table = (
+            np.concatenate([p.addresses for p in pools]) if pools else _EMPTY
+        )
+        for pool, start, size in zip(pools, self._pool_starts, sizes):
+            pool.addresses = self._pool_table[start : start + size]
+        number = {id(p): i for i, p in enumerate(pools)}
+        self._block_pool_index = np.array(
+            [-1 if p is None else number[id(p)] for p in self._block_pool],
+            dtype=np.int64,
+        )
+        #: addresses one execution of each block takes (0 without a pool)
+        self._block_takes = np.where(
+            self._block_pool_index >= 0, self._block_mem_ops, 0
+        )
+
     # -- address stream -----------------------------------------------------------
 
     def addresses_for_block(self, block_id: int) -> np.ndarray:
@@ -131,16 +156,59 @@ class MemorySystem:
     def mem_ops_for_block(self, block_id: int) -> int:
         return int(self._block_mem_ops[block_id])
 
+    def accesses_for_blocks(self, block_ids: np.ndarray) -> np.ndarray:
+        """Addresses each execution in *block_ids* takes (0 without a
+        pool); the stream of :meth:`addresses_for_blocks` is their sum."""
+        return self._block_takes[block_ids]
+
+    def executions_to_reach(self, block_ids: np.ndarray, accesses: int) -> int:
+        """How many leading executions of *block_ids* the address stream
+        needs to hold *accesses* addresses (through the first that takes
+        any, for *accesses* < 1; all of them if it never does)."""
+        reach = np.cumsum(self._block_takes[block_ids])
+        return min(int(np.searchsorted(reach, max(accesses, 1))) + 1, len(reach))
+
     def addresses_for_blocks(self, block_ids: np.ndarray) -> np.ndarray:
-        """Concatenated address stream for a sequence of block executions."""
-        chunks = []
-        for bid in block_ids.tolist():
-            pool = self._block_pool[bid]
-            if pool is not None:
-                chunks.append(pool.take(int(self._block_mem_ops[bid])))
-        if not chunks:
+        """Concatenated address stream for a sequence of block executions.
+
+        Equal to concatenating :meth:`addresses_for_block` over
+        *block_ids*, and leaves every pool cursor where those calls
+        would: each execution's take starts at its pool's cursor plus
+        what earlier executions sharing that pool consumed, and wraps
+        modulo the pool size (more than once when a take exceeds it).
+        """
+        block_ids = np.asarray(block_ids, dtype=np.int64)
+        takes = self._block_takes[block_ids]
+        live = np.nonzero(takes)[0]
+        if not len(live):
             return _EMPTY
-        return np.concatenate(chunks)
+        takes = takes[live]
+        pools = self._block_pool_index[block_ids[live]]
+        # per pool, the addresses its earlier takes consumed
+        order = np.argsort(pools, kind="stable")
+        grouped = pools[order]
+        grouped_takes = takes[order]
+        consumed = np.cumsum(grouped_takes)
+        heads = np.ones(len(order), dtype=bool)
+        heads[1:] = grouped[1:] != grouped[:-1]
+        head_at = np.nonzero(heads)[0]
+        lengths = np.diff(np.append(head_at, len(order)))
+        prior = consumed - grouped_takes
+        before = np.empty_like(prior)
+        before[order] = prior - np.repeat(prior[head_at], lengths)
+        cursors = np.array([p.cursor for p in self._pool_list], dtype=np.int64)
+        sizes = self._pool_sizes
+        # element k of take e sits at (cursor + before[e] + k) mod size
+        offsets = np.repeat(cursors[pools] + before - (np.cumsum(takes) - takes), takes)
+        offsets += np.arange(len(offsets), dtype=np.int64)
+        offsets %= np.repeat(sizes[pools], takes)
+        offsets += np.repeat(self._pool_starts[pools], takes)
+        used = grouped[head_at]
+        totals = consumed[head_at + lengths - 1] - prior[head_at]
+        for pool, total in zip(used.tolist(), totals.tolist()):
+            state = self._pool_list[pool]
+            state.cursor = (state.cursor + total) % len(state.addresses)
+        return self._pool_table[offsets]
 
     def reset(self) -> None:
         """Rewind all pool cursors (for deterministic re-streaming)."""

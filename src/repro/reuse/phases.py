@@ -78,27 +78,15 @@ class ReusePhaseResult:
 def _access_stream(
     trace: Trace, memory: MemorySystem, cap: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(addresses, owning block-event row) for every data access."""
+    """(addresses, owning block-event row) for every data access, through
+    the block event whose accesses reach *cap*."""
     memory.reset()
     mask = trace.kinds == K_BLOCK
     rows = np.nonzero(mask)[0]
     ids = trace.a[mask]
-    addr_chunks: List[np.ndarray] = []
-    row_chunks: List[np.ndarray] = []
-    total = 0
-    for k in range(len(rows)):
-        addresses = memory.addresses_for_block(int(ids[k]))
-        n = len(addresses)
-        if n == 0:
-            continue
-        addr_chunks.append(addresses)
-        row_chunks.append(np.full(n, rows[k], dtype=np.int64))
-        total += n
-        if total >= cap:
-            break
-    if not addr_chunks:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(addr_chunks), np.concatenate(row_chunks)
+    stop = memory.executions_to_reach(ids, cap)
+    addresses = memory.addresses_for_blocks(ids[:stop])
+    return addresses, np.repeat(rows[:stop], memory.accesses_for_blocks(ids[:stop]))
 
 
 def select_reuse_markers(

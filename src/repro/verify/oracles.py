@@ -19,7 +19,13 @@ serve as the trusted side of a differential test (see
 * :func:`oracle_split_at_markers` re-derives marker-driven interval
   boundaries from the naive walk;
 * :func:`oracle_reuse_distances` is the textbook O(n²) scan with an
-  explicit ``set`` of lines per access (no Fenwick tree).
+  explicit ``set`` of lines per access (no Fenwick tree);
+* :func:`oracle_profile_events` steps :class:`MultiAssocCacheSim`
+  through the trace one block event at a time, fetching each event's
+  addresses with its own ``addresses_for_block`` call;
+* :func:`oracle_kmeans` is plain weighted Lloyd's with k-means++
+  seeding: a full subtract-square-sum distance matrix every pass and
+  masked per-cluster sums.
 
 The oracles intentionally re-implement *static* facts too: loops are
 re-discovered by scanning for backwards conditional branches rather
@@ -32,10 +38,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.callloop.graph import CallLoopGraph, Edge, Node, NodeKind, ROOT
 from repro.callloop.markers import MarkerSet
 from repro.callloop.selection import SelectionParams
-from repro.engine.events import BlockEvent, CallEvent, ReturnEvent
+from repro.cache.stackdist import MultiAssocCacheSim
+from repro.engine.events import K_BLOCK, BlockEvent, CallEvent, ReturnEvent
+from repro.engine.memory import MemorySystem
 from repro.engine.tracing import Trace
 from repro.ir.program import INSTRUCTION_BYTES, Program, SourceLoc, TermKind
 
@@ -619,3 +629,126 @@ def oracle_reuse_histogram(
         else:
             counts[min((int(d) + 1).bit_length() - 1, num_bins - 2)] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# cache-simulation oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_profile_events(
+    trace: Trace,
+    memory: MemorySystem,
+    num_sets: int = 512,
+    line_bytes: int = 64,
+    max_ways: int = 8,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, accesses, hits)`` of every block event, one
+    :meth:`MultiAssocCacheSim.access_many` call per event."""
+    mask = trace.kinds == K_BLOCK
+    rows = np.nonzero(mask)[0]
+    ids = trace.a[mask]
+    n_events = len(rows)
+    accesses = np.zeros(n_events, dtype=np.int64)
+    hits = np.zeros((n_events, max_ways), dtype=np.int64)
+    sim = MultiAssocCacheSim(num_sets, line_bytes, max_ways)
+    memory.reset()
+    prev_hits = sim.hits_at_assoc()
+    prev_accesses = 0
+    for k in range(n_events):
+        block_addresses = memory.addresses_for_block(int(ids[k]))
+        if len(block_addresses):
+            sim.access_many(block_addresses)
+            cum = sim.hits_at_assoc()
+            hits[k] = cum - prev_hits
+            accesses[k] = sim.accesses - prev_accesses
+            prev_hits = cum
+            prev_accesses = sim.accesses
+    return rows, accesses, hits
+
+
+# ---------------------------------------------------------------------------
+# k-means oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_plusplus(
+    points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Weighted k-means++ seeding, every distance computed."""
+    n = len(points)
+    centroids = np.empty((k, points.shape[1]))
+    probs = weights / weights.sum()
+    first = rng.choice(n, p=probs)
+    centroids[0] = points[first]
+    closest = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        scores = closest * weights
+        total = scores.sum()
+        if total <= 0:
+            centroids[j:] = centroids[0]
+            break
+        idx = rng.choice(n, p=scores / total)
+        centroids[j] = points[idx]
+        dist = ((points - centroids[j]) ** 2).sum(axis=1)
+        np.minimum(closest, dist, out=closest)
+    return centroids
+
+
+def _oracle_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    out = np.empty((len(points), len(centroids)), dtype=np.float64)
+    for j in range(len(centroids)):
+        diff = points - centroids[j]
+        out[:, j] = (diff * diff).sum(axis=1)
+    return out
+
+
+def oracle_kmeans(
+    points: np.ndarray,
+    k: int,
+    weights: Optional[np.ndarray] = None,
+    seed: int = 0,
+    max_iter: int = 100,
+):
+    """Plain weighted Lloyd's with k-means++ init: the reference
+    :func:`repro.simpoint.kmeans.kmeans` must equal bit for bit."""
+    from repro.simpoint.kmeans import KMeansResult
+
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    if n == 0:
+        raise ValueError("cannot cluster zero points")
+    if k <= 0:
+        raise ValueError("k must be positive")
+    k = min(k, n)
+    if weights is None:
+        weights = np.ones(n)
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(weights) != n:
+        raise ValueError("weights length mismatch")
+    if weights.sum() <= 0:
+        raise ValueError("total weight must be positive")
+
+    rng = np.random.default_rng(seed)
+    centroids = _oracle_plusplus(points, weights, k, rng)
+    assignments = np.full(n, -1, dtype=np.int64)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        d2 = _oracle_sq_dists(points, centroids)
+        new_assignments = d2.argmin(axis=1)
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+        for j in range(k):
+            mask = assignments == j
+            total = weights[mask].sum()
+            if total > 0:
+                centroids[j] = (points[mask] * weights[mask, None]).sum(0) / total
+            else:
+                # empty cluster: re-seed at the worst-served point
+                worst = (d2[np.arange(n), assignments] * weights).argmax()
+                centroids[j] = points[worst]
+    d2 = _oracle_sq_dists(points, centroids)
+    assignments = d2.argmin(axis=1)
+    sse = float((d2[np.arange(n), assignments] * weights).sum())
+    return KMeansResult(assignments, centroids, sse, iterations)

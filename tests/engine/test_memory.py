@@ -6,6 +6,7 @@ import pytest
 from repro.engine import Machine, MemorySystem, record_trace
 from repro.ir import ProgramBuilder
 from repro.ir.program import MemPattern, MemSpec, ParamExpr, ProgramInput
+from repro.workloads import all_workloads, get_workload
 
 
 def build_mem_program(mem_spec):
@@ -114,3 +115,55 @@ def test_empty_pool_rejected():
 
     with pytest.raises(ValueError):
         _Pool(np.empty(0, dtype=np.int64))
+
+
+def _per_block(ms, block_ids):
+    chunks = [ms.addresses_for_block(b) for b in block_ids.tolist()]
+    chunks = [c for c in chunks if len(c)]
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", [w.name for w in all_workloads()])
+def test_gather_matches_per_block_calls(name):
+    """One vectorized gather equals repeated addresses_for_block calls,
+    starting mid-pool, and leaves every cursor where they would."""
+    workload = get_workload(name)
+    program = workload.build()
+    trace = record_trace(Machine(program, workload.train_input))
+    ids = trace.block_ids()
+    fast = MemorySystem(program, workload.train_input)
+    slow = MemorySystem(program, workload.train_input)
+    head = ids[:101]
+    assert np.array_equal(fast.addresses_for_blocks(head), _per_block(slow, head))
+    assert np.array_equal(fast.addresses_for_blocks(ids[101:]), _per_block(slow, ids[101:]))
+    for bid in ids[:300].tolist():
+        assert np.array_equal(fast.addresses_for_block(bid), slow.addresses_for_block(bid))
+
+
+def test_gather_wraps_shared_pools():
+    """Takes longer than their pool wrap around it more than once, and
+    blocks sharing a pool advance one cursor."""
+    b = ProgramBuilder("p")
+    tiny = MemSpec(MemPattern.SEQ, "tiny", 24, 8)  # a 3-address pool
+    with b.proc("main"):
+        with b.loop("l", trips=7):
+            b.code(10, loads=7, mem=tiny, label="long")
+            b.code(4, loads=2, mem=tiny, label="short")
+            b.code(3, label="none")
+    prog = b.build()
+    inp = ProgramInput("i")
+    ids = record_trace(Machine(prog, inp)).block_ids()
+    fast, slow = MemorySystem(prog, inp), MemorySystem(prog, inp)
+    want = _per_block(slow, ids)
+    assert len(want) == 7 * 9
+    assert np.array_equal(fast.addresses_for_blocks(ids), want)
+    assert np.array_equal(fast.accesses_for_blocks(ids).sum(), len(want))
+    assert [p.cursor for p in fast._pools.values()] == [
+        p.cursor for p in slow._pools.values()
+    ]
+
+
+def test_gather_of_nothing():
+    prog = build_mem_program(ProgramBuilder.wset("heap", 1 << 14))
+    ms = MemorySystem(prog, ProgramInput("i"))
+    assert len(ms.addresses_for_blocks(np.empty(0, dtype=np.int64))) == 0
