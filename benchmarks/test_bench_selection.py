@@ -13,6 +13,7 @@ import time
 
 from conftest import save_table
 
+from perfbench.common import fingerprint
 from repro.callloop import SelectionParams, select_markers, select_markers_scalar
 from repro.experiments import selection_time
 from repro.experiments.runner import Runner
@@ -80,6 +81,7 @@ def test_bench_perf_selection_speedup(runner, results_dir):
     common = {
         "benchmark": "selection over 16-workload corpus",
         "workloads": specs,
+        "fingerprint": fingerprint(0),
         "unit": "seconds per full-corpus pass (best of 5)",
     }
     (results_dir / "BENCH_selection_baseline.json").write_text(

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from perfbench.common import fingerprint
 from repro.serving import (
     LoadGenSettings,
     PhaseMarkerServer,
@@ -133,6 +134,7 @@ def test_bench_serve_scenarios(serve_dirs, results_dir):
                 f"loadgen {name} scenario, seed {SEED}"
             ),
             "queries": [q.label() for q in bench_queries()],
+            "fingerprint": fingerprint(SEED),
             **summary.as_dict(),
         }
         (results_dir / f"BENCH_serve_{name}.json").write_text(

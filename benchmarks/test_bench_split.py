@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from perfbench.common import fingerprint
 from repro.intervals import split_at_markers, split_at_markers_scalar
 from repro.workloads import all_workloads
 
@@ -92,8 +93,15 @@ def test_bench_split_speedup(runner, results_dir):
         ),
         "total_instructions": total_instructions,
         "total_intervals": total_intervals,
+        "fingerprint": fingerprint(0),
         "unit": "seconds (single pass per variant)",
     }
+    print(
+        f"\nsplit: legacy {seconds['legacy']:.2f}s -> fast "
+        f"{seconds['fast']:.2f}s ({speedup:.2f}x)"
+    )
+    assert speedup >= 2.0
+    # only a passing run becomes the next run's baseline
     (results_dir / "BENCH_split_legacy.json").write_text(
         json.dumps(
             {**common, "variant": "legacy (scalar per-event splitter)",
@@ -118,11 +126,6 @@ def test_bench_split_speedup(runner, results_dir):
         )
         + "\n"
     )
-    print(
-        f"\nsplit: legacy {seconds['legacy']:.2f}s -> fast "
-        f"{seconds['fast']:.2f}s ({speedup:.2f}x)"
-    )
-    assert speedup >= 2.0
 
 
 SMOKE_SPECS = ("gzip", "vortex")

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from perfbench.common import fingerprint
 from repro.callloop.graph import NodeTable
 from repro.callloop.walker import ContextHandler, ContextWalker
 from repro.engine import Machine, record_trace
@@ -104,28 +105,6 @@ def test_bench_stream_per_event_overhead(results_dir):
     if baseline_path.exists():
         baseline = json.loads(baseline_path.read_text())["monitor_rows_per_s"]
 
-    (results_dir / "BENCH_stream_per_event.json").write_text(
-        json.dumps(
-            {
-                "benchmark": (
-                    "streaming per-event overhead vs scalar batch walk "
-                    f"({WORKLOAD} train trace)"
-                ),
-                "rows": rows,
-                "total_instructions": trace.total_instructions,
-                "chunk_rows": CHUNK_ROWS,
-                "batch_walk_s": batch_s,
-                "incremental_walker_s": walker_s,
-                "streaming_monitor_s": monitor_s,
-                "walker_ratio": walker_ratio,
-                "monitor_ratio": monitor_ratio,
-                "monitor_rows_per_s": throughput,
-                "unit": "seconds (single pass)",
-            },
-            indent=2,
-        )
-        + "\n"
-    )
     print(
         f"\nstream per-event: batch {batch_s * 1e3:.1f}ms, "
         f"walker {walker_ratio:.2f}x, monitor {monitor_ratio:.2f}x "
@@ -144,6 +123,30 @@ def test_bench_stream_per_event_overhead(results_dir):
             f"streaming throughput regressed: {throughput:.0f} rows/s vs "
             f"committed baseline {baseline:.0f} (floor: half the baseline)"
         )
+    # only a passing run becomes the next run's baseline
+    (results_dir / "BENCH_stream_per_event.json").write_text(
+        json.dumps(
+            {
+                "benchmark": (
+                    "streaming per-event overhead vs scalar batch walk "
+                    f"({WORKLOAD} train trace)"
+                ),
+                "rows": rows,
+                "total_instructions": trace.total_instructions,
+                "chunk_rows": CHUNK_ROWS,
+                "batch_walk_s": batch_s,
+                "incremental_walker_s": walker_s,
+                "streaming_monitor_s": monitor_s,
+                "walker_ratio": walker_ratio,
+                "monitor_ratio": monitor_ratio,
+                "monitor_rows_per_s": throughput,
+                "fingerprint": fingerprint(0),
+                "unit": "seconds (single pass)",
+            },
+            indent=2,
+        )
+        + "\n"
+    )
 
 
 def _window_entries(monitor):
@@ -223,6 +226,7 @@ def test_bench_stream_bounded_memory(results_dir):
                 "traced_late_peak_kib": late_kib,
                 "traced_growth_kib": growth_kib,
                 "vm_rss_kib": rss_kib,
+                "fingerprint": fingerprint(0),
                 "unit": "KiB (tracemalloc traced allocations)",
             },
             indent=2,

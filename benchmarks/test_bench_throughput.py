@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from perfbench.common import fingerprint
 from repro.callloop import CallLoopProfiler
 from repro.callloop.graph import NodeTable
 from repro.cache.stackdist import MultiAssocCacheSim
@@ -147,6 +148,7 @@ def test_bench_perf_kernel_throughput(results_dir):
             {
                 "benchmark": "selection on synthetic graph",
                 "num_edges": graph.num_edges,
+                "fingerprint": fingerprint(0),
                 "unit": "seconds per selection (best of 5)",
                 "scalar_seconds": scalar_s,
                 "vectorized_seconds": vector_s,

@@ -25,7 +25,7 @@ Edge endpoints are integer node ids from a :class:`NodeTable`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,9 +36,11 @@ from repro.engine.tracing import Trace
 from repro.ir.program import Program, SourceLoc, TermKind
 from repro.telemetry import get_telemetry
 
-#: traces shorter than this replay through the scalar walker — the bulk
-#: mode's vectorized preprocessing only pays for itself on long traces
-BULK_MIN_ROWS = 1024
+#: chunks (a whole trace is one) shorter than this take the scalar loop:
+#: the bulk loop's numpy preprocessing costs tens of microseconds per
+#: chunk whatever its length, which its per-row saving repays only on
+#: longer chunks (measurements in docs/PERFORMANCE.md)
+BULK_MIN_CHUNK_ROWS = 192
 
 #: minimum back-edge run length routed through ``on_edge_iterations``;
 #: shorter runs fire the per-iteration callbacks directly.  The batch's
@@ -47,6 +49,20 @@ BULK_MIN_ROWS = 1024
 #: 8 (perlbmk's strcopy runs, vortex's short loops) and 1024 (runs that
 #: would batch well go per iteration); graphs are identical at every value
 BATCH_MIN_RUN = 32
+
+_NOT_WALKING = "walker not started or already finished"
+
+
+def chunk_length(kinds, a, b, c) -> int:
+    """Rows in a packed-row column chunk; ``ValueError`` unless all four
+    columns have the same length."""
+    n = len(kinds)
+    if not len(a) == len(b) == len(c) == n:
+        raise ValueError(
+            "packed-row columns must have equal lengths, got "
+            f"kinds={n}, a={len(a)}, b={len(b)}, c={len(c)}"
+        )
+    return n
 
 
 class ContextHandler:
@@ -79,7 +95,7 @@ class ContextHandler:
         order): ``on_edge_close(head, body, prev, t, source)`` then
         ``on_edge_open(head, body, t, source)`` with ``prev`` starting
         at *t_prev* — i.e. ``np.diff(ts, prepend=t_prev)`` are the
-        per-iteration hierarchical instruction counts.  The bulk walker
+        per-iteration hierarchical instruction counts.  The bulk loop
         routes consecutive back-edge arrivals of one loop span here
         *only when the handler class overrides this method*; handlers
         that rely on per-iteration callbacks (or on ``walker.row``
@@ -91,7 +107,7 @@ class ContextHandler:
         splitter — see the same rows the per-iteration path would have
         reported through ``walker.row``.
         """
-        pass  # pragma: no cover - dispatch checks the override, see walk()
+        pass  # pragma: no cover - _replay_rows checks the override
 
     def on_block(self, block_id: int, size: int, t: int) -> None:
         pass
@@ -153,7 +169,7 @@ class _Frame:
 
 
 class ContextWalker:
-    """Walks a trace once, reporting edge spans to a handler.
+    """Walks traces, reporting edge spans to a handler.
 
     The walker reproduces the paper's node semantics:
 
@@ -164,17 +180,35 @@ class ContextWalker:
       opens ``ctx -> L.head`` and ``L.head -> L.body``; re-executing it via
       the back-edge closes and reopens the head->body span (one per
       iteration); leaving the static loop region closes both.
+
+    The walk state (frames, activation counts, ``t``, ``row``) lives on
+    the walker, so one walk can be pushed in pieces: :meth:`start`
+    resets it and opens the entry procedure's edges, :meth:`feed_rows`
+    (a column chunk), :meth:`feed` (one row) and :meth:`feed_packed`
+    (an iterable of rows) advance it, and :meth:`finish` unwinds it.
+    :meth:`walk` is that sequence over a whole trace.  Two loops drive
+    the state machine: the bulk row loop (:meth:`_interesting_rows` +
+    :meth:`_replay_rows`), which sees only the rows that can move the
+    shadow stack, and the scalar loop (:meth:`feed_packed`), which sees
+    every row; :meth:`feed_rows` picks between them per chunk.
     """
 
     def __init__(self, program: Program, table: NodeTable):
         self.program = program
         self.table = table
+        #: the handler of the walk in progress (``None`` before
+        #: :meth:`start` and after :meth:`finish`)
+        self.handler: Optional[ContextHandler] = None
+        #: dynamic instruction count so far (updated once per fed chunk)
+        self.t = 0
         #: trace row currently being processed (readable from handlers)
         self.row = -1
         #: absolute rows of the current batched back-edge run (valid
         #: only inside an ``on_edge_iterations`` callback, aligned with
         #: its ``ts`` argument)
         self.iter_rows: Optional[np.ndarray] = None
+        self._frames: List[_Frame] = []
+        self._active: Dict[int, int] = {}
         self.loops_by_header: Dict[int, StaticLoop] = table.loops
         # Map call-site addresses to debug info (source locations).
         self._site_source: Dict[int, SourceLoc] = {}
@@ -188,104 +222,234 @@ class ContextWalker:
             header: loop.source for header, loop in table.loops.items()
         }
         self._proc_by_id = {p.proc_id: p for p in program.procedures.values()}
-        # Lazily built vectorized lookup tables for the bulk replay mode.
+        # Lazily built vectorized lookup tables for the bulk row loop.
         self._addr_tables: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
 
-    def walk_events(self, events, handler: ContextHandler) -> int:
-        """Process a *live* event stream (for online monitoring).
+    @property
+    def finished(self) -> bool:
+        """No walk in progress (never started, or finished)."""
+        return self.handler is None
 
-        Same semantics as :meth:`walk`, but consumes event objects as
-        they are produced instead of a recorded trace.
-        """
-        from repro.engine.events import (
-            BlockEvent,
-            BranchEvent,
-            CallEvent,
-            ReturnEvent,
+    @property
+    def depth(self) -> int:
+        """Current call depth (frames on the shadow stack)."""
+        return len(self._frames)
+
+    # -- one walk: start, feed, finish ---------------------------------------
+
+    def start(self, handler: ContextHandler) -> None:
+        """Begin a walk into *handler*: reset the walk state and open the
+        entry procedure's edges, as if it were called from the root."""
+        cls = type(handler)
+        self._bulk_ok = cls.on_block is ContextHandler.on_block
+        self._need_branch = cls.on_branch is not ContextHandler.on_branch
+        self.handler = handler
+        self.t = 0
+        self.row = -1
+        self.iter_rows = None
+        program = self.program
+        entry = program.procedures[program.entry]
+        root = 0
+        main_frame = _Frame(
+            entry.proc_id,
+            self.table.proc_head[entry.name],
+            self.table.proc_body[entry.name],
+            0,
+            outermost=True,
+            head_parent=root,
+            site_source=self._proc_source.get(entry.proc_id),
         )
+        self._frames = [main_frame]
+        self._active = {entry.proc_id: 1}
+        handler.on_edge_open(root, main_frame.head_node, 0, main_frame.site_source)
+        handler.on_edge_open(main_frame.head_node, main_frame.body_node, 0, None)
 
-        def packed():
-            for ev in events:
-                t = type(ev)
-                if t is BlockEvent:
-                    yield (K_BLOCK, ev.block_id, ev.address, ev.size)
-                elif t is BranchEvent:
-                    yield (K_BRANCH, ev.address, ev.target, 1 if ev.taken else 0)
-                elif t is CallEvent:
-                    yield (K_CALL, ev.site_address, ev.callee_id, 0)
-                else:
-                    yield (K_RETURN, ev.proc_id, 0, 0)
+    def feed_rows(self, kinds, a, b, c, bulk: bool = False) -> None:
+        """Process one packed-row column chunk (``int8`` kinds + three
+        ``int64`` operand columns, as a recorded ``Trace`` stores them and
+        ``Trace.iter_chunks`` serves them).
 
+        A chunk of at least :data:`BULK_MIN_CHUNK_ROWS` rows whose
+        handler leaves ``on_block`` as the base no-op replays through
+        the bulk row loop: instruction counts come from one ``cumsum``
+        over the block-size column, and the shadow stack sees only the
+        *interesting* rows.  Other chunks — a handler observing blocks,
+        a short chunk, or a block address outside the program — take
+        the scalar loop.  Under telemetry each chunk counts
+        ``callloop.walk.bulk`` or ``callloop.walk.scalar.<reason>``.
+        Both loops fire identical callbacks at identical rows (pinned by
+        the ``trace-pipeline`` and ``streaming`` verify checks).
+        ``bulk=True`` runs the bulk loop on short chunks too (verify
+        uses it to exercise that loop on tiny fuzz traces).
+
+        Raises ``ValueError`` — before any state changes — unless the
+        four columns have equal lengths.
+        """
+        if self.handler is None:
+            raise RuntimeError(_NOT_WALKING)
+        n = chunk_length(kinds, a, b, c)
         tm = get_telemetry()
-        if not tm.enabled:
-            return self._walk_packed(packed(), handler, num_rows=None)
-        with tm.span("callloop.walk_events"):
-            total = self._walk_packed(packed(), handler, num_rows=None)
-            tm.counter("callloop.walk.events", self.row)
-            tm.counter("callloop.walk.instructions", total)
-        return total
+        if not self._bulk_ok:
+            reason = "on_block"
+        elif n < BULK_MIN_CHUNK_ROWS and not bulk:
+            reason = "short_chunk"
+        else:
+            selected = self._interesting_rows(kinds, b, c, self._need_branch, self.t)
+            if selected is not None:
+                rows, ts, total = selected
+                row0 = self.row + 1
+                self._replay_rows(kinds, a, b, c, rows, ts, row0)
+                self.t = total
+                self.row = row0 + n - 1
+                if tm.enabled:
+                    tm.counter("callloop.walk.bulk")
+                return
+            reason = "unknown_address"
+        if tm.enabled:
+            tm.counter(f"callloop.walk.scalar.{reason}")
+        self.feed_packed(zip(kinds.tolist(), a.tolist(), b.tolist(), c.tolist()))
 
-    def walk(
-        self, trace: Trace, handler: ContextHandler, bulk: Optional[bool] = None
-    ) -> int:
-        """Process *trace*; returns total dynamic instructions.
+    def feed(self, kind: int, a: int, b: int, c: int) -> None:
+        """Process one packed row through the scalar loop."""
+        self.feed_packed(((kind, a, b, c),))
 
-        Long traces whose handler does not observe individual blocks
-        (``on_block`` left as the base no-op) replay through the bulk
-        mode: instruction counts come from a single ``cumsum`` over the
-        block-size column, and the shadow stack is fed only the
-        *interesting* rows — control events plus the small subset of
-        blocks that can move a loop stack.  Handlers that do override
-        ``on_block`` (or short traces, or traces with a block address
-        outside the program) take the scalar path, counted under
-        telemetry as ``callloop.walk.scalar.<reason>``.  The two paths
-        produce identical callback sequences (pinned by the
-        ``trace-pipeline`` verify check and fuzz suite).
+    def finish(self) -> int:
+        """End the walk: close every still-open frame and loop span at the
+        final instruction count, which is returned."""
+        handler = self.handler
+        if handler is None:
+            raise RuntimeError(_NOT_WALKING)
+        self.handler = None
+        self.row += 1
+        t = self.t
+        on_close = handler.on_edge_close
+        frames = self._frames
+        while frames:
+            self._close_frame(frames.pop(), t, on_close)
+        return t
 
-        ``bulk`` overrides the length heuristic: ``True`` runs the bulk
-        mode even on short traces (the verify harness uses this to pit
-        it against :meth:`walk_scalar` on tiny fuzz programs), ``False``
-        forces the scalar path.  An ineligible handler still walks
-        scalar either way.
+    def walk(self, trace: Trace, handler: ContextHandler, bulk: bool = False) -> int:
+        """Process *trace* as one chunk; returns total dynamic instructions.
+
+        :meth:`start`, one :meth:`feed_rows` and :meth:`finish`, so the
+        whole trace takes the bulk loop unless that chunk declines it;
+        ``bulk`` is passed through.
         """
         tm = get_telemetry()
-        if not tm.enabled:
-            return self._walk_dispatch(trace, handler, bulk)
         # Bulk-granularity instrumentation: one span around the whole
-        # replay, event totals counted once after it — never per event.
+        # walk, event totals counted once after it — never per event.
         with tm.span("callloop.walk", events=len(trace)):
-            total = self._walk_dispatch(trace, handler, bulk)
+            self.start(handler)
+            self.feed_rows(trace.kinds, trace.a, trace.b, trace.c, bulk)
+            total = self.finish()
+        if tm.enabled:
             tm.counter("callloop.walk.events", len(trace))
             tm.counter("callloop.walk.instructions", total)
         return total
 
     def walk_scalar(self, trace: Trace, handler: ContextHandler) -> int:
-        """Process *trace* event-by-event — the bulk mode's oracle."""
-        return self._walk_packed(trace.iter_packed(), handler, num_rows=len(trace))
+        """Process *trace* through the scalar loop — the bulk loop's
+        reference."""
+        self.start(handler)
+        self.feed_packed(trace.iter_packed())
+        return self.finish()
 
-    def _walk_dispatch(
-        self, trace: Trace, handler: ContextHandler, bulk: Optional[bool] = None
-    ) -> int:
-        cls = type(handler)
-        if bulk is None:
-            bulk = len(trace) >= BULK_MIN_ROWS
-        if not bulk:
-            reason = "short_trace"
-        elif cls.on_block is not ContextHandler.on_block:
-            reason = "on_block"
-        else:
-            result = self._walk_bulk(
-                trace, handler, cls.on_branch is not ContextHandler.on_branch
-            )
-            if result is not None:
-                return result
-            reason = "unknown_address"
-        tm = get_telemetry()
-        if tm.enabled:
-            tm.counter(f"callloop.walk.scalar.{reason}")
-        return self._walk_packed(trace.iter_packed(), handler, num_rows=len(trace))
+    def feed_packed(self, packed: Iterable[Tuple[int, int, int, int]]) -> None:
+        """Step the state machine through packed ``(kind, a, b, c)`` rows:
+        the scalar loop, which shows every row to the handler.
+
+        The walk state is loaded into locals once per call and written
+        back in a ``finally``: if the handler (or *packed*) raises, ``row``
+        is the row being processed and ``t`` the count before it.
+        """
+        handler = self.handler
+        if handler is None:
+            raise RuntimeError(_NOT_WALKING)
+        proc_head = self.table.proc_head
+        proc_body = self.table.proc_body
+        loop_head_ids = self.table.loop_head
+        loop_body_ids = self.table.loop_body
+        loops_by_header = self.loops_by_header
+        proc_by_id = self._proc_by_id
+        frames = self._frames
+        active = self._active
+        on_block = handler.on_block
+        on_branch = handler.on_branch
+        on_open = handler.on_edge_open
+        on_close = handler.on_edge_close
+        t = self.t
+        row = self.row
+        try:
+            for kind, a, b, c in packed:
+                row += 1
+                self.row = row
+                if kind == K_BLOCK:
+                    addr = b
+                    frame = frames[-1]
+                    ls = frame.loop_stack
+                    # Leave loops whose static region no longer covers us.
+                    while ls:
+                        span = ls[-1]
+                        if span.header <= addr <= span.latch:
+                            break
+                        ls.pop()
+                        on_close(span.head_node, span.body_node, span.iter_open_t, t, span.source)
+                        on_close(span.parent_ctx, span.head_node, span.head_open_t, t, span.source)
+                    loop = loops_by_header.get(addr)
+                    if loop is not None:
+                        if ls and ls[-1].header == addr:
+                            # back-edge arrival: iteration boundary
+                            span = ls[-1]
+                            on_close(span.head_node, span.body_node, span.iter_open_t, t, span.source)
+                            span.iter_open_t = t
+                            on_open(span.head_node, span.body_node, t, span.source)
+                        else:
+                            parent_ctx = ls[-1].body_node if ls else frame.body_node
+                            head_node = loop_head_ids[addr]
+                            body_node = loop_body_ids[addr]
+                            source = self._loop_source.get(addr)
+                            span = _LoopSpan(
+                                addr,
+                                loop.latch_branch_address,
+                                head_node,
+                                body_node,
+                                parent_ctx,
+                                t,
+                                source,
+                            )
+                            ls.append(span)
+                            on_open(parent_ctx, head_node, t, source)
+                            on_open(head_node, body_node, t, source)
+                    on_block(a, c, t)
+                    t += c
+                elif kind == K_BRANCH:
+                    on_branch(a, b, bool(c))
+                elif kind == K_CALL:
+                    site_addr, callee_id = a, b
+                    proc = proc_by_id[callee_id]
+                    frame = frames[-1]
+                    ls = frame.loop_stack
+                    parent_ctx = ls[-1].body_node if ls else frame.body_node
+                    outermost = active.get(callee_id, 0) == 0
+                    active[callee_id] = active.get(callee_id, 0) + 1
+                    source = self._site_source.get(site_addr)
+                    head_node = proc_head[proc.name]
+                    body_node = proc_body[proc.name]
+                    new_frame = _Frame(
+                        callee_id, head_node, body_node, t, outermost, parent_ctx, source
+                    )
+                    if outermost:
+                        on_open(parent_ctx, head_node, t, source)
+                    on_open(head_node, body_node, t, source)
+                    frames.append(new_frame)
+                elif kind == K_RETURN:
+                    frame = frames.pop()
+                    self._close_frame(frame, t, on_close)
+                    active[frame.proc_id] -= 1
+        finally:
+            self.t = t
 
     # -- bulk replay -------------------------------------------------------
 
@@ -298,7 +462,7 @@ class ContextWalker:
         a dense id for its *static loop chain* (the set of loop regions
         covering the address).  Two consecutive block rows in the same
         frame with equal chain ids, neither a header, cannot move the
-        loop stack — that is what lets the bulk walker skip them.
+        loop stack — that is what lets the bulk loop skip them.
         """
         if self._addr_tables is not None:
             return self._addr_tables
@@ -322,51 +486,6 @@ class ContextWalker:
         self._addr_tables = (addr_arr, is_header, chain_ids)
         return self._addr_tables
 
-    def _walk_bulk(
-        self, trace: Trace, handler: ContextHandler, need_branch: bool
-    ) -> Optional[int]:
-        """Vectorized replay of a whole trace.
-
-        Sets up the entry frame around one :meth:`_interesting_rows` +
-        :meth:`_replay_rows` pass and unwinds it at the end.  Returns
-        ``None`` when the trace references addresses outside the program
-        (caller falls back to the scalar walker).
-        """
-        kinds, b_col, c_col = trace.kinds, trace.b, trace.c
-        selected = self._interesting_rows(kinds, b_col, c_col, need_branch, 0)
-        if selected is None:
-            return None
-        rows, rt_arr, total = selected
-
-        program = self.table.program
-        entry = program.procedures[program.entry]
-        root = 0
-        main_frame = _Frame(
-            entry.proc_id,
-            self.table.proc_head[entry.name],
-            self.table.proc_body[entry.name],
-            0,
-            outermost=True,
-            head_parent=root,
-            site_source=self._proc_source.get(entry.proc_id),
-        )
-        active: Dict[int, int] = {entry.proc_id: 1}
-        handler.on_edge_open(root, main_frame.head_node, 0, main_frame.site_source)
-        handler.on_edge_open(main_frame.head_node, main_frame.body_node, 0, None)
-        frames: List[_Frame] = [main_frame]
-
-        self._replay_rows(
-            self, handler, kinds, trace.a, b_col, c_col, rows, rt_arr, 0,
-            frames, active,
-        )
-        self.row = len(kinds)
-        on_close = handler.on_edge_close
-        while frames:
-            frame = frames.pop()
-            self._close_frame(frame, total, on_close)
-            active[frame.proc_id] -= 1
-        return total
-
     def _interesting_rows(
         self,
         kinds: np.ndarray,
@@ -388,7 +507,7 @@ class ContextWalker:
         chunk-relative row indexes, the instruction count before each
         of them, and the count at chunk end — or ``None`` when a block
         address lies outside the program, leaving that chunk to the
-        scalar walker.
+        scalar loop.
         """
         block_mask = kinds == K_BLOCK
         sizes = np.where(block_mask, c_col, 0)
@@ -407,7 +526,7 @@ class ContextWalker:
             pos = np.searchsorted(addr_arr, baddrs)
             pos = np.minimum(pos, len(addr_arr) - 1)
             if not np.array_equal(addr_arr[pos], baddrs):
-                return None  # unknown block address — let the oracle decide
+                return None  # unknown block address — the scalar loop takes it
             interesting = is_header[pos].copy()
             interesting[0] = True
             cr_at = np.cumsum(cr_mask)[blk_rows]
@@ -421,8 +540,6 @@ class ContextWalker:
 
     def _replay_rows(
         self,
-        cursor,
-        handler: ContextHandler,
         kinds: np.ndarray,
         a_col: np.ndarray,
         b_col: np.ndarray,
@@ -430,23 +547,22 @@ class ContextWalker:
         rows: np.ndarray,
         rt_arr: np.ndarray,
         row0: int,
-        frames: List[_Frame],
-        active: Dict[int, int],
     ) -> None:
         """Run the shadow-stack state machine over selected chunk rows.
 
-        The one bulk row loop, shared by :meth:`_walk_bulk` (once per
-        trace) and :class:`~repro.streaming.IncrementalWalker` (once per
-        fed chunk).  *rows*/*rt_arr* come from :meth:`_interesting_rows`;
-        *frames* and *active* (per-procedure activation counts) are the
-        caller's shadow stack, updated in place; *row0* is the absolute
-        row of the chunk's first row.  ``cursor.row`` (and, inside an
-        ``on_edge_iterations`` callback, ``cursor.iter_rows``) report
-        absolute rows exactly as the scalar walker would.  Consecutive
+        The bulk row loop, run by :meth:`feed_rows` once per chunk.
+        *rows*/*rt_arr* come from :meth:`_interesting_rows`; the walker's
+        frames and activation counts are updated in place; *row0* is the
+        absolute row of the chunk's first row.  ``self.row`` (and, inside
+        an ``on_edge_iterations`` callback, ``self.iter_rows``) report
+        absolute rows exactly as the scalar loop would.  Consecutive
         back-edge arrivals of one loop span are absorbed in one tight
         loop — or, for a handler overriding ``on_edge_iterations``, one
         callback per run of at least :data:`BATCH_MIN_RUN`.
         """
+        handler = self.handler
+        frames = self._frames
+        active = self._active
         proc_head = self.table.proc_head
         proc_body = self.table.proc_body
         loop_head_ids = self.table.loop_head
@@ -488,7 +604,7 @@ class ContextWalker:
         while j < m:
             kind = rk[j]
             t = rt[j]
-            cursor.row = rlist[j]
+            self.row = rlist[j]
             if kind == K_BLOCK:
                 addr = rb[j]
                 frame = frames[-1]
@@ -516,7 +632,7 @@ class ContextWalker:
                         source = span.source
                         e = run_end[j] if run_end is not None else j
                         if e - j + 1 >= BATCH_MIN_RUN:
-                            cursor.iter_rows = rows_abs[j : e + 1]
+                            self.iter_rows = rows_abs[j : e + 1]
                             handler.on_edge_iterations(
                                 head_node,
                                 body_node,
@@ -524,10 +640,10 @@ class ContextWalker:
                                 rt_arr[j : e + 1],
                                 source,
                             )
-                            cursor.iter_rows = None
+                            self.iter_rows = None
                             span.iter_open_t = rt[e]
                             j = e
-                            cursor.row = rlist[e]
+                            self.row = rlist[e]
                         else:
                             prev_t = span.iter_open_t
                             while True:
@@ -539,7 +655,7 @@ class ContextWalker:
                                     break
                                 j = jn
                                 t = rt[jn]
-                                cursor.row = rlist[jn]
+                                self.row = rlist[jn]
                             span.iter_open_t = prev_t
                     else:
                         parent_ctx = ls[-1].body_node if ls else frame.body_node
@@ -584,118 +700,6 @@ class ContextWalker:
                 self._close_frame(frame, t, on_close)
                 active[frame.proc_id] -= 1
             j += 1
-
-    def _walk_packed(self, packed_events, handler: ContextHandler, num_rows) -> int:
-        program = self.table.program
-        entry = program.procedures[program.entry]
-        proc_head = self.table.proc_head
-        proc_body = self.table.proc_body
-        loop_head_ids = self.table.loop_head
-        loop_body_ids = self.table.loop_body
-        loops_by_header = self.loops_by_header
-
-        active: Dict[int, int] = {}
-        t = 0
-
-        # Open the entry procedure as if called from the root context.
-        root = 0
-        main_frame = _Frame(
-            entry.proc_id,
-            proc_head[entry.name],
-            proc_body[entry.name],
-            t,
-            outermost=True,
-            head_parent=root,
-            site_source=self._proc_source.get(entry.proc_id),
-        )
-        active[entry.proc_id] = 1
-        handler.on_edge_open(root, main_frame.head_node, t, main_frame.site_source)
-        handler.on_edge_open(main_frame.head_node, main_frame.body_node, t, None)
-        frames: List[_Frame] = [main_frame]
-
-        proc_by_id = self._proc_by_id
-        on_block = handler.on_block
-        on_branch = handler.on_branch
-        on_open = handler.on_edge_open
-        on_close = handler.on_edge_close
-
-        row = -1
-        for kind, a, b, c in packed_events:
-            row += 1
-            self.row = row
-            if kind == K_BLOCK:
-                addr = b
-                frame = frames[-1]
-                ls = frame.loop_stack
-                # Leave loops whose static region no longer covers us.
-                while ls:
-                    span = ls[-1]
-                    if span.header <= addr <= span.latch:
-                        break
-                    ls.pop()
-                    on_close(span.head_node, span.body_node, span.iter_open_t, t, span.source)
-                    on_close(span.parent_ctx, span.head_node, span.head_open_t, t, span.source)
-                loop = loops_by_header.get(addr)
-                if loop is not None:
-                    if ls and ls[-1].header == addr:
-                        # back-edge arrival: iteration boundary
-                        span = ls[-1]
-                        on_close(span.head_node, span.body_node, span.iter_open_t, t, span.source)
-                        span.iter_open_t = t
-                        on_open(span.head_node, span.body_node, t, span.source)
-                    else:
-                        parent_ctx = ls[-1].body_node if ls else frame.body_node
-                        head_node = loop_head_ids[addr]
-                        body_node = loop_body_ids[addr]
-                        source = self._loop_source.get(addr)
-                        span = _LoopSpan(
-                            addr,
-                            loop.latch_branch_address,
-                            head_node,
-                            body_node,
-                            parent_ctx,
-                            t,
-                            source,
-                        )
-                        ls.append(span)
-                        on_open(parent_ctx, head_node, t, source)
-                        on_open(head_node, body_node, t, source)
-                on_block(a, c, t)
-                t += c
-            elif kind == K_BRANCH:
-                on_branch(a, b, bool(c))
-            elif kind == K_CALL:
-                site_addr, callee_id = a, b
-                proc = proc_by_id[callee_id]
-                frame = frames[-1]
-                ls = frame.loop_stack
-                parent_ctx = ls[-1].body_node if ls else frame.body_node
-                outermost = active.get(callee_id, 0) == 0
-                active[callee_id] = active.get(callee_id, 0) + 1
-                source = self._site_source.get(site_addr)
-                head_node = proc_head[proc.name]
-                body_node = proc_body[proc.name]
-                new_frame = _Frame(
-                    callee_id, head_node, body_node, t, outermost, parent_ctx, source
-                )
-                if outermost:
-                    on_open(parent_ctx, head_node, t, source)
-                on_open(head_node, body_node, t, source)
-                frames.append(new_frame)
-            elif kind == K_RETURN:
-                frame = frames.pop()
-                self._close_frame(frame, t, on_close)
-                active[frame.proc_id] -= 1
-
-        # End of run: unwind whatever is still active (normally just main).
-        self.row = num_rows if num_rows is not None else row + 1
-        while frames:
-            frame = frames.pop()
-            self._close_frame(frame, t, on_close)
-            active[frame.proc_id] -= 1
-            if frame.outermost:
-                pass  # head edge closed inside _close_frame
-        return t
 
     @staticmethod
     def _close_frame(frame: _Frame, t: int, on_close) -> None:

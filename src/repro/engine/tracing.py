@@ -50,6 +50,26 @@ from repro.telemetry import get_telemetry
 DEFAULT_CHUNK_ROWS = 4096
 
 
+def packed_rows(events: Iterable[object]) -> Iterator[Tuple[int, int, int, int]]:
+    """Map event objects to packed ``(kind, a, b, c)`` rows, lazily.
+
+    The one event-to-row mapping: :meth:`Trace.from_events` records
+    through it, and the live monitor walks through it without recording.
+    """
+    for ev in events:
+        t = type(ev)
+        if t is BlockEvent:
+            yield (K_BLOCK, ev.block_id, ev.address, ev.size)
+        elif t is BranchEvent:
+            yield (K_BRANCH, ev.address, ev.target, 1 if ev.taken else 0)
+        elif t is CallEvent:
+            yield (K_CALL, ev.site_address, ev.callee_id, 0)
+        elif t is ReturnEvent:
+            yield (K_RETURN, ev.proc_id, 0, 0)
+        else:
+            raise TypeError(f"unknown event {t.__name__}")
+
+
 class Trace:
     """A recorded run: columnar event storage plus summary statistics."""
 
@@ -66,30 +86,11 @@ class Trace:
     @classmethod
     def from_events(cls, events: Iterable[object]) -> "Trace":
         kinds, a, b, c = [], [], [], []
-        for ev in events:
-            t = type(ev)
-            if t is BlockEvent:
-                kinds.append(K_BLOCK)
-                a.append(ev.block_id)
-                b.append(ev.address)
-                c.append(ev.size)
-            elif t is BranchEvent:
-                kinds.append(K_BRANCH)
-                a.append(ev.address)
-                b.append(ev.target)
-                c.append(1 if ev.taken else 0)
-            elif t is CallEvent:
-                kinds.append(K_CALL)
-                a.append(ev.site_address)
-                b.append(ev.callee_id)
-                c.append(0)
-            elif t is ReturnEvent:
-                kinds.append(K_RETURN)
-                a.append(ev.proc_id)
-                b.append(0)
-                c.append(0)
-            else:
-                raise TypeError(f"unknown event {t.__name__}")
+        for kind, x, y, z in packed_rows(events):
+            kinds.append(kind)
+            a.append(x)
+            b.append(y)
+            c.append(z)
         return cls(
             np.asarray(kinds, dtype=np.int8),
             np.asarray(a, dtype=np.int64),

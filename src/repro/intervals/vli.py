@@ -33,7 +33,7 @@ golden workload.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -151,7 +151,7 @@ def _prescan_boundaries(
     table: NodeTable,
     tracker: MarkerTracker,
     trace: Trace,
-) -> Optional[Tuple[List[Tuple[int, int, int]], int]]:
+) -> Union[Tuple[List[Tuple[int, int, int]], int], str]:
     """Vectorized candidate pre-scan: marker firings without a walk.
 
     Every edge the walker can open has a *statically known* source
@@ -172,11 +172,13 @@ def _prescan_boundaries(
       modular arithmetic on the position within each entry run).
 
     The firings are sorted by (row, open order) and collapsed exactly
-    as :class:`_BoundaryCollector` would.  Returns ``None`` — caller
-    falls back to the walking path — when a precondition fails: a trace
-    block address unknown to the program, a marked or context-relevant
-    loop inside a recursive procedure, or a loop region entered
-    elsewhere than its header.
+    as :class:`_BoundaryCollector` would.  When a precondition fails the
+    caller falls back to the walking path, and the return value is the
+    reason instead: ``"unknown_address"`` (a trace block address unknown
+    to the program), ``"recursive_loop"`` (a marked or context-relevant
+    loop inside a recursive procedure) or ``"off_header"`` (a loop
+    region entered elsewhere than its header, or one not placed in any
+    procedure).
     """
     by_pair = tracker._by_pair
     kinds = trace.kinds
@@ -195,11 +197,11 @@ def _prescan_boundaries(
     if len(blk_rows):
         addrs = np.unique(np.asarray([b.address for b in program.blocks]))
         if len(addrs) == 0:
-            return None
+            return "unknown_address"
         pos = np.searchsorted(addrs, baddrs)
         pos = np.minimum(pos, len(addrs) - 1)
         if not np.array_equal(addrs[pos], baddrs):
-            return None  # unknown block address — let the walker decide
+            return "unknown_address"  # let the walker decide
 
     loops = table.loops
     entry = program.procedures[program.entry]
@@ -285,7 +287,7 @@ def _prescan_boundaries(
             cp, outer, _ = calls_of(pid)
             for site in np.unique(a_col[cp]).tolist():
                 if not covering(site):
-                    return None
+                    return "off_header"
             emit.append(("call", marker, src, pid))
         elif body_proc is not None:
             pid = proc_id_of[body_proc]
@@ -300,7 +302,7 @@ def _prescan_boundaries(
                 continue
             validate[head_loop] = pid
             if not covering(head_loop, exclude=head_loop):
-                return None
+                return "off_header"
             emit.append(("loop-entry", marker, src, head_loop))
         elif body_loop is not None:
             if src != table.loop_head[body_loop]:
@@ -333,7 +335,7 @@ def _prescan_boundaries(
     for header, pid in validate.items():
         got = rows_of(pid)
         if got is None:
-            return None
+            return "recursive_loop"
         rows, bP, act = got
         latch = loops[header].latch_branch_address
         in_reg = (bP >= header) & (bP <= latch)
@@ -352,7 +354,7 @@ def _prescan_boundaries(
         act_change[1:] = act[1:] != act[:-1]
         start = in_reg & (~prev_in | act_change)
         if not np.array_equal(bP[start], np.full(int(start.sum()), header)):
-            return None  # region entered elsewhere than its header
+            return "off_header"  # region entered elsewhere than its header
         h_idx = np.nonzero(in_reg & (bP == header))[0]
         run_id = np.cumsum(start)
         h_run = run_id[h_idx]
@@ -486,7 +488,7 @@ def split_at_markers_prescan(
     table = table or NodeTable(program)
     tracker = MarkerTracker(marker_set, table)
     got = _prescan_boundaries(program, table, tracker, trace)
-    if got is None:
+    if isinstance(got, str):
         return None
     bounds, total = got
     return _finalize(program, len(trace), total, bounds)
@@ -546,13 +548,14 @@ def _split(
 ) -> IntervalSet:
     tm = get_telemetry()
     got = _prescan_boundaries(program, table, tracker, trace)
-    if got is not None:
+    if not isinstance(got, str):
         bounds, total = got
         if tm.enabled:
             tm.counter("vli.split.prescans")
         return _finalize(program, len(trace), total, bounds)
     if tm.enabled:
         tm.counter("vli.split.prescan_fallbacks")
+        tm.counter(f"vli.split.prescan_fallbacks.{got}")
     walker = ContextWalker(program, table)
     collector = _FastBoundaryCollector(tracker, walker)
     total = walker.walk(trace, collector)

@@ -25,6 +25,7 @@ from repro.callloop.graph import NodeTable
 from repro.callloop.markers import MarkerSet, MarkerTracker, PhaseMarker
 from repro.callloop.walker import ContextHandler, ContextWalker
 from repro.engine.machine import Machine
+from repro.engine.tracing import packed_rows
 from repro.ir.program import Program, ProgramInput, SourceLoc
 from repro.telemetry import Histogram, get_telemetry
 from repro.util.tables import Table
@@ -76,7 +77,6 @@ class PhaseMonitor(ContextHandler):
         #: (phase, dwell) per completed stay in a phase, in order
         self.dwells: List[Tuple[int, int]] = []
         self._walker = ContextWalker(program, self.table)
-        self._last_t = 0
         # phase-timeline export (set up in run() iff telemetry is on)
         self._tm = None
         self._phase_wall_ns = 0
@@ -136,9 +136,6 @@ class PhaseMonitor(ContextHandler):
         )
         self._phase_wall_ns = now
 
-    def on_block(self, block_id: int, size: int, t: int) -> None:
-        self._last_t = t + size
-
     # -- driving --------------------------------------------------------------
 
     def _reset_run_state(self) -> None:
@@ -148,7 +145,6 @@ class PhaseMonitor(ContextHandler):
         self.changes = []
         self.time_in_phase = {}
         self.dwells = []
-        self._last_t = 0
         self.tracker.reset()
 
     def run(self, events: Iterable) -> int:
@@ -169,10 +165,13 @@ class PhaseMonitor(ContextHandler):
         self._reset_run_state()
         self._tm = tm if tm.enabled else None
         self._phase_wall_ns = time.monotonic_ns()
+        walker = self._walker
         total: Optional[int] = None
         try:
             with tm.span("runtime.monitor", program=self.program.name):
-                total = self._walker.walk_events(events, self)
+                walker.start(self)
+                walker.feed_packed(packed_rows(events))
+                total = walker.finish()
                 if self._tm is not None:
                     # close out the final phase's dwell track
                     tm.emit_span(
@@ -185,15 +184,17 @@ class PhaseMonitor(ContextHandler):
                     )
         finally:
             self._tm = None
-            # Close the final dwell even on a mid-stream exception,
-            # using the best-known instruction count at that point.
-            end_t = total if total is not None else self._last_t
+            # Close the final dwell even on a mid-stream exception, at
+            # the count the walker reached (the last processed row).
+            end_t = total if total is not None else walker.t
             final_dwell = end_t - self.phase_start_t
             self.time_in_phase[self.current_phase] = (
                 self.time_in_phase.get(self.current_phase, 0) + final_dwell
             )
             self.dwells.append((self.current_phase, final_dwell))
         if tm.enabled:
+            tm.counter("callloop.walk.events", walker.row)
+            tm.counter("callloop.walk.instructions", total)
             tm.counter("monitor.phase_changes", len(self.changes))
             for _, dwell in self.dwells:
                 tm.observe("monitor.dwell_instructions", dwell)

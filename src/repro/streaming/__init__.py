@@ -4,9 +4,9 @@ The batch pipeline records a complete trace, profiles it, selects
 markers, and only then can a monitor apply them.  This package collapses
 that into a single online pass with bounded memory (ROADMAP item 1):
 
-* :class:`IncrementalWalker` — the batch shadow-stack walker's state
-  machine as push-based instance state; packed rows in, edge-span
-  callbacks out, O(1) per event.
+* :class:`IncrementalWalker` — the batch shadow-stack walker, started
+  at construction; packed rows in, edge-span callbacks out, O(1) per
+  event.
 * :class:`StreamingWindow` — a bounded sliding window of per-slot exact
   edge moments; associativity makes any windowed merge bit-consistent.
 * :class:`DriftDetector` — per-marker-edge CoV drift against the

@@ -45,13 +45,13 @@ import numpy as np
 from repro.callloop.graph import CallLoopGraph, NodeTable
 from repro.callloop.markers import MarkerSet, MarkerTracker
 from repro.callloop.selection import SelectionParams, SelectionResult, select_markers
-from repro.callloop.walker import ContextHandler
+from repro.callloop.walker import ContextHandler, chunk_length
 from repro.engine.events import K_BLOCK
 from repro.engine.tracing import DEFAULT_CHUNK_ROWS, Trace
 from repro.ir.program import Program, SourceLoc
 from repro.runtime.monitor import PhaseChange
 from repro.streaming.drift import DriftDetector
-from repro.streaming.walker import IncrementalWalker, chunk_length
+from repro.streaming.walker import IncrementalWalker
 from repro.streaming.window import StreamingWindow
 from repro.telemetry import get_telemetry
 

@@ -25,7 +25,7 @@ check                     optimized side vs oracle side
 :func:`diff_trace_pipeline`
                           the row-template recorder (``Machine.record``)
                           vs the object-event oracle, and the
-                          bulk trace replay vs the scalar walker —
+                          bulk row loop vs the scalar loop (``walk_scalar``) —
                           columns, callback sequences, and row positions
                           compared **bit-for-bit**
 :func:`diff_split`        the sparsity-aware VLI split (vectorized
@@ -49,8 +49,8 @@ check                     optimized side vs oracle side
                           compared **bit-for-bit**
 :func:`diff_streaming`    the incremental streaming path (chunked
                           ``IncrementalWalker`` feed, windowed moment
-                          merge, online phase monitor) vs the batch
-                          walker, profiler, selection, and
+                          merge, online phase monitor) vs ``walk_scalar``,
+                          the batch profiler, selection, and
                           ``PhaseMonitor``, and chunked vs row-at-a-time
                           monitor feeds — callbacks, graph dicts,
                           marker-set dicts, and phase changes compared
@@ -587,7 +587,8 @@ def diff_trace_pipeline(
       oracle; every column must match row for row.  Skipped when
       ``compare_record`` is false (the caller truncated the event stream
       in a way only the object path supports, e.g. a call-depth cap).
-    * replay — the bulk walker vs the scalar walker over *trace*, for
+    * replay — the bulk row loop (``walk(..., bulk=True)``) vs the scalar
+      loop (``walk_scalar``) over *trace*, for
       both an edges-only handler and a branch-observing handler; the
       callback sequences, reported row positions, instruction totals,
       and final row cursors must be identical.
@@ -626,37 +627,11 @@ def diff_trace_pipeline(
         bulk_walker = ContextWalker(program, table)
         bulk_log = make(bulk_walker)
         bulk_total = bulk_walker.walk(trace, bulk_log, bulk=True)
-
-        if bulk_total != scalar_total:
-            out.append(
-                Mismatch(
-                    "trace", f"walk({label}) total", bulk_total, scalar_total
-                )
-            )
-        if bulk_walker.row != scalar_walker.row:
-            out.append(
-                Mismatch(
-                    "trace", f"walk({label}) final row",
-                    bulk_walker.row, scalar_walker.row,
-                )
-            )
-        if bulk_log.log != scalar_log.log:
-            if len(bulk_log.log) != len(scalar_log.log):
-                out.append(
-                    Mismatch(
-                        "trace", f"walk({label}) callbacks",
-                        len(bulk_log.log), len(scalar_log.log),
-                        "callback count",
-                    )
-                )
-            for i, (got, want) in enumerate(zip(bulk_log.log, scalar_log.log)):
-                if got != want:
-                    out.append(
-                        Mismatch(
-                            "trace", f"walk({label}) callback {i}", got, want
-                        )
-                    )
-                    break
+        _diff_walks(
+            out, "trace", f"walk({label})",
+            (bulk_total, bulk_walker.row, bulk_log.log),
+            (scalar_total, scalar_walker.row, scalar_log.log),
+        )
     return out
 
 
@@ -710,7 +685,7 @@ class _StreamLog(ContextHandler):
     """Records edge and branch callbacks without a row cursor.
 
     Overrides ``on_block``, so the incremental walker feeds it through
-    the scalar per-row step.  The walker fires its entry opens at
+    the scalar loop.  The walker fires its entry opens at
     construction time (before any handler could know a row cursor), so
     streaming parity compares the callback *sequence* plus the final
     cursor and total, mirroring the streaming package's own contract.
@@ -732,28 +707,30 @@ class _StreamLog(ContextHandler):
 
 def _diff_walks(
     out: List[Mismatch],
+    kind: str,
     label: str,
     got: Tuple[int, int, List[tuple]],
     want: Tuple[int, int, List[tuple]],
 ) -> None:
-    """Append mismatches between two ``(total, final row, callback log)``
-    walk outcomes: totals, cursors, and the first diverging callback."""
+    """Append *kind* mismatches between two ``(total, final row, callback
+    log)`` walk outcomes: totals, cursors, and the first diverging
+    callback.  *want* is always the scalar loop's walk."""
     (got_total, got_row, got_log), (want_total, want_row, want_log) = got, want
     if got_total != want_total:
-        out.append(Mismatch("streaming", f"{label} total", got_total, want_total))
+        out.append(Mismatch(kind, f"{label} total", got_total, want_total))
     if got_row != want_row:
-        out.append(Mismatch("streaming", f"{label} final row", got_row, want_row))
+        out.append(Mismatch(kind, f"{label} final row", got_row, want_row))
     if got_log != want_log:
         if len(got_log) != len(want_log):
             out.append(
                 Mismatch(
-                    "streaming", f"{label} callbacks",
+                    kind, f"{label} callbacks",
                     len(got_log), len(want_log), "callback count",
                 )
             )
         for i, (g, w) in enumerate(zip(got_log, want_log)):
             if g != w:
-                out.append(Mismatch("streaming", f"{label} callback {i}", g, w))
+                out.append(Mismatch(kind, f"{label} callback {i}", g, w))
                 break
 
 
@@ -776,10 +753,10 @@ def diff_streaming(
     identical integer work, so no tolerance applies):
 
     * walker — :class:`~repro.streaming.IncrementalWalker` fed the trace
-      in *chunk_rows* pieces must reproduce the scalar batch walker's
-      callback sequence, instruction total, and final row cursor, both
-      for a block-observing handler (the per-row step) and for an
-      edge-only one (the bulk chunk loop, row cursor included);
+      in *chunk_rows* pieces must reproduce ``walk_scalar``'s callback
+      sequence, instruction total, and final row cursor, both for a
+      block-observing handler (the scalar loop) and for an edge-only one
+      (the bulk loop on full chunks, row cursor included);
     * profile + selection — an unbounded-window, drift-disabled
       :class:`~repro.streaming.StreamingPhaseMonitor` must fold its
       window to the exact serialized batch graph, and selecting on that
@@ -819,7 +796,7 @@ def diff_streaming(
     inc_total = inc.finish()
 
     _diff_walks(
-        out, "walker",
+        out, "streaming", "walker",
         (inc_total, inc.row, inc_log.log),
         (batch_total, batch_walker.row, batch_log.log),
     )
@@ -841,7 +818,7 @@ def diff_streaming(
     edge_want = _SpanLog(edge_walker)
     edge_total = edge_walker.walk_scalar(trace, edge_want)
     _diff_walks(
-        out, "walker(edges)",
+        out, "streaming", "walker(edges)",
         (inc_total, inc.row, edge_got.log),
         (edge_total, edge_walker.row, edge_want.log),
     )

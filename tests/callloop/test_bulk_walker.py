@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.callloop.graph import NodeTable
-from repro.callloop.walker import BULK_MIN_ROWS, ContextHandler, ContextWalker
+from repro.callloop.walker import BULK_MIN_CHUNK_ROWS, ContextHandler, ContextWalker
 from repro.engine import Machine, record_trace
 from repro.engine.events import K_BLOCK
 from repro.engine.tracing import Trace
@@ -119,23 +119,25 @@ def test_unknown_address_falls_back_to_scalar(toy_program, toy_input):
 
 def test_dispatch_threshold(toy_program, toy_input):
     """Default dispatch: long traces go bulk, short ones scalar — and
-    both agree with the forced variants regardless."""
+    both agree with the scalar loop regardless."""
     trace = record_trace(Machine(toy_program, toy_input))
-    assert len(trace) >= BULK_MIN_ROWS  # the fixture run is long enough
+    assert len(trace) >= BULK_MIN_CHUNK_ROWS  # the fixture run is long enough
     table = NodeTable(toy_program)
-    walker = ContextWalker(toy_program, table)
-    auto = EdgeLog(walker)
-    total_auto = walker.walk(trace, auto)
-    walker2 = ContextWalker(toy_program, table)
-    forced = EdgeLog(walker2)
-    total_forced = walker2.walk(trace, forced, bulk=False)
-    assert total_auto == total_forced
-    assert auto.log == forced.log
+    for n in (len(trace), BULK_MIN_CHUNK_ROWS - 1):
+        walked = Trace(trace.kinds[:n], trace.a[:n], trace.b[:n], trace.c[:n])
+        walker = ContextWalker(toy_program, table)
+        auto = EdgeLog(walker)
+        total_auto = walker.walk(walked, auto)
+        walker2 = ContextWalker(toy_program, table)
+        scalar = EdgeLog(walker2)
+        total_scalar = walker2.walk_scalar(walked, scalar)
+        assert total_auto == total_scalar
+        assert auto.log == scalar.log
 
 
 def test_scalar_fallbacks_are_counted_with_their_reason(toy_program, toy_input):
-    """Under telemetry every walk that declines the bulk replay counts
-    one ``callloop.walk.scalar.<reason>``; a bulk walk counts none."""
+    """Under telemetry every walk, one chunk, counts either
+    ``callloop.walk.bulk`` or one ``callloop.walk.scalar.<reason>``."""
     from repro.telemetry import telemetry_session
 
     trace = record_trace(Machine(toy_program, toy_input))
@@ -143,24 +145,27 @@ def test_scalar_fallbacks_are_counted_with_their_reason(toy_program, toy_input):
         trace.kinds.copy(), trace.a.copy(), trace.b.copy(), trace.c.copy()
     )
     bogus.b[np.nonzero(bogus.kinds == K_BLOCK)[0][0]] = 0x7FFF_FFFF
+    n = BULK_MIN_CHUNK_ROWS - 1
+    short = Trace(trace.kinds[:n], trace.a[:n], trace.b[:n], trace.c[:n])
     table = NodeTable(toy_program)
     walks = [
-        (trace, EdgeLog, None),
-        (trace, EdgeLog, False),
-        (trace, BlockLog, None),
-        (bogus, EdgeLog, None),
+        (trace, EdgeLog),
+        (short, EdgeLog),
+        (trace, BlockLog),
+        (bogus, EdgeLog),
     ]
     with telemetry_session() as tm:
-        for walked, handler_cls, bulk in walks:
+        for walked, handler_cls in walks:
             walker = ContextWalker(toy_program, table)
-            walker.walk(walked, handler_cls(walker), bulk=bulk)
-    fallbacks = {
+            walker.walk(walked, handler_cls(walker))
+    paths = {
         k: v
         for k, v in tm.metrics.counters.items()
-        if k.startswith("callloop.walk.scalar")
+        if k.startswith(("callloop.walk.bulk", "callloop.walk.scalar"))
     }
-    assert fallbacks == {
-        "callloop.walk.scalar.short_trace": 1,
+    assert paths == {
+        "callloop.walk.bulk": 1,
+        "callloop.walk.scalar.short_chunk": 1,
         "callloop.walk.scalar.on_block": 1,
         "callloop.walk.scalar.unknown_address": 1,
     }

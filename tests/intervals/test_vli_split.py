@@ -10,11 +10,13 @@ check cannot target deterministically.
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.callloop import SelectionParams, build_call_loop_graph, select_markers
 from repro.callloop.markers import MarkerSet
 from repro.engine import Machine, Trace, record_trace
+from repro.engine.events import K_BLOCK
 from repro.intervals import (
     split_at_markers,
     split_at_markers_prescan,
@@ -24,6 +26,7 @@ from repro.intervals import (
 from repro.intervals.vli import _finalize
 from repro.ir import ProgramBuilder
 from repro.ir.program import ProgramInput
+from repro.telemetry import telemetry_session
 
 
 def columns(intervals):
@@ -37,7 +40,7 @@ def columns(intervals):
 
 def walked(program, trace, markers):
     """The default path with the pre-scan declining: the batched walk."""
-    with mock.patch.object(vli, "_prescan_boundaries", lambda *args: None):
+    with mock.patch.object(vli, "_prescan_boundaries", lambda *args: "forced"):
         return split_at_markers(program, trace, markers)
 
 
@@ -184,9 +187,23 @@ def test_prescan_declines_loops_in_recursive_procedures():
     markers = select_markers(graph, SelectionParams(ilower=100)).markers
     # only meaningful if selection marked the loop inside the recursion
     assert any(m.dst.kind.is_loop and m.dst.label == "spin" for m in markers)
-    assert split_at_markers_prescan(program, trace, markers) is None
-    want = columns(split_at_markers_scalar(program, trace, markers))
-    assert columns(split_at_markers(program, trace, markers)) == want
+    # one more input: a block address outside the program
+    bogus = Trace(trace.kinds.copy(), trace.a.copy(), trace.b.copy(), trace.c.copy())
+    bogus.b[np.nonzero(bogus.kinds == K_BLOCK)[0][-1]] = 0x7FFF_FFFF
+    for walked_trace, reason in ((trace, "recursive_loop"), (bogus, "unknown_address")):
+        assert split_at_markers_prescan(program, walked_trace, markers) is None
+        want = columns(split_at_markers_scalar(program, walked_trace, markers))
+        with telemetry_session() as tm:
+            assert columns(split_at_markers(program, walked_trace, markers)) == want
+        declines = {
+            k: v
+            for k, v in tm.metrics.counters.items()
+            if k.startswith("vli.split.prescan")
+        }
+        assert declines == {
+            "vli.split.prescan_fallbacks": 1,
+            f"vli.split.prescan_fallbacks.{reason}": 1,
+        }
 
 
 def test_prescan_handles_recursive_call_markers(recursive_program):

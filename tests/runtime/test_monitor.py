@@ -88,7 +88,7 @@ def test_hysteresis_does_not_rewind_merged_cadence(
 
     raw = _FiringLog()
     trace = record_trace(Machine(toy_program, toy_input))
-    ContextWalker(toy_program, raw.table).walk_events(trace.replay(), raw)
+    ContextWalker(toy_program, raw.table).walk_scalar(trace, raw)
 
     eager = monitor_run(toy_program, toy_input, markers, min_interval=0)
     lazy = monitor_run(toy_program, toy_input, markers, min_interval=3000)

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from repro.callloop.graph import NodeTable
-from repro.callloop.walker import ContextHandler, ContextWalker
+from repro.callloop.walker import BULK_MIN_CHUNK_ROWS, ContextHandler, ContextWalker
 from repro.engine.events import K_BLOCK
 from repro.engine.machine import Machine
 from repro.engine.tracing import record_trace
 from repro.ir.program import ProgramInput
 from repro.streaming import IncrementalWalker
-from repro.streaming.walker import BULK_MIN_CHUNK_ROWS
 from repro.telemetry import telemetry_session
 
 
 class _Log(ContextHandler):
     """Records every edge callback (and the block count) verbatim.
 
-    Overrides ``on_block``, so chunk feeds step row by row."""
+    Overrides ``on_block``, so chunk feeds take the scalar loop."""
 
     def __init__(self):
         self.events = []
@@ -88,7 +87,7 @@ def _batch_log(program, trace, handler_cls=_Log):
     log = handler_cls()
     walker = ContextWalker(program, table)
     log.cursor = walker
-    total = walker.walk_events(trace.replay(), log)
+    total = walker.walk_scalar(trace, log)
     return log, total, walker.row
 
 
@@ -108,17 +107,19 @@ def _stream_log(program, trace, chunk_rows, handler_cls=_Log):
     [
         pytest.param(n, cls, id=f"{n}{suffix}")
         for cls, suffix in ((_Log, ""), (_EdgeLog, "-edges"), (_RunLog, "-runs"))
-        for n in (1, 7, BULK_MIN_CHUNK_ROWS, 257, 1 << 20)
+        for n in sorted(
+            {1, 7, 64, BULK_MIN_CHUNK_ROWS - 1, BULK_MIN_CHUNK_ROWS, 257, 1 << 20}
+        )
     ],
 )
 @pytest.mark.parametrize(
     "fixture", ["toy_program", "recursive_program", "loop_only_program"]
 )
 def test_chunked_feed_matches_batch_walk(request, fixture, chunk_rows, handler_cls):
-    """Any chunking of the stream produces the batch walker's exact
-    callback sequence, total, and final row cursor — through the
-    per-row step (a block observer) and the bulk row loop alike, with
-    the row cursor exact at every callback."""
+    """Any chunking of the stream produces the scalar batch walk's exact
+    callback sequence, total, and final row cursor — through the scalar
+    loop (a block observer or a short chunk) and the bulk row loop
+    alike, with the row cursor exact at every callback."""
     program = request.getfixturevalue(fixture)
     trace = _record(program)
     batch, batch_total, batch_row = _batch_log(program, trace, handler_cls)
@@ -145,7 +146,9 @@ def _counters(program, handler, chunks):
             walker.feed_rows(*chunk)
         walker.finish()
     return {
-        k: v for k, v in tm.metrics.counters.items() if k.startswith("streaming.feed")
+        k: v
+        for k, v in tm.metrics.counters.items()
+        if k.startswith(("callloop.walk.bulk", "callloop.walk.scalar"))
     }
 
 
@@ -154,16 +157,16 @@ def test_feed_counters_name_the_path_each_chunk_took(toy_program):
     chunks = list(trace.iter_chunks(4096))
     chunks.append(tuple(col[:BULK_MIN_CHUNK_ROWS - 1] for col in chunks[0]))
     assert _counters(toy_program, _EdgeLog(), chunks) == {
-        "streaming.feed.bulk": len(chunks) - 1,
-        "streaming.feed.scalar.short_chunk": 1,
+        "callloop.walk.bulk": len(chunks) - 1,
+        "callloop.walk.scalar.short_chunk": 1,
     }
     assert _counters(toy_program, _Log(), chunks) == {
-        "streaming.feed.scalar.on_block": len(chunks),
+        "callloop.walk.scalar.on_block": len(chunks),
     }
     kinds, a, b, c = (col.copy() for col in chunks[0])
     b[np.nonzero(kinds == K_BLOCK)[0][-1]] = 0x7FFF_FFFF  # no such block
     got = _counters(toy_program, _EdgeLog(), [(kinds, a, b, c)])
-    assert got == {"streaming.feed.scalar.unknown_address": 1}
+    assert got == {"callloop.walk.scalar.unknown_address": 1}
 
 
 def test_unknown_address_chunk_falls_back_to_scalar(toy_program):
@@ -203,6 +206,35 @@ def test_unequal_columns_rejected_before_any_state_change(toy_program, short):
             walker.feed_rows(cols["kinds"], cols["a"], cols["b"], cols["c"])
         assert (walker.row, walker.t, walker.depth) == (-1, 0, 1)
         assert handler.events == before
+
+
+class _Bomb(_Log):
+    """A block observer that raises at the *fuse*-th block callback."""
+
+    def __init__(self, fuse):
+        super().__init__()
+        self.fuse = fuse
+
+    def on_block(self, block_id, size, t):
+        super().on_block(block_id, size, t)
+        if self.blocks == self.fuse:
+            raise RuntimeError("handler failed")
+
+
+def test_handler_raising_mid_chunk_leaves_cursor_at_last_row(toy_program):
+    """The scalar loop keeps ``t`` in a local; a handler raising mid-chunk
+    still leaves ``walker.row`` at the row it was processing and
+    ``walker.t`` at the count before that row."""
+    trace = _record(toy_program)
+    fuse = trace.num_block_events // 2
+    block_rows = np.nonzero(trace.kinds == K_BLOCK)[0]
+    row = int(block_rows[fuse - 1])
+    walker = IncrementalWalker(toy_program, handler=_Bomb(fuse))
+    with pytest.raises(RuntimeError, match="handler failed"):
+        for chunk in trace.iter_chunks(1000):
+            walker.feed_rows(*chunk)
+    assert walker.row == row
+    assert walker.t == int(trace.c[block_rows[: fuse - 1]].sum())
 
 
 def test_scalar_feed_matches_chunked(toy_program):

@@ -283,7 +283,7 @@ def test_streaming_hysteresis_does_not_rewind_merged_cadence(
     _, selection = toy_batch
     markers = _merged_loop_marker_set(toy_program, selection)
     raw = _FiringLog(toy_program, markers)
-    ContextWalker(toy_program, raw.table).walk_events(toy_trace.replay(), raw)
+    ContextWalker(toy_program, raw.table).walk_scalar(toy_trace, raw)
     eager = stream_trace(
         toy_program, toy_trace, marker_set=markers, config=_equiv_config()
     )
@@ -504,8 +504,8 @@ def test_unknown_address_chunk_takes_scalar_fallback(toy_program, toy_trace):
     with telemetry_session() as tm:
         chunked = stream_trace(toy_program, bogus, config=DRIFT_CONFIG)
     counters = tm.metrics.counters
-    assert counters["streaming.feed.scalar.unknown_address"] == 1
-    assert counters["streaming.feed.bulk"] > 1
+    assert counters["callloop.walk.scalar.unknown_address"] == 1
+    assert counters["callloop.walk.bulk"] > 1
     rowwise = _rowwise(toy_program, bogus, None, DRIFT_CONFIG)
     assert _outcome(chunked) == _outcome(rowwise)
 
