@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-perf bench-e2e bench-split bench-telemetry bench-serve bench-stream bench-simpoint clean-cache verify verify-fuzz verify-stream refresh-golden
+.PHONY: test bench bench-smoke bench-e2e bench-split bench-telemetry bench-serve bench-stream bench-simpoint clean-cache verify verify-fuzz verify-stream refresh-golden
 
 # seeded fuzz iterations for the long loop (override: make verify-fuzz FUZZ_ITERS=5000)
 FUZZ_ITERS ?= 1000
@@ -21,10 +21,6 @@ bench:
 # stitched trace + metrics series to benchmarks/results/
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks -q -k smoke
-
-# scalar-vs-vectorized speed checks; refreshes benchmarks/results/BENCH_*.json
-bench-perf:
-	$(PYTHON) -m pytest benchmarks -q -k perf
 
 # end-to-end trace-pipeline speedup (legacy vs fast over the full corpus,
 # with per-workload stage seconds); refreshes

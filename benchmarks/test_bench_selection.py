@@ -8,18 +8,15 @@ full SPEC profiles).  The profile-modes table records what the
 ``repro.runner`` layer buys: serial vs parallel vs warm-cache wall
 clock for the same set of profiles."""
 
-import json
 import time
 
 from conftest import save_table
 
-from perfbench.common import fingerprint
-from repro.callloop import SelectionParams, select_markers, select_markers_scalar
+from repro.callloop import SelectionParams, select_markers
 from repro.experiments import selection_time
 from repro.experiments.runner import Runner
 from repro.runner import ProfileCache
 from repro.util.tables import Table
-from repro.workloads import all_workloads
 
 
 def test_bench_selection_table(benchmark, runner, results_dir):
@@ -38,76 +35,6 @@ def test_bench_selection_speed(benchmark, runner):
     params = SelectionParams(ilower=runner.config.ilower)
     result = benchmark(lambda: select_markers(graph, params))
     assert len(result.markers) > 0
-
-
-def test_bench_perf_selection_speedup(runner, results_dir):
-    """Vectorized vs scalar selection over the full 16-workload corpus.
-
-    One "pass" runs both selection passes on every corpus graph.  The
-    scalar engine is the faithful pre-vectorization implementation
-    (per-edge loops, uncached depth ordering); the vectorized engine is
-    the shipping default.  Baseline and after numbers are committed as
-    ``BENCH_selection_*.json``; the tentpole target is a >= 3x speedup.
-    """
-    specs = [w.spec_name for w in all_workloads()]
-    graphs = [runner.graph(spec) for spec in specs]
-    params = SelectionParams(ilower=runner.config.ilower)
-
-    def run_pass(engine):
-        for graph in graphs:
-            engine(graph, params)
-
-    def best_of(engine, rounds=5):
-        run_pass(engine)  # warm caches / allocator
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            run_pass(engine)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    scalar_s = best_of(select_markers_scalar)
-    vector_s = best_of(select_markers)
-    speedup = scalar_s / vector_s
-
-    # both engines must agree on every corpus graph before the numbers count
-    for graph in graphs:
-        vec = select_markers(graph, params)
-        ref = select_markers_scalar(graph, params)
-        assert [m.edge_key for m in vec.markers] == [
-            m.edge_key for m in ref.markers
-        ]
-
-    common = {
-        "benchmark": "selection over 16-workload corpus",
-        "workloads": specs,
-        "fingerprint": fingerprint(0),
-        "unit": "seconds per full-corpus pass (best of 5)",
-    }
-    (results_dir / "BENCH_selection_baseline.json").write_text(
-        json.dumps(
-            {**common, "engine": "scalar", "seconds_per_pass": scalar_s},
-            indent=2,
-        )
-        + "\n"
-    )
-    (results_dir / "BENCH_selection_vectorized.json").write_text(
-        json.dumps(
-            {
-                **common,
-                "engine": "vectorized",
-                "seconds_per_pass": vector_s,
-                "speedup_vs_scalar": speedup,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    print(
-        f"\nselection: scalar {scalar_s * 1e3:.2f}ms -> "
-        f"vectorized {vector_s * 1e3:.2f}ms per pass ({speedup:.1f}x)"
-    )
-    assert speedup >= 3.0
 
 
 def test_bench_profile_modes(results_dir, tmp_path):

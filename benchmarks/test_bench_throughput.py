@@ -5,12 +5,8 @@ measure the hot paths of the library itself — useful when tuning the
 profiler or cache simulator.
 """
 
-import json
-import time
-
 import pytest
 
-from perfbench.common import fingerprint
 from repro.callloop import CallLoopProfiler
 from repro.callloop.graph import NodeTable
 from repro.cache.stackdist import MultiAssocCacheSim
@@ -82,87 +78,6 @@ def test_bench_fixed_split_and_bbv(benchmark, prepared):
 
     intervals = benchmark(run)
     assert len(intervals) > 10
-
-
-def test_bench_perf_kernel_throughput(results_dir):
-    """Vectorized vs scalar selection on one synthetic many-edge graph.
-
-    The corpus graphs top out at a few hundred edges; this layered
-    synthetic graph (~4k edges) shows the kernels' headroom where the
-    per-edge Python loop cost dominates.  Results are committed as
-    ``BENCH_throughput.json``."""
-    import numpy as np
-
-    from repro.callloop import SelectionParams, select_markers, select_markers_scalar
-    from repro.callloop.graph import CallLoopGraph, Node, NodeKind, ROOT
-    from repro.callloop.stats import RunningStats
-
-    rng = np.random.default_rng(1234)
-    graph = CallLoopGraph("synthetic")
-    layers = [
-        [
-            Node(NodeKind.PROC_HEAD, f"l{d}_p{i}", label=f"l{d}_p{i}")
-            for i in range(40)
-        ]
-        for d in range(8)
-    ]
-    for node in layers[0]:
-        graph.edge(ROOT, node).stats = RunningStats(
-            count=1, mean=1e7, m2=0.0, max_value=1e7
-        )
-    for depth in range(len(layers) - 1):
-        for src in layers[depth]:
-            for dst in rng.choice(layers[depth + 1], size=13, replace=False):
-                # log-uniform interval sizes: with ilower=60k only a few
-                # percent of edges are candidates, so the benchmark
-                # measures the pass filters, not marker materialization
-                mean = float(10.0 ** rng.uniform(2.0, 5.0))
-                count = int(rng.integers(2, 50))
-                graph.edge(src, dst).stats = RunningStats(
-                    count=count,
-                    mean=mean,
-                    m2=float(rng.uniform(0, 0.2)) * mean * mean * count,
-                    max_value=mean * 2,
-                )
-    params = SelectionParams(ilower=60_000)
-
-    def best_of(engine, rounds=5):
-        engine(graph, params)  # warm caches / allocator
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            engine(graph, params)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    scalar_s = best_of(select_markers_scalar)
-    vector_s = best_of(select_markers)
-    speedup = scalar_s / vector_s
-
-    vec = select_markers(graph, params)
-    ref = select_markers_scalar(graph, params)
-    assert [m.edge_key for m in vec.markers] == [m.edge_key for m in ref.markers]
-
-    (results_dir / "BENCH_throughput.json").write_text(
-        json.dumps(
-            {
-                "benchmark": "selection on synthetic graph",
-                "num_edges": graph.num_edges,
-                "fingerprint": fingerprint(0),
-                "unit": "seconds per selection (best of 5)",
-                "scalar_seconds": scalar_s,
-                "vectorized_seconds": vector_s,
-                "speedup_vs_scalar": speedup,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    print(
-        f"\nkernels ({graph.num_edges} edges): scalar {scalar_s * 1e3:.2f}ms -> "
-        f"vectorized {vector_s * 1e3:.2f}ms ({speedup:.1f}x)"
-    )
-    assert speedup >= 3.0
 
 
 def test_bench_cache_sim_throughput(benchmark, prepared):

@@ -21,14 +21,9 @@ from repro.callloop.graph import CallLoopGraph, Edge, Node, NodeKind
 from repro.callloop.loops import StaticLoop, discover_loops
 from repro.callloop.profiler import CallLoopProfiler, build_call_loop_graph
 from repro.callloop.markers import MarkerSet, PhaseMarker
-from repro.callloop.selection import (
-    SelectionParams,
-    select_markers,
-    select_markers_scalar,
-)
+from repro.callloop.selection import SelectionParams, select_markers
 from repro.callloop.limits import LimitParams, select_markers_with_limit
 from repro.callloop.stats import RunningStats
-from repro.callloop.vectorized import EdgeArrays, build_edge_arrays
 from repro.callloop.crossbinary import map_markers, marker_trace
 from repro.callloop.serialization import (
     load_graph,
@@ -51,12 +46,9 @@ __all__ = [
     "PhaseMarker",
     "SelectionParams",
     "select_markers",
-    "select_markers_scalar",
     "LimitParams",
     "select_markers_with_limit",
     "RunningStats",
-    "EdgeArrays",
-    "build_edge_arrays",
     "map_markers",
     "marker_trace",
     "load_graph",

@@ -21,20 +21,7 @@ def estimate_max_depth(graph: CallLoopGraph) -> Dict[Node, int]:
 
     Cycles (recursion) are cut by never revisiting a node on the current
     path, exactly as the paper specifies.
-
-    Depth depends only on the edge set, so the result is memoized on the
-    graph and reused until an edge is added (selection runs several
-    marker configurations over one profiled graph).
     """
-    cached = graph._analysis_cache.get("max_depth")
-    if cached is not None and cached[0] == graph.num_edges:
-        return dict(cached[1])
-    depth = _estimate_max_depth_uncached(graph)
-    graph._analysis_cache["max_depth"] = (graph.num_edges, depth)
-    return dict(depth)
-
-
-def _estimate_max_depth_uncached(graph: CallLoopGraph) -> Dict[Node, int]:
     depth: Dict[Node, int] = {}
     roots = [n for n in graph.nodes if not graph.in_edges(n)]
     if not roots:
@@ -71,20 +58,8 @@ def processing_order(graph: CallLoopGraph) -> List[Node]:
 
     This is the queue order of both selection passes: leaves (small
     behaviors) are examined before their parents (large behaviors).
-    Memoized per edge set, like :func:`estimate_max_depth`.
     """
-    cached = graph._analysis_cache.get("processing_order")
-    if cached is not None and cached[0] == graph.num_edges:
-        return list(cached[1])
-    order = _processing_order_uncached(graph)
-    graph._analysis_cache["processing_order"] = (graph.num_edges, order)
-    return list(order)
-
-
-def _processing_order_uncached(graph: CallLoopGraph) -> List[Node]:
-    """The depth ordering with no memoization — the pre-vectorization
-    behavior, kept as the scalar engine's baseline."""
-    depth = _estimate_max_depth_uncached(graph)
+    depth = estimate_max_depth(graph)
     return sorted(
         graph.nodes,
         key=lambda n: (-depth[n], graph.out_degree(n), str(n)),

@@ -174,9 +174,6 @@ class CallLoopGraph:
         self._edges: Dict[Tuple[Node, Node], Edge] = {}
         self._out: Dict[Node, List[Edge]] = {}
         self._in: Dict[Node, List[Edge]] = {}
-        #: derived-view memos (edge arrays, depth order, traversal),
-        #: each entry keyed by the graph version it was built against
-        self._analysis_cache: Dict[str, tuple] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -239,43 +236,6 @@ class CallLoopGraph:
 
     def find_edge(self, src: Node, dst: Node) -> Optional[Edge]:
         return self._edges.get((src, dst))
-
-    def analysis_version(self) -> Tuple[int, int, float, float, float]:
-        """Cheap fingerprint of the edge set and its statistics.
-
-        ``(num_edges, sum of counts, sum of means, sum of m2, sum of
-        maxima)`` — every observation raises a count, and direct
-        mutation of a stats field (tests and the verification harness
-        perturb ``mean``/``m2`` in place) moves one of the moment sums.
-        A NaN anywhere in the fingerprint makes the equality check fail
-        unconditionally, which only forces a harmless rebuild.  Cached
-        analysis views (:meth:`edge_arrays`, the depth ordering) rebuild
-        when the version moves.
-        """
-        count = 0
-        mean_sum = 0.0
-        m2_sum = 0.0
-        max_sum = 0.0
-        for e in self._edges.values():
-            s = e.stats
-            count += s.count
-            mean_sum += s.mean
-            m2_sum += s.m2
-            max_sum += s.max_value
-        return (len(self._edges), count, mean_sum, m2_sum, max_sum)
-
-    def edge_arrays(self):
-        """The cached struct-of-arrays view of every edge (see
-        :class:`repro.callloop.vectorized.EdgeArrays`)."""
-        from repro.callloop.vectorized import build_edge_arrays
-
-        version = self.analysis_version()
-        cached = self._analysis_cache.get("edge_arrays")
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        arrays = build_edge_arrays(self)
-        self._analysis_cache["edge_arrays"] = (version, arrays)
-        return arrays
 
     def successors(self, node: Node) -> Iterator[Node]:
         for e in self._out.get(node, ()):

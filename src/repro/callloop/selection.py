@@ -15,34 +15,24 @@ variability (integer codes are noisier than floating-point codes).
 Complexity: O(E + N log N) — one sort for the depth ordering plus a
 constant number of passes over the edges.
 
-Two engines implement the algorithm:
-
-* :func:`select_markers` — the default, running both passes on the
-  graph's struct-of-arrays edge view with the NumPy kernels from
-  :mod:`repro.callloop.vectorized` (one ``np.clip``-based threshold
-  kernel instead of a per-edge ``_cov_threshold`` call);
-* :func:`select_markers_scalar` — the original per-edge Python loops,
-  kept verbatim as the reference implementation.  ``repro.verify``
-  diff-checks the two engines for exact equality on every run, and the
-  benchmarks record their speed ratio.
+Both passes are plain per-edge loops.  Call-loop graphs are small (tens
+to hundreds of edges) and every caller selects on a freshly built graph,
+so a per-edge loop beats building an array view of the edges first.
+``repro.verify`` diff-checks the result against
+:func:`repro.verify.oracles.oracle_select_markers` on every run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.callloop.depth import _processing_order_uncached, processing_order
+from repro.callloop.depth import processing_order
 from repro.callloop.graph import CallLoopGraph, Edge, Node, NodeKind
 from repro.callloop.markers import MarkerSet, PhaseMarker
-from repro.callloop.vectorized import (
-    candidate_mask,
-    cov_threshold_kernel,
-    finite_cov_stats,
-    traversal_indices,
-)
 
 
 @dataclass(frozen=True)
@@ -90,9 +80,6 @@ class SelectionResult:
     cov_base: float = 0.0
     cov_spread: float = 0.0
 
-    def threshold_for(self, avg: float, ilower: float, avg_hi: float) -> float:
-        return _cov_threshold(avg, ilower, avg_hi, self.cov_base, self.cov_spread)
-
 
 def _eligible(edge: Edge, params: SelectionParams) -> bool:
     """Structural eligibility of an edge as a marker site."""
@@ -108,29 +95,14 @@ def collect_candidates(
 ) -> Tuple[List[Node], List[Edge]]:
     """Pass 1: depth-ordered nodes and the edges meeting ``ilower``.
 
-    Runs on the struct-of-arrays edge view; the candidate list comes out
-    in the same traversal order as the per-edge loop it replaced.
+    Candidates come out in traversal order: nodes in processing order,
+    each node's in-edges in insertion order.
     """
     order = processing_order(graph)
-    arrays = graph.edge_arrays()
-    trav = traversal_indices(graph, arrays, order)
-    mask = candidate_mask(arrays, params.ilower, params.procedures_only)
-    cand_idx = trav[mask[trav]]
-    edges = arrays.edges
-    return order, [edges[i] for i in cand_idx.tolist()]
-
-
-def collect_candidates_scalar(
-    graph: CallLoopGraph, params: SelectionParams
-) -> Tuple[List[Node], List[Edge]]:
-    """Pass 1 as the original per-edge loop (the reference engine)."""
-    order = _processing_order_uncached(graph)
     candidates: List[Edge] = []
     for node in order:
         for edge in graph.in_edges(node):
-            if not _eligible(edge, params):
-                continue
-            if edge.avg >= params.ilower:
+            if _eligible(edge, params) and edge.avg >= params.ilower:
                 candidates.append(edge)
     return order, candidates
 
@@ -143,10 +115,14 @@ def cov_threshold_stats(candidates: List[Edge]) -> Tuple[float, float]:
     CoV would poison the mean/std (threshold base inf, spread NaN) and
     silently deselect every marker.
     """
-    if not candidates:
+    covs = np.array([e.cov for e in candidates], dtype=np.float64)
+    finite = covs[np.isfinite(covs)]
+    if finite.size == 0:
         return 0.0, 0.0
-    covs = np.array([e.cov for e in candidates], dtype=float)
-    return finite_cov_stats(covs)
+    # population std with ndarray.mean's pairwise summation
+    mean = float(finite.mean())
+    dev = finite - mean
+    return mean, math.sqrt(float((dev * dev).mean()))
 
 
 def _cov_threshold(
@@ -169,103 +145,15 @@ def select_markers(
 ) -> SelectionResult:
     """Run both passes of the no-limit selection algorithm.
 
-    Both passes run on the graph's struct-of-arrays edge view: pass 1 is
-    a boolean mask over the traversal-ordered edge indices, pass 2 is a
-    single threshold kernel plus one comparison over the candidates.
-    The selected markers (identity, order, and float annotations) are
-    exactly those of :func:`select_markers_scalar`.
+    Pass 2 visits the candidates in pass 1's traversal order, so marker
+    ids (and the phase ids derived from them) follow that order.
     """
     from repro.telemetry import get_telemetry
 
     tm = get_telemetry()
     params = params or SelectionParams()
     with tm.span("callloop.select.pass1", program=graph.program_name):
-        order = processing_order(graph)
-        arrays = graph.edge_arrays()
-        trav = traversal_indices(graph, arrays, order)
-        mask = candidate_mask(arrays, params.ilower, params.procedures_only)
-        cand_idx = trav[mask[trav]]
-        candidates = [arrays.edges[i] for i in cand_idx.tolist()]
-        if tm.enabled:
-            tm.counter("callloop.select.pass1.kept", len(candidates))
-            tm.counter(
-                "callloop.select.pass1.rejected",
-                graph.num_edges - len(candidates),
-            )
-    cov_base, cov_spread = finite_cov_stats(arrays.cov[cand_idx])
-    avg_hi = params.ilower * params.slack_saturation
-
-    selected: List[PhaseMarker] = []
-    with tm.span("callloop.select.pass2", program=graph.program_name):
-        thresholds = cov_threshold_kernel(
-            arrays.avg[cand_idx],
-            params.ilower,
-            avg_hi,
-            cov_base,
-            cov_spread,
-            params.cov_floor,
-        )
-        with np.errstate(invalid="ignore"):
-            keep = arrays.cov[cand_idx] <= thresholds
-        sel_idx = cand_idx[keep]
-        # marker annotations come from the SoA columns — bit-identical
-        # to the Edge properties (the "kernels" verify check pins this),
-        # skipping the per-marker sqrt chain of Edge.cov
-        sel_avg = arrays.avg[sel_idx].tolist()
-        sel_cov = arrays.cov[sel_idx].tolist()
-        sel_max = arrays.max[sel_idx].tolist()
-        for marker_id, i in enumerate(sel_idx.tolist(), start=1):
-            edge = arrays.edges[i]
-            selected.append(
-                PhaseMarker(
-                    marker_id=marker_id,
-                    src=edge.src,
-                    dst=edge.dst,
-                    avg_interval=sel_avg[marker_id - 1],
-                    cov=sel_cov[marker_id - 1],
-                    max_interval=sel_max[marker_id - 1],
-                    site_sources=tuple(sorted(edge.site_sources)),
-                )
-            )
-        if tm.enabled:
-            tm.counter("callloop.select.pass2.kept", len(selected))
-            tm.counter(
-                "callloop.select.pass2.rejected", len(candidates) - len(selected)
-            )
-
-    markers = MarkerSet(
-        program_name=graph.program_name,
-        variant=graph.variant,
-        ilower=params.ilower,
-        max_limit=None,
-        markers=selected,
-    )
-    return SelectionResult(
-        markers=markers,
-        candidates=candidates,
-        cov_base=cov_base,
-        cov_spread=cov_spread,
-    )
-
-
-def select_markers_scalar(
-    graph: CallLoopGraph, params: Optional[SelectionParams] = None
-) -> SelectionResult:
-    """The original per-edge-loop engine, kept as the reference.
-
-    Byte-for-byte the pre-vectorization implementation (including the
-    uncached depth ordering), except that :func:`cov_threshold_stats`
-    now filters non-finite CoVs on both engines — the scalar engine
-    defines the intended semantics, not the NaN-poisoning bug.
-    ``repro.verify`` asserts this engine and :func:`select_markers`
-    produce identical results; the benchmarks record their speed ratio.
-    """
-    from repro.telemetry import get_telemetry
-
-    tm = get_telemetry()
-    params = params or SelectionParams()
-    with tm.span("callloop.select.pass1", program=graph.program_name):
-        order, candidates = collect_candidates_scalar(graph, params)
+        _, candidates = collect_candidates(graph, params)
         if tm.enabled:
             tm.counter("callloop.select.pass1.kept", len(candidates))
             tm.counter(
@@ -275,33 +163,26 @@ def select_markers_scalar(
     cov_base, cov_spread = cov_threshold_stats(candidates)
     avg_hi = params.ilower * params.slack_saturation
 
-    candidate_set = {e.key() for e in candidates}
     selected: List[PhaseMarker] = []
-    marker_id = 1
     with tm.span("callloop.select.pass2", program=graph.program_name):
-        for node in order:
-            for edge in graph.in_edges(node):
-                if edge.key() not in candidate_set:
-                    continue
-                threshold = max(
-                    _cov_threshold(
-                        edge.avg, params.ilower, avg_hi, cov_base, cov_spread
-                    ),
-                    params.cov_floor,
-                )
-                if edge.cov <= threshold:
-                    selected.append(
-                        PhaseMarker(
-                            marker_id=marker_id,
-                            src=edge.src,
-                            dst=edge.dst,
-                            avg_interval=edge.avg,
-                            cov=edge.cov,
-                            max_interval=edge.max,
-                            site_sources=tuple(sorted(edge.site_sources)),
-                        )
+        for edge in candidates:
+            threshold = max(
+                _cov_threshold(edge.avg, params.ilower, avg_hi, cov_base, cov_spread),
+                params.cov_floor,
+            )
+            cov = edge.cov
+            if cov <= threshold:
+                selected.append(
+                    PhaseMarker(
+                        marker_id=len(selected) + 1,
+                        src=edge.src,
+                        dst=edge.dst,
+                        avg_interval=edge.avg,
+                        cov=cov,
+                        max_interval=edge.max,
+                        site_sources=tuple(sorted(edge.site_sources)),
                     )
-                    marker_id += 1
+                )
         if tm.enabled:
             tm.counter("callloop.select.pass2.kept", len(selected))
             tm.counter(

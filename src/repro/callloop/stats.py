@@ -17,14 +17,6 @@ what makes the streaming window's merged graph bit-identical to the
 batch profile.  The float statistics are derived once at the end
 (:meth:`MomentStats.to_running_stats`), each with a single
 correctly-rounded division.
-
-The ``batch_*`` kernels are the array form of the derived-statistic
-properties, used by the struct-of-arrays edge view
-(:mod:`repro.callloop.vectorized`).  Each one reproduces the scalar
-property bit-for-bit, including the non-finite corner cases (a NaN
-variance maps to a 0.0 standard deviation exactly like
-``max(0.0, nan)`` does in Python), so vectorized and scalar selection
-decisions can be diff-checked for exact equality.
 """
 
 from __future__ import annotations
@@ -206,35 +198,3 @@ class MomentStats:
             f"MomentStats(n={self.count}, total={self.total}, "
             f"sumsq={self.sumsq})"
         )
-
-
-# ---------------------------------------------------------------------------
-# batch (struct-of-arrays) forms of the derived statistics
-# ---------------------------------------------------------------------------
-
-
-def batch_variance(count: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Elementwise :attr:`RunningStats.variance`: ``m2 / count``, 0 below
-    two observations."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var = m2 / np.maximum(count, 1)
-    return np.where(count < 2, 0.0, var)
-
-
-def batch_std(count: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Elementwise :attr:`RunningStats.std`.
-
-    ``np.where(var > 0, var, 0)`` rather than ``np.maximum`` so a NaN
-    variance clamps to 0.0, exactly as Python's ``max(0.0, nan)`` keeps
-    its first argument.
-    """
-    var = batch_variance(count, m2)
-    return np.sqrt(np.where(var > 0.0, var, 0.0))
-
-
-def batch_cov(mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Elementwise :attr:`RunningStats.cov`: ``std / |mean|``, 0 when the
-    mean is 0."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cov = std / np.abs(mean)
-    return np.where(mean == 0.0, 0.0, cov)

@@ -52,7 +52,6 @@ from repro.verify.diff import (
     diff_split,
     diff_streaming,
     diff_trace_pipeline,
-    diff_vectorized_kernels,
     verify_program,
 )
 from repro.verify.fuzz import (
@@ -101,7 +100,6 @@ __all__ = [
     "diff_split",
     "diff_streaming",
     "diff_trace_pipeline",
-    "diff_vectorized_kernels",
     "verify_program",
     "SplitCheckResult",
     "check_split_corpus",

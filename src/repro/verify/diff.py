@@ -13,21 +13,20 @@ check                     optimized side vs oracle side
 :func:`diff_depths`       ``estimate_max_depth`` / ``processing_order``
                           vs recursive transliteration; plus exact
                           longest-simple-path brute force on acyclic graphs
-:func:`diff_selection`    ``select_markers`` passes vs direct set filters
+:func:`diff_selection`    ``select_markers`` passes vs direct set filters:
+                          candidates, threshold statistics, selected
+                          markers, and marker order
 :func:`diff_intervals`    ``split_at_markers`` vs naive boundary re-derivation
 :func:`diff_reuse`        Fenwick-tree reuse distances vs O(n²) scan, plus
                           the vectorized log2 histogram vs per-distance
                           ``bit_length`` binning
-:func:`diff_vectorized_kernels`
-                          the vectorized selection engine (struct-of-arrays
-                          view + threshold kernel) vs the retained scalar
-                          engine, compared **bit-for-bit**
 :func:`diff_trace_pipeline`
                           the row-template recorder (``Machine.record``)
-                          vs the object-event oracle, and the
-                          bulk row loop vs the scalar loop (``walk_scalar``) —
-                          columns, callback sequences, and row positions
-                          compared **bit-for-bit**
+                          vs the object-event oracle, the bulk row loop
+                          vs the scalar loop (``walk_scalar``), and the
+                          scalar loop vs :func:`oracle_walk` — columns,
+                          callback sequences, and row positions compared
+                          **bit-for-bit**
 :func:`diff_split`        the sparsity-aware VLI split (vectorized
                           candidate pre-scan and its batched-collector
                           fallback) vs the scalar per-event splitter —
@@ -77,12 +76,7 @@ from repro.callloop.graph import CallLoopGraph, NodeTable
 from repro.callloop.markers import MarkerSet
 from repro.callloop.profiler import CallLoopProfiler
 from repro.callloop.walker import ContextHandler, ContextWalker
-from repro.callloop.selection import (
-    SelectionParams,
-    cov_threshold_stats,
-    select_markers,
-    select_markers_scalar,
-)
+from repro.callloop.selection import SelectionParams, select_markers
 from repro.engine.machine import Machine
 from repro.engine.memory import MemorySystem
 from repro.engine.tracing import Trace, record_trace
@@ -102,6 +96,7 @@ from repro.verify.oracles import (
     oracle_reuse_histogram,
     oracle_select_markers,
     oracle_split_at_markers,
+    oracle_walk,
 )
 
 #: relative tolerance for float statistics (different summation orders)
@@ -291,6 +286,15 @@ def diff_selection(
 
     opt_selected = [(m.src, m.dst) for m in result.markers]
     if opt_selected != expected.selected:
+        # Marker ids (and so phase ids) follow the selection order: the
+        # edges both sides select must come out in the same order.
+        shared = set(opt_selected) & set(expected.selected)
+        opt_order = [_key_str(k) for k in opt_selected if k in shared]
+        orc_order = [_key_str(k) for k in expected.selected if k in shared]
+        if opt_order != orc_order:
+            out.append(
+                Mismatch("selection", "order", opt_order, orc_order, "pass 2 order")
+            )
         disagreeing = set(opt_selected).symmetric_difference(expected.selected)
         for key in sorted(disagreeing, key=_key_str):
             edge = graph.find_edge(*key)
@@ -459,81 +463,6 @@ def diff_kmeans(points, weights=None) -> List[Mismatch]:
     return out
 
 
-def _bit_equal(got: float, want: float) -> bool:
-    """Exact float equality, treating NaN as equal to NaN."""
-    return got == want or (got != got and want != want)
-
-
-def diff_vectorized_kernels(
-    graph: CallLoopGraph, params: Optional[SelectionParams] = None
-) -> List[Mismatch]:
-    """Compare the vectorized selection engine against the scalar engine.
-
-    Unlike the oracle checks (which forgive float noise within
-    tolerance), the two engines compute the same IEEE operations in the
-    same order, so everything — edge statistics, threshold inputs,
-    candidate lists, marker annotations — must match **bit-for-bit**.
-    """
-    params = params or SelectionParams()
-    out: List[Mismatch] = []
-
-    # Struct-of-arrays statistics vs the per-edge Python properties.
-    arrays = graph.edge_arrays()
-    for i, edge in enumerate(arrays.edges):
-        name = _key_str(edge.key())
-        if int(arrays.count[i]) != edge.count:
-            out.append(
-                Mismatch("kernels", name, int(arrays.count[i]), edge.count, "count")
-            )
-        for label, got, want in (
-            ("avg", float(arrays.avg[i]), edge.avg),
-            ("cov", float(arrays.cov[i]), edge.cov),
-            ("max", float(arrays.max[i]), edge.max),
-            ("total", float(arrays.total[i]), edge.total),
-        ):
-            if not _bit_equal(got, want):
-                out.append(Mismatch("kernels", name, got, want, label))
-
-    # Whole-engine equivalence: identical results, field for field.
-    vectorized = select_markers(graph, params)
-    scalar = select_markers_scalar(graph, params)
-    if [e.key() for e in vectorized.candidates] != [
-        e.key() for e in scalar.candidates
-    ]:
-        out.append(
-            Mismatch(
-                "kernels", "candidates",
-                [_key_str(e.key()) for e in vectorized.candidates],
-                [_key_str(e.key()) for e in scalar.candidates],
-                "pass 1",
-            )
-        )
-    for label, got, want in (
-        ("cov_base", vectorized.cov_base, scalar.cov_base),
-        ("cov_spread", vectorized.cov_spread, scalar.cov_spread),
-    ):
-        if not _bit_equal(got, want):
-            out.append(Mismatch("kernels", label, got, want))
-    got_markers = [
-        (m.marker_id, m.src, m.dst, m.avg_interval, m.cov, m.max_interval)
-        for m in vectorized.markers
-    ]
-    want_markers = [
-        (m.marker_id, m.src, m.dst, m.avg_interval, m.cov, m.max_interval)
-        for m in scalar.markers
-    ]
-    if got_markers != want_markers:
-        out.append(
-            Mismatch(
-                "kernels", "markers",
-                [f"{m[0]}:{m[1]} -> {m[2]}" for m in got_markers],
-                [f"{m[0]}:{m[1]} -> {m[2]}" for m in want_markers],
-                "pass 2",
-            )
-        )
-    return out
-
-
 class _SpanLog(ContextHandler):
     """Records every edge callback, tagged with the walker's row cursor.
 
@@ -578,7 +507,7 @@ def diff_trace_pipeline(
 ) -> List[Mismatch]:
     """Compare the trace pipeline's fast paths against their oracles.
 
-    Two halves, both **bit-for-bit** (the fast paths are reorderings of
+    Three parts, all **bit-for-bit** (the fast paths are reorderings of
     identical integer work, so no tolerance applies):
 
     * recording — the :class:`~repro.engine.machine.Machine` row-template
@@ -592,6 +521,10 @@ def diff_trace_pipeline(
       both an edges-only handler and a branch-observing handler; the
       callback sequences, reported row positions, instruction totals,
       and final row cursors must be identical.
+    * reference walk — the scalar loop's edges-only walk vs
+      :func:`oracle_walk`, with node ids mapped to nodes through the
+      :class:`NodeTable`: opens as ``(src, dst, t, source, row)``,
+      closes as ``(src, dst, t_open, t_close, source)``, and totals.
     """
     import numpy as np
 
@@ -620,10 +553,12 @@ def diff_trace_pipeline(
                     )
 
     table = NodeTable(program)
+    scalar_walks = {}
     for label, make in (("edges", _SpanLog), ("edges+branches", _BranchSpanLog)):
         scalar_walker = ContextWalker(program, table)
         scalar_log = make(scalar_walker)
         scalar_total = scalar_walker.walk_scalar(trace, scalar_log)
+        scalar_walks[label] = (scalar_total, scalar_log.log)
         bulk_walker = ContextWalker(program, table)
         bulk_log = make(bulk_walker)
         bulk_total = bulk_walker.walk(trace, bulk_log, bulk=True)
@@ -632,6 +567,34 @@ def diff_trace_pipeline(
             (bulk_total, bulk_walker.row, bulk_log.log),
             (scalar_total, scalar_walker.row, scalar_log.log),
         )
+
+    # The scalar loop against the independent naive walk, which names
+    # nodes directly, hands each open (not each close) its trace row,
+    # and keeps no row cursor to compare.
+    scalar_total, scalar_log = scalar_walks["edges"]
+    node = table.node
+    got_log = [
+        ("open", node(src), node(dst), *rest)
+        if kind == "open"
+        else ("close", node(src), node(dst), *rest[:-1])
+        for kind, src, dst, *rest in scalar_log
+    ]
+    want_log: List[tuple] = []
+    want_total = oracle_walk(
+        program,
+        trace,
+        on_open=lambda src, dst, t, source, row: want_log.append(
+            ("open", src, dst, t, str(source), row)
+        ),
+        on_close=lambda src, dst, t_open, t_close, source: want_log.append(
+            ("close", src, dst, t_open, t_close, str(source))
+        ),
+    )
+    _diff_walks(
+        out, "trace", "walk_scalar(edges) vs oracle_walk",
+        (scalar_total, None, got_log),
+        (want_total, None, want_log),
+    )
     return out
 
 
@@ -714,7 +677,8 @@ def _diff_walks(
 ) -> None:
     """Append *kind* mismatches between two ``(total, final row, callback
     log)`` walk outcomes: totals, cursors, and the first diverging
-    callback.  *want* is always the scalar loop's walk."""
+    callback.  *want* is the reference walk: the scalar loop's, or
+    :func:`oracle_walk`'s (no cursor; both rows ``None``)."""
     (got_total, got_row, got_log), (want_total, want_row, want_log) = got, want
     if got_total != want_total:
         out.append(Mismatch(kind, f"{label} total", got_total, want_total))
@@ -990,7 +954,6 @@ def verify_program(
     )
     report.extend("depth", diff_depths(optimized))
     report.extend("selection", diff_selection(optimized, params))
-    report.extend("kernels", diff_vectorized_kernels(optimized, params))
 
     markers = select_markers(optimized, params).markers
     report.extend("intervals", diff_intervals(program, trace, markers))

@@ -1,5 +1,9 @@
 """Unit tests for the two-pass marker selection algorithm."""
 
+import math
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.callloop import SelectionParams, build_call_loop_graph, select_markers
@@ -107,8 +111,6 @@ class TestNonFiniteCov:
         assert spread == pytest.approx(0.0)
 
     def test_nan_cov_filtered_from_stats(self):
-        from types import SimpleNamespace
-
         edges = [
             SimpleNamespace(cov=c)
             for c in (0.1, float("nan"), 0.3, float("inf"))
@@ -118,10 +120,20 @@ class TestNonFiniteCov:
         assert spread == pytest.approx(0.1)
 
     def test_all_non_finite_covs_give_zero_stats(self):
-        from types import SimpleNamespace
-
         edges = [SimpleNamespace(cov=float("nan")), SimpleNamespace(cov=float("inf"))]
         assert cov_threshold_stats(edges) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stats_match_fsum_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        covs = rng.uniform(0.0, 2.0, size=int(rng.integers(1, 200))).tolist()
+        covs += [float("inf"), float("-inf"), float("nan")]
+        base, spread = cov_threshold_stats([SimpleNamespace(cov=c) for c in covs])
+        finite = [c for c in covs if math.isfinite(c)]
+        mean = math.fsum(finite) / len(finite)
+        var = math.fsum((c - mean) ** 2 for c in finite) / len(finite)
+        assert base == pytest.approx(mean, abs=1e-9)
+        assert spread == pytest.approx(math.sqrt(var), abs=1e-9)
 
     def test_selection_survives_poisoned_edge(self):
         g = self._poisoned_graph()

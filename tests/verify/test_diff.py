@@ -22,11 +22,12 @@ from repro.verify.diff import (
     diff_trace_pipeline,
     verify_program,
 )
-from repro.verify.oracles import oracle_call_loop_graph
+from repro.verify.oracles import oracle_call_loop_graph, oracle_walk
 from repro.workloads import get_workload
 
-# the module, not the function the package re-exports under its name
+# the modules, not the functions the packages re-export under their names
 kmeans_module = importlib.import_module("repro.simpoint.kmeans")
+diff_module = importlib.import_module("repro.verify.diff")
 
 
 def test_verify_program_clean_on_fixtures(toy_program, toy_input):
@@ -113,6 +114,54 @@ def test_detects_selection_logic_change(toy_program, toy_input):
     # meaningful; instead both sides see the perturbed graph and must
     # still agree — diff_selection stays clean
     assert diff_selection(optimized, params) == []
+
+
+def test_selection_check_catches_reordered_markers(
+    toy_program, toy_input, monkeypatch
+):
+    """The same markers in another order is a mismatch: marker ids (and
+    so phase ids) follow the selection order."""
+    optimized, _ = _graph_pair(toy_program, toy_input)
+    params = SelectionParams(ilower=500)
+    select = diff_module.select_markers
+
+    def reversed_markers(graph, params=None):
+        result = select(graph, params)
+        result.markers.markers.reverse()
+        return result
+
+    monkeypatch.setattr(diff_module, "select_markers", reversed_markers)
+    mismatches = diff_selection(optimized, params)
+    assert [m.key for m in mismatches] == ["order"]
+    assert mismatches[0].optimized == mismatches[0].oracle[::-1]
+
+
+def test_trace_pipeline_catches_shifted_open_row(
+    toy_program, toy_input, monkeypatch
+):
+    """The scalar walk is pinned to ``oracle_walk`` row for row: one
+    open reported one row late on the reference side is flagged."""
+    trace = record_trace(Machine(toy_program, toy_input).run())
+    walk = oracle_walk
+
+    def shifted(program, trace, on_open=None, on_close=None):
+        shifted_one = []
+
+        def late_open(src, dst, t, source, row):
+            if row >= 0 and not shifted_one:
+                shifted_one.append(row)
+                row += 1
+            on_open(src, dst, t, source, row)
+
+        return walk(program, trace, on_open=late_open, on_close=on_close)
+
+    monkeypatch.setattr(diff_module, "oracle_walk", shifted)
+    mismatches = diff_trace_pipeline(toy_program, toy_input, trace)
+    assert len(mismatches) == 1
+    (found,) = mismatches
+    assert found.key.startswith("walk_scalar(edges) vs oracle_walk callback")
+    assert found.optimized[:-1] == found.oracle[:-1]
+    assert found.oracle[-1] == found.optimized[-1] + 1
 
 
 def test_float_tolerance_forgives_summation_noise(toy_program, toy_input):

@@ -1,16 +1,13 @@
-"""Fuzz-backed equivalence: every vectorized kernel vs its scalar oracle.
+"""Fuzz-backed equivalence: array kernels vs their scalar oracles, and
+marker selection vs its oracle on degenerate graphs.
 
-The vectorized analysis core (``repro.callloop.vectorized``, the batch
-stats kernels, the grouped CoV aggregation, the kmeans distance matrix,
-and the reuse-distance binning) promises *bit-for-bit* agreement with
-the per-element Python code it replaced.  These tests drive both sides
-with seeded random inputs — including the non-finite corner cases
-(count-0 edges, inf/NaN moments, first-touch infinities) — and compare
-exactly, not within tolerance, except where the contract itself is a
-tolerance (``finite_cov_stats`` vs an ``fsum`` oracle).
+The grouped CoV aggregation, the kmeans distance matrix, and the
+reuse-distance binning promise *bit-for-bit* agreement with the
+per-element Python code they replaced; these tests drive both sides with
+seeded random inputs and compare exactly.  Marker selection is checked
+against ``oracle_select_markers`` through ``diff_selection`` on random
+graphs with non-finite corner cases (count-0 edges, inf/NaN moments).
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -18,18 +15,8 @@ import pytest
 from repro.analysis.cov import _weighted_cov, phase_cov
 from repro.callloop import build_call_loop_graph
 from repro.callloop.graph import CallLoopGraph, Node, NodeKind, ROOT
-from repro.callloop.selection import (
-    SelectionParams,
-    _cov_threshold,
-    select_markers,
-    select_markers_scalar,
-)
+from repro.callloop.selection import SelectionParams
 from repro.callloop.stats import RunningStats
-from repro.callloop.vectorized import (
-    build_edge_arrays,
-    cov_threshold_kernel,
-    finite_cov_stats,
-)
 from repro.intervals.base import IntervalSet
 from repro.reuse.distance import (
     prev_occurrences,
@@ -37,18 +24,14 @@ from repro.reuse.distance import (
     reuse_histogram,
 )
 from repro.simpoint.kmeans import pairwise_sq_dists
+from repro.verify.diff import diff_selection
 from repro.verify.fuzz import build_program, generate_spec
 from repro.verify.oracles import oracle_reuse_histogram
 
 
-def bit_equal(a: float, b: float) -> bool:
-    """Exact equality that treats NaN as equal to NaN."""
-    return a == b or (a != a and b != b)
-
-
-def random_graph(seed: int, degenerate: bool = True) -> CallLoopGraph:
+def random_graph(seed: int) -> CallLoopGraph:
     """A random call-loop graph: realistic Welford-accumulated edges plus
-    (optionally) directly-assigned degenerate statistics."""
+    directly-assigned degenerate statistics."""
     rng = np.random.default_rng(seed)
     g = CallLoopGraph(f"fuzz-{seed}")
     kinds = [
@@ -67,116 +50,24 @@ def random_graph(seed: int, degenerate: bool = True) -> CallLoopGraph:
         e = g.edge(nodes[src], nodes[dst])
         for _ in range(int(rng.integers(1, 6))):
             e.stats.add(float(rng.integers(0, 1_000_000)))
-    if degenerate:
-        a, b = nodes[-1], nodes[-2]
-        g.edge(a, b)  # count 0: mean 0, m2 0, max -inf
-        e = g.edge(b, a)
-        e.stats = RunningStats(count=1, mean=5e4, m2=0.0, max_value=5e4)
-        e = g.edge(nodes[0], nodes[-1])
-        e.stats = RunningStats(
-            count=3, mean=2e4, m2=float("inf"), max_value=2e4
-        )  # cov = inf
-        e = g.edge(nodes[1], nodes[-2])
-        e.stats = RunningStats(
-            count=2, mean=float("nan"), m2=4.0, max_value=1e3
-        )  # avg = cov = nan
+    a, b = nodes[-1], nodes[-2]
+    g.edge(a, b)  # count 0: mean 0, m2 0, max -inf
+    e = g.edge(b, a)
+    e.stats = RunningStats(count=1, mean=5e4, m2=0.0, max_value=5e4)
+    e = g.edge(nodes[0], nodes[-1])
+    e.stats = RunningStats(
+        count=3, mean=2e4, m2=float("inf"), max_value=2e4
+    )  # cov = inf
+    e = g.edge(nodes[1], nodes[-2])
+    e.stats = RunningStats(
+        count=2, mean=float("nan"), m2=4.0, max_value=1e3
+    )  # avg = cov = nan
     return g
 
 
-class TestEdgeArrays:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_arrays_bit_equal_to_edge_properties(self, seed):
-        g = random_graph(seed)
-        arrays = build_edge_arrays(g)
-        assert len(arrays) == g.num_edges
-        for i, edge in enumerate(arrays.edges):
-            assert arrays.index[edge.key()] == i
-            assert int(arrays.count[i]) == edge.count
-            assert bit_equal(float(arrays.avg[i]), edge.avg)
-            assert bit_equal(float(arrays.cov[i]), edge.cov)
-            assert bit_equal(float(arrays.max[i]), edge.max)
-            assert bit_equal(float(arrays.total[i]), edge.total)
-            assert bool(arrays.dst_is_loop[i]) == edge.dst.kind.is_loop
-
-    def test_cached_view_invalidated_by_inplace_mutation(self):
-        g = random_graph(0, degenerate=False)
-        before = g.edge_arrays()
-        assert g.edge_arrays() is before  # stable while untouched
-        victim = g.edges[1]
-        victim.stats.m2 = victim.stats.mean**2 * victim.stats.count * 25.0
-        after = g.edge_arrays()
-        assert after is not before
-        assert bit_equal(float(after.cov[1]), victim.cov)
-
-
-class TestThresholdKernel:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_bit_equal_to_scalar_formula(self, seed):
-        rng = np.random.default_rng(seed)
-        avgs = np.concatenate(
-            [
-                rng.uniform(1.0, 1e7, size=50),
-                np.array([float("inf"), 1e3, 1e4, 1e5]),
-            ]
-        )
-        ilower = float(rng.uniform(10.0, 1e4))
-        avg_hi = ilower * float(rng.uniform(1.5, 20.0))
-        base = float(rng.uniform(0.0, 0.5))
-        spread = float(rng.uniform(0.0, 0.5))
-        floor = float(rng.uniform(0.0, 0.2))
-        got = cov_threshold_kernel(avgs, ilower, avg_hi, base, spread, floor)
-        for a, t in zip(avgs, got):
-            want = max(_cov_threshold(a, ilower, avg_hi, base, spread), floor)
-            assert bit_equal(float(t), want)
-
-    def test_degenerate_range_is_flat_base(self):
-        avgs = np.array([10.0, 1e6, float("inf")])
-        got = cov_threshold_kernel(avgs, 100.0, 100.0, 0.2, 0.4, 0.05)
-        assert got.tolist() == [0.2, 0.2, 0.2]
-
-
-class TestFiniteCovStats:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_fsum_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        covs = rng.uniform(0.0, 2.0, size=int(rng.integers(1, 200)))
-        covs = np.concatenate(
-            [covs, [float("inf"), float("-inf"), float("nan")]]
-        )
-        base, spread = finite_cov_stats(covs)
-        finite = [c for c in covs.tolist() if math.isfinite(c)]
-        mean = math.fsum(finite) / len(finite)
-        var = math.fsum((c - mean) ** 2 for c in finite) / len(finite)
-        assert base == pytest.approx(mean, abs=1e-9)
-        assert spread == pytest.approx(math.sqrt(var), abs=1e-9)
-
-    def test_empty_and_all_non_finite(self):
-        assert finite_cov_stats(np.array([])) == (0.0, 0.0)
-        assert finite_cov_stats(np.array([np.inf, np.nan])) == (0.0, 0.0)
-
-
-def assert_same_selection(graph, params):
-    vec = select_markers(graph, params)
-    ref = select_markers_scalar(graph, params)
-    assert [e.key() for e in vec.candidates] == [
-        e.key() for e in ref.candidates
-    ]
-    assert bit_equal(vec.cov_base, ref.cov_base)
-    assert bit_equal(vec.cov_spread, ref.cov_spread)
-    strip = lambda m: (
-        m.marker_id,
-        m.src,
-        m.dst,
-        m.avg_interval,
-        m.cov,
-        m.max_interval,
-    )
-    assert [strip(m) for m in vec.markers.markers] == [
-        strip(m) for m in ref.markers.markers
-    ]
-
-
 class TestSelectionEngines:
+    """``select_markers`` vs ``oracle_select_markers``."""
+
     @pytest.mark.parametrize("seed", range(25))
     def test_agree_on_random_graphs(self, seed):
         g = random_graph(seed)
@@ -185,13 +76,13 @@ class TestSelectionEngines:
             SelectionParams(ilower=100_000, procedures_only=True),
             SelectionParams(ilower=50, cov_floor=0.0),
         ):
-            assert_same_selection(g, params)
+            assert diff_selection(g, params) == []
 
     @pytest.mark.parametrize("seed", [3, 17, 42, 91])
     def test_agree_on_fuzzed_programs(self, seed):
         program, program_input = build_program(generate_spec(seed))
         graph = build_call_loop_graph(program, [program_input])
-        assert_same_selection(graph, SelectionParams(ilower=500))
+        assert diff_selection(graph, SelectionParams(ilower=500)) == []
 
 
 class TestKmeansDistances:
