@@ -46,7 +46,7 @@ Commands (full reference with examples: ``docs/CLI.md``)
     served-equals-batch contract) and print its canonical JSON bytes.
 ``serve``
     Run the phase-marker query service: an asyncio HTTP server
-    deduplicating and batching queries over a worker pool, sharing the
+    deduplicating in-flight queries over a worker pool, sharing the
     profile cache and trace store (``POST /v1/query``, ``GET
     /healthz``, ``GET /stats``, ``POST /v1/shutdown``).
 ``loadgen``
@@ -478,8 +478,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         trace_root=args.trace_root,
-        batch_window_s=args.batch_window,
-        max_batch=args.max_batch,
     )
 
     async def _serve() -> None:
@@ -532,8 +530,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.serving import (
+        AsyncServeClient,
         LoadGenSettings,
-        ServeClient,
         expected_payloads,
         run_loadgen,
     )
@@ -574,8 +572,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             f.write("\n")
         diag(f"loadgen summary written to {args.output}")
     if args.shutdown:
-        with ServeClient(args.host, args.port) as client:
-            client.shutdown()
+        import asyncio
+
+        async def _shutdown() -> None:
+            client = AsyncServeClient(args.host, args.port)
+            try:
+                await client.request("POST", "/v1/shutdown")
+            finally:
+                await client.close()
+
+        asyncio.run(_shutdown())
         diag("loadgen: server shutdown requested")
     failed = summary.errors > 0 or bool(summary.check_mismatches)
     return 1 if failed else 0
@@ -897,15 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool size (default: the parallel-runner default)",
     )
     add_store_args(p_serve)
-    p_serve.add_argument(
-        "--batch-window", type=float, default=None, metavar="S",
-        help="micro-batch collection window in seconds (default 0.002)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=None, metavar="N",
-        help="dispatch a batch at N queries even inside the window "
-        "(default 16)",
-    )
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_load = sub.add_parser(

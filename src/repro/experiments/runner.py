@@ -128,12 +128,7 @@ class Runner:
         return self._programs[key]
 
     def input_for(self, spec: str, which: str) -> ProgramInput:
-        wl = get_workload(spec)
-        if which == "ref":
-            return wl.ref_input
-        if which == "train":
-            return wl.train_input
-        return wl.inputs[which]
+        return get_workload(spec).input_for(which)
 
     def trace(
         self, spec: str, which: str = "ref", variant: Optional[CompilationVariant] = None

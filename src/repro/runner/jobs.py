@@ -27,7 +27,6 @@ from repro.callloop.profiler import CallLoopProfiler
 from repro.callloop.serialization import graph_to_dict
 from repro.engine.machine import Machine
 from repro.engine.tracing import record_trace
-from repro.ir.program import ProgramInput
 from repro.runner.traces import TraceHandle, TraceStore
 from repro.workloads import get_workload
 from repro.workloads.base import Workload
@@ -69,13 +68,6 @@ class ProfileJob:
     def resolve_workload(self) -> Workload:
         return self.workload if self.workload is not None else get_workload(self.spec)
 
-    def resolve_input(self, workload: Workload) -> ProgramInput:
-        if self.which == "ref":
-            return workload.ref_input
-        if self.which == "train":
-            return workload.train_input
-        return workload.inputs[self.which]
-
 
 @dataclass
 class ProfileJobResult:
@@ -108,27 +100,14 @@ def run_profile_job(job: ProfileJob) -> ProfileJobResult:
     """
     from repro import telemetry
 
-    local: Optional[telemetry.Telemetry] = None
-    prev = None
-    active = telemetry.get_telemetry()
-    if not active.enabled or active.pid != os.getpid():
-        # Worker process (fresh, or fork-started with the parent's
-        # session inherited — detectable because the session remembers
-        # the pid it was created in) or telemetry-off inline run:
-        # record into a local session and ship the snapshot back with
-        # the result.  The session inherits the parent's run id, so
-        # the shipped spans stitch into the parent's timeline as one
-        # run.
-        local = telemetry.Telemetry(run_id=job.run_id)
-        prev = telemetry.install_telemetry(local)
-    tm = telemetry.get_telemetry()
-    try:
+    with telemetry.worker_session(job.run_id) as local:
+        tm = telemetry.get_telemetry()
         start = time.perf_counter()
         trace_handle: Optional[TraceHandle] = None
         with tm.span("runner.profile_job", spec=job.spec, which=job.which):
             workload = job.resolve_workload()
             program = workload.build()
-            program_input = job.resolve_input(workload)
+            program_input = workload.input_for(job.which)
             trace = None
             store = None
             if job.trace_root is not None:
@@ -147,9 +126,6 @@ def run_profile_job(job: ProfileJob) -> ProfileJobResult:
             profiler = CallLoopProfiler(program)
             profiler.profile_trace(trace)
         seconds = time.perf_counter() - start
-    finally:
-        if local is not None:
-            telemetry.install_telemetry(prev)
     return ProfileJobResult(
         spec=job.spec,
         which=job.which,

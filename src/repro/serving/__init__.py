@@ -9,12 +9,12 @@ achieved QPS (``make bench-serve``).
 * :mod:`repro.serving.queries` — the query model and the one contract
   everything rests on: a payload is a pure function of its query, so
   served bytes equal batch-CLI bytes (``repro query``).
-* :mod:`repro.serving.batcher` — event-loop dedup + micro-batching:
-  N concurrent identical queries cost one pool job.
+* :mod:`repro.serving.batcher` — event-loop in-flight dedup: N
+  concurrent identical queries cost one pool job.
 * :mod:`repro.serving.server` — the asyncio HTTP service with a
   process-pool compute backend, shared profile cache / trace store,
   health/stats endpoints, and drain-first graceful shutdown.
-* :mod:`repro.serving.client` — blocking and asyncio clients.
+* :mod:`repro.serving.client` — the asyncio client.
 * :mod:`repro.serving.loadgen` — SingleStream / Server scenarios on a
   seeded Poisson schedule, with p50/p90/p99 + achieved-QPS reporting.
 
@@ -22,7 +22,7 @@ Scenarios, endpoints, flags, and baseline numbers: ``docs/SERVING.md``.
 """
 
 from repro.serving.batcher import BatcherClosed, QueryBatcher
-from repro.serving.client import AsyncServeClient, ServeClient, ServeClientError
+from repro.serving.client import AsyncServeClient, ServeClientError
 from repro.serving.loadgen import (
     SCENARIOS,
     LoadGenSettings,
@@ -68,7 +68,6 @@ __all__ = [
     "SCENARIOS",
     "STREAM_DRIFT_THRESHOLD",
     "STREAM_SLOT_INSTRUCTIONS",
-    "ServeClient",
     "ServeClientError",
     "ServeStats",
     "build_plan",

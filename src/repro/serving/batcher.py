@@ -1,41 +1,27 @@
-"""Deduplicating micro-batcher between the event loop and the pool.
+"""In-flight deduplication between the event loop and the pool.
 
 Heavy traffic against a phase-marker service is extremely repetitive:
 many clients ask for the same few (workload, configuration) products.
-The batcher exploits that with two moves, both on the event loop (no
-locks — asyncio tasks interleave only at awaits):
-
-* **Deduplication.**  Queries are keyed by :meth:`Query.key`.  While a
-  computation for a key is in flight, every further submission of that
-  key awaits the *same* future — N concurrent identical queries cost
-  one pool job, and all N waiters receive the identical payload object.
-* **Micro-batching.**  First-of-their-key queries collect in a pending
-  list for a short window (``batch_window_s``) or until ``max_batch``
-  distinct keys are pending, then dispatch together.  The window turns
-  a thundering herd of distinct queries into one pool submission burst
-  (and one batch-size histogram observation) instead of per-request
-  executor churn.
+Queries are keyed by :meth:`Query.key`.  The first submission of a key
+starts its computation at once; while it is in flight, every further
+submission of that key awaits the *same* future — N concurrent
+identical queries cost one pool job, and all N waiters receive the
+identical payload object.  Everything runs on the event loop (no locks
+— asyncio tasks interleave only at awaits).
 
 The response contract — the property the fuzz suite drives — is a
 request ↔ payload bijection: every submitted query receives exactly one
 result, and that result is *its own* query's payload (never another
 key's, never a duplicate delivery).  Failures propagate to exactly the
-waiters of the failing key; other keys in the same batch are unaffected.
+waiters of the failing key; other keys are unaffected.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict
 
 from repro.serving.queries import Query
-
-#: default dispatch window (seconds): long enough to coalesce a burst,
-#: short enough to be invisible next to a profile computation
-DEFAULT_BATCH_WINDOW_S = 0.002
-
-#: default distinct-key cap per dispatched batch
-DEFAULT_MAX_BATCH = 16
 
 
 class BatcherClosed(RuntimeError):
@@ -43,7 +29,7 @@ class BatcherClosed(RuntimeError):
 
 
 class QueryBatcher:
-    """Coalesce concurrent queries into deduplicated pool batches.
+    """Share one computation among concurrent identical queries.
 
     *compute* is an async callable ``(query) -> bytes`` — the server
     passes a wrapper that runs a :class:`~repro.serving.queries.QueryJob`
@@ -52,25 +38,12 @@ class QueryBatcher:
     """
 
     def __init__(
-        self,
-        compute: Callable[[Query], Awaitable[bytes]],
-        batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        telemetry=None,
+        self, compute: Callable[[Query], Awaitable[bytes]], telemetry=None
     ) -> None:
-        if batch_window_s < 0:
-            raise ValueError(f"batch_window_s must be >= 0, got {batch_window_s}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._compute = compute
-        self.batch_window_s = batch_window_s
-        self.max_batch = max_batch
         self._tm = telemetry
-        #: key -> future resolving to payload bytes (in-flight or pending)
+        #: key -> future resolving to payload bytes (computation in flight)
         self._inflight: Dict[str, "asyncio.Future[bytes]"] = {}
-        #: first-of-their-key queries waiting for the next dispatch
-        self._pending: List[Tuple[Query, "asyncio.Future[bytes]"]] = []
-        self._flusher: Optional["asyncio.Task[None]"] = None
         self._tasks: "set[asyncio.Task[None]]" = set()
         self._closed = False
         # -- stats (served by /stats regardless of telemetry) --
@@ -78,12 +51,12 @@ class QueryBatcher:
         self.deduplicated = 0
         self.computed = 0
         self.failed = 0
+        #: dispatched computations, one per first-of-its-key submission
         self.batches = 0
-        self.largest_batch = 0
 
     @property
     def inflight(self) -> int:
-        """Keys currently pending or computing (the dedup window size)."""
+        """Keys currently computing (the dedup window size)."""
         return len(self._inflight)
 
     async def submit(self, query: Query) -> bytes:
@@ -101,35 +74,11 @@ class QueryBatcher:
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._inflight[key] = future
-        self._pending.append((query, future))
-        if len(self._pending) >= self.max_batch:
-            self._dispatch()
-        elif self._flusher is None:
-            self._flusher = loop.create_task(self._flush_later())
-        return await asyncio.shield(future)
-
-    async def _flush_later(self) -> None:
-        await asyncio.sleep(self.batch_window_s)
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        """Launch one computation task per pending key, as one batch."""
-        if self._flusher is not None:
-            self._flusher.cancel()
-            self._flusher = None
-        batch, self._pending = self._pending, []
-        if not batch:
-            return
         self.batches += 1
-        self.largest_batch = max(self.largest_batch, len(batch))
-        if self._tm is not None and self._tm.enabled:
-            self._tm.observe("serve.batch.size", len(batch))
-        for query, future in batch:
-            task = asyncio.get_running_loop().create_task(
-                self._run_one(query, future)
-            )
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+        task = loop.create_task(self._run_one(query, future))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return await asyncio.shield(future)
 
     async def _run_one(self, query: Query, future: "asyncio.Future[bytes]") -> None:
         key = query.key()
@@ -161,15 +110,8 @@ class QueryBatcher:
         are cancelled.
         """
         self._closed = True
-        if self._flusher is not None:
-            self._dispatch()
         if drain:
-            while self._tasks or self._pending:
-                if self._pending:
-                    self._dispatch()
-                tasks = list(self._tasks)
-                if tasks:
-                    await asyncio.gather(*tasks, return_exceptions=True)
+            await asyncio.gather(*self._tasks, return_exceptions=True)
         else:
             for task in list(self._tasks):
                 task.cancel()
@@ -177,7 +119,6 @@ class QueryBatcher:
                 if not future.done():
                     future.cancel()
             self._inflight.clear()
-            self._pending.clear()
 
     def stats(self) -> Dict[str, Any]:
         """Counters for the ``/stats`` endpoint (plain data, always on)."""
@@ -187,6 +128,5 @@ class QueryBatcher:
             "computed": self.computed,
             "failed": self.failed,
             "batches": self.batches,
-            "largest_batch": self.largest_batch,
             "inflight": self.inflight,
         }

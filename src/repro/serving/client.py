@@ -1,23 +1,21 @@
-"""Clients for ``repro serve``: a blocking one and an asyncio one.
+"""The client for ``repro serve``.
 
-:class:`ServeClient` (blocking, ``http.client``) is what tests, the
-CLI, and scripts use for one-off queries; :class:`AsyncServeClient`
-(asyncio streams, persistent keep-alive connection) is what the loadgen
-drives — an open-loop Server scenario needs many requests in flight at
-once, which a blocking client cannot express without a thread per
-request.
+:class:`AsyncServeClient` (asyncio streams, persistent keep-alive
+connection) is what the loadgen, the tests and ``repro loadgen
+--shutdown`` use — an open-loop Server scenario needs many requests in
+flight at once, which a blocking client cannot express without a
+thread per request.
 
-Both speak the same wire format (JSON bodies, canonical payload bytes
-back) and both surface server-side errors as :class:`ServeClientError`
-carrying the HTTP status and the server's error message.
+It speaks JSON bodies in and canonical payload bytes back, and
+surfaces server-side errors as :class:`ServeClientError` carrying the
+HTTP status and the server's error message.
 """
 
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.serving.queries import Query
 
@@ -39,64 +37,6 @@ def _raise_for_status(status: int, body: bytes) -> None:
     except (UnicodeDecodeError, json.JSONDecodeError, AttributeError):
         message = body.decode("utf-8", "replace")
     raise ServeClientError(status, message)
-
-
-class ServeClient:
-    """Blocking client over one keep-alive connection.
-
-    Context-manager friendly; every method raises
-    :class:`ServeClientError` on a non-200 response.
-    """
-
-    def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
-        self.host = host
-        self.port = port
-        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
-
-    def _request(
-        self, method: str, path: str, body: Optional[bytes] = None
-    ) -> bytes:
-        try:
-            self._conn.request(method, path, body=body)
-            response = self._conn.getresponse()
-            payload = response.read()
-        except (http.client.HTTPException, OSError):
-            # one reconnect: the server may have closed an idle keep-alive
-            self._conn.close()
-            self._conn.request(method, path, body=body)
-            response = self._conn.getresponse()
-            payload = response.read()
-        _raise_for_status(response.status, payload)
-        return payload
-
-    def query(self, query: Query) -> bytes:
-        """The canonical payload bytes for *query*."""
-        return self._request(
-            "POST", "/v1/query", json.dumps(query.as_dict()).encode()
-        )
-
-    def query_raw(self, body: Dict[str, Any]) -> bytes:
-        """POST an arbitrary query document (malformed-input tests)."""
-        return self._request("POST", "/v1/query", json.dumps(body).encode())
-
-    def health(self) -> Dict[str, Any]:
-        return json.loads(self._request("GET", "/healthz"))
-
-    def stats(self) -> Dict[str, Any]:
-        return json.loads(self._request("GET", "/stats"))
-
-    def shutdown(self) -> Dict[str, Any]:
-        """Ask the server to drain and stop."""
-        return json.loads(self._request("POST", "/v1/shutdown"))
-
-    def close(self) -> None:
-        self._conn.close()
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 class AsyncServeClient:

@@ -178,26 +178,14 @@ def canonical_json_bytes(obj: Any) -> bytes:
 # -- computation ---------------------------------------------------------------
 
 
-def _resolve_input(workload, which: str):
-    if which == "ref":
-        return workload.ref_input
-    if which == "train":
-        return workload.train_input
-    return workload.inputs[which]
-
-
-def _acquire_graph(query: Query, workload, program, program_input, cache, trace_store):
+def _acquire_graph(query: Query, program, program_input, cache, trace_store):
     """The annotated call-loop graph for *query*, via cache when possible.
 
     Returns ``(graph, source)`` where source is "cache" or "profiled".
-    A freshly profiled graph round-trips through the exact JSON
-    serialization before use, so cache hits and misses produce
+    Graph serialization is exact, so cache hits and misses produce
     byte-identical downstream payloads.
     """
     from repro.callloop.profiler import CallLoopProfiler
-    from repro.callloop.serialization import graph_from_dict, graph_to_dict
-    from repro.engine.machine import Machine
-    from repro.engine.tracing import record_trace
 
     key = None
     if cache is not None:
@@ -205,21 +193,12 @@ def _acquire_graph(query: Query, workload, program, program_input, cache, trace_
         cached = cache.load_graph(key)
         if cached is not None:
             return cached, "cache"
-    trace = None
-    if trace_store is not None:
-        tkey = trace_store.trace_key(query.workload, query.which, program_input)
-        trace = trace_store.load(tkey)
-    if trace is None:
-        trace = record_trace(Machine(program, program_input))
-        if trace_store is not None:
-            trace = trace_store.store(tkey, trace).load()
+    trace = _acquire_trace(query, program, program_input, trace_store)
     profiler = CallLoopProfiler(program)
     profiler.profile_trace(trace)
-    graph = profiler.graph
     if cache is not None:
-        cache.store_graph(key, graph)
-    # normalize through the serialization so hit and miss paths agree
-    return graph_from_dict(graph_to_dict(graph)), "profiled"
+        cache.store_graph(key, profiler.graph)
+    return profiler.graph, "profiled"
 
 
 def _acquire_trace(query: Query, program, program_input, trace_store):
@@ -274,9 +253,9 @@ def compute_result(
 
     workload = get_workload(query.workload)
     program = workload.build()
-    program_input = _resolve_input(workload, query.which)
+    program_input = workload.input_for(query.which)
     graph, source = _acquire_graph(
-        query, workload, program, program_input, cache, trace_store
+        query, program, program_input, cache, trace_store
     )
     doc: Dict[str, Any] = {
         "payload_version": PAYLOAD_VERSION,
@@ -445,22 +424,16 @@ def run_query_job(job: QueryJob) -> QueryJobResult:
     """Worker entry point: compute one query payload start-to-finish.
 
     Module-level function of picklable arguments by design (the process
-    pool requirement).  Installs a local telemetry session in a fresh or
-    fork-inherited worker, mirroring
+    pool requirement).  Records into
+    :func:`~repro.telemetry.worker_session`, like
     :func:`repro.runner.jobs.run_profile_job`.
     """
     from repro import telemetry
     from repro.runner.cache import ProfileCache
     from repro.runner.traces import TraceStore
 
-    local: Optional[telemetry.Telemetry] = None
-    prev = None
-    active = telemetry.get_telemetry()
-    if not active.enabled or active.pid != os.getpid():
-        local = telemetry.Telemetry(run_id=job.run_id)
-        prev = telemetry.install_telemetry(local)
-    tm = telemetry.get_telemetry()
-    try:
+    with telemetry.worker_session(job.run_id) as local:
+        tm = telemetry.get_telemetry()
         start = time.perf_counter()
         with tm.span(
             "serve.compute", query=job.query.label(), kind=job.query.kind
@@ -472,9 +445,6 @@ def run_query_job(job: QueryJob) -> QueryJobResult:
             )
             span.set("graph_source", source)
         seconds = time.perf_counter() - start
-    finally:
-        if local is not None:
-            telemetry.install_telemetry(prev)
     return QueryJobResult(
         key=job.query.key(),
         payload=canonical_json_bytes(doc),

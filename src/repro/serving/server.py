@@ -13,7 +13,7 @@ online service:
   the workers share.
 * ``GET /healthz`` — liveness: status, uptime, pool size, run id.
 * ``GET /stats`` — the serving counters (requests by kind/status,
-  dedup/batch stats, cache counters, in-flight and drained state).
+  dedup stats, cache counters, in-flight and drained state).
 * ``POST /v1/shutdown`` — begin a graceful drain (used by tests, the
   loadgen ``--shutdown`` flag, and orchestration).
 
@@ -22,9 +22,10 @@ requests run to completion and are answered, *then* the pool goes down.
 
 Telemetry (when a session is enabled) follows the lane model from
 ``docs/OBSERVABILITY.md``: each request is emitted as a ``serve.request``
-span on the ``serve`` lane, queue depth is a gauge, request latency and
-batch sizes are histograms, and worker snapshots merge into the server
-session so one exported trace shows the whole service timeline.
+span on the ``serve`` lane, queue depth is a gauge, request latency is
+a histogram, deduplicated submissions are a counter, and worker
+snapshots merge into the server session so one exported trace shows the
+whole service timeline.
 """
 
 from __future__ import annotations
@@ -115,8 +116,6 @@ class PhaseMarkerServer:
         cache_dir: Optional[str] = None,
         no_cache: bool = False,
         trace_root: Optional[str] = None,
-        batch_window_s: Optional[float] = None,
-        max_batch: Optional[int] = None,
     ) -> None:
         from repro.runner.cache import default_cache_dir
         from repro.runner.parallel import default_jobs
@@ -131,12 +130,6 @@ class PhaseMarkerServer:
             None if no_cache else str(cache_dir or default_cache_dir())
         )
         self.trace_root = str(trace_root or default_trace_dir())
-        batcher_kwargs: Dict[str, Any] = {}
-        if batch_window_s is not None:
-            batcher_kwargs["batch_window_s"] = batch_window_s
-        if max_batch is not None:
-            batcher_kwargs["max_batch"] = max_batch
-        self._batcher_kwargs = batcher_kwargs
         self.stats = ServeStats()
         self._server: Optional[asyncio.base_events.Server] = None
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -162,9 +155,7 @@ class PhaseMarkerServer:
         self._tm = tm
         self._serve_lane = tm.lane("serve") if tm.enabled else 0
         self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        self._batcher = QueryBatcher(
-            self._compute_in_pool, telemetry=tm, **self._batcher_kwargs
-        )
+        self._batcher = QueryBatcher(self._compute_in_pool, telemetry=tm)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )

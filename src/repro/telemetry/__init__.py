@@ -46,6 +46,7 @@ from repro.telemetry.core import (
     install_telemetry,
     telemetry_session,
     timed,
+    worker_session,
 )
 from repro.telemetry.exporters import (
     JSONL_SCHEMA_VERSION,
@@ -84,6 +85,7 @@ __all__ = [
     "series_report",
     "telemetry_session",
     "timed",
+    "worker_session",
     "write_series_jsonl",
     "JSONL_SCHEMA_VERSION",
     "chrome_events",

@@ -572,6 +572,27 @@ def telemetry_session(tm: Optional[Telemetry] = None) -> Iterator[Telemetry]:
         install_telemetry(prev)
 
 
+@contextmanager
+def worker_session(run_id: Optional[str]) -> Iterator[Optional[Telemetry]]:
+    """Scoped local session for one job, unless this process records.
+
+    A pool worker (fresh, or fork-started with the parent's session
+    inherited — detectable because a session remembers the pid it was
+    created in) or a telemetry-off inline run records into a local
+    session with the parent's *run_id*, so its spans stitch into the
+    parent's timeline as one run; the job ships that session's
+    :meth:`Telemetry.snapshot` back with its result.  Yields the local
+    session, or None when the active session already belongs to this
+    process (the spans land there directly).
+    """
+    active = get_telemetry()
+    if active.enabled and active.pid == os.getpid():
+        yield None
+    else:
+        with telemetry_session(Telemetry(run_id=run_id)) as local:
+            yield local
+
+
 def timed(name: Optional[str] = None, **attrs: Any) -> Callable:
     """Decorator form of :meth:`Telemetry.span`.
 

@@ -38,6 +38,14 @@ class Workload:
     def ref_input(self) -> ProgramInput:
         return self.inputs[self.ref_name]
 
+    def input_for(self, which: str) -> ProgramInput:
+        """The input *which* names: "ref", "train", or an input name."""
+        if which == "ref":
+            return self.ref_input
+        if which == "train":
+            return self.train_input
+        return self.inputs[which]
+
     @property
     def spec_name(self) -> str:
         """The paper's "program/input" label, e.g. ``gzip/graphic``."""

@@ -53,10 +53,9 @@ def test_job_result_matches_serial_profiling():
 
 def test_job_resolves_named_input():
     workload = get_workload("gzip")
-    job = ProfileJob("gzip", "graphic")
-    assert job.resolve_input(workload) is workload.inputs["graphic"]
-    assert ProfileJob("gzip", "train").resolve_input(workload) is workload.train_input
-    assert ProfileJob("gzip", "ref").resolve_input(workload) is workload.ref_input
+    assert workload.input_for("graphic") is workload.inputs["graphic"]
+    assert workload.input_for("train") is workload.train_input
+    assert workload.input_for("ref") is workload.ref_input
 
 
 def test_unknown_spec_fails_with_registry_error():

@@ -1,4 +1,4 @@
-"""The dedup/micro-batch layer, including the interleaving fuzz test.
+"""The in-flight dedup layer, including the interleaving fuzz test.
 
 The batcher's contract is a bijection: every ``submit(query)`` resolves
 to exactly the payload of *that* query — never lost, never duplicated,
@@ -45,7 +45,7 @@ def queries(n):
 def test_concurrent_duplicates_share_one_computation():
     async def main():
         compute = CountingCompute(delay_s=0.01)
-        batcher = QueryBatcher(compute, batch_window_s=0.005)
+        batcher = QueryBatcher(compute)
         (query,) = queries(1)
         payloads = await asyncio.gather(
             *(batcher.submit(query) for _ in range(5))
@@ -65,7 +65,7 @@ def test_concurrent_duplicates_share_one_computation():
 def test_distinct_queries_compute_independently():
     async def main():
         compute = CountingCompute()
-        batcher = QueryBatcher(compute, batch_window_s=0.001)
+        batcher = QueryBatcher(compute)
         qs = queries(4)
         payloads = await asyncio.gather(*(batcher.submit(q) for q in qs))
         await batcher.close()
@@ -80,7 +80,7 @@ def test_failure_propagates_to_every_waiter_then_clears():
     async def main():
         (query,) = queries(1)
         compute = CountingCompute(delay_s=0.01, fail_keys=[query.key()])
-        batcher = QueryBatcher(compute, batch_window_s=0.005)
+        batcher = QueryBatcher(compute)
         results = await asyncio.gather(
             *(batcher.submit(query) for _ in range(3)),
             return_exceptions=True,
@@ -99,7 +99,7 @@ def test_failure_propagates_to_every_waiter_then_clears():
 
 def test_submit_after_close_raises():
     async def main():
-        batcher = QueryBatcher(CountingCompute(), batch_window_s=0.001)
+        batcher = QueryBatcher(CountingCompute())
         await batcher.close()
         with pytest.raises(BatcherClosed):
             await batcher.submit(queries(1)[0])
@@ -110,7 +110,7 @@ def test_submit_after_close_raises():
 def test_close_drains_pending_submissions():
     async def main():
         compute = CountingCompute(delay_s=0.02)
-        batcher = QueryBatcher(compute, batch_window_s=0.05)
+        batcher = QueryBatcher(compute)
         qs = queries(3)
         tasks = [asyncio.create_task(batcher.submit(q)) for q in qs]
         await asyncio.sleep(0)  # let the submissions enter the batcher
@@ -121,21 +121,21 @@ def test_close_drains_pending_submissions():
     assert payloads == [payload_for(q) for q in qs]
 
 
-def test_max_batch_dispatches_inside_the_window():
+def test_submit_starts_the_computation_without_waiting():
     async def main():
-        compute = CountingCompute()
-        # a window long enough that only max_batch can explain dispatch
-        batcher = QueryBatcher(compute, batch_window_s=5.0, max_batch=2)
-        qs = queries(4)
-        payloads = await asyncio.wait_for(
-            asyncio.gather(*(batcher.submit(q) for q in qs)), timeout=2.0
-        )
-        await batcher.close(drain=False)
-        return batcher, payloads, qs
+        compute = CountingCompute(delay_s=0.05)
+        batcher = QueryBatcher(compute)
+        (query,) = queries(1)
+        task = asyncio.create_task(batcher.submit(query))
+        for _ in range(3):
+            await asyncio.sleep(0)
+        calls = dict(compute.calls)
+        await task
+        await batcher.close()
+        return calls, query
 
-    batcher, payloads, qs = asyncio.run(main())
-    assert payloads == [payload_for(q) for q in qs]
-    assert batcher.stats()["largest_batch"] <= 2
+    calls, query = asyncio.run(main())
+    assert calls == {query.key(): 1}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -153,11 +153,7 @@ def test_fuzz_random_interleavings_preserve_bijection(seed):
 
     async def main():
         compute = CountingCompute(delay_s=0.002)
-        batcher = QueryBatcher(
-            compute,
-            batch_window_s=rng.choice([0.0005, 0.002, 0.01]),
-            max_batch=rng.choice([1, 2, 8]),
-        )
+        batcher = QueryBatcher(compute)
 
         async def client(plan):
             got = []
@@ -183,3 +179,4 @@ def test_fuzz_random_interleavings_preserve_bijection(seed):
     assert stats["computed"] + stats["deduplicated"] == total
     assert stats["computed"] == sum(compute.calls.values())
     assert stats["failed"] == 0
+    assert stats["batches"] == stats["computed"] + stats["failed"]

@@ -21,7 +21,7 @@ from repro.serving import (
 from .conftest import WORKLOAD
 
 
-def run_with_server(coro_fn, serving_dirs, **server_kwargs):
+def run_with_server(coro_fn, serving_dirs):
     """asyncio.run a test body with a started server; always drains."""
     cache_dir, trace_root = serving_dirs
 
@@ -31,7 +31,6 @@ def run_with_server(coro_fn, serving_dirs, **server_kwargs):
             jobs=2,
             cache_dir=cache_dir,
             trace_root=trace_root,
-            **server_kwargs,
         )
         await server.start()
         try:
@@ -105,10 +104,9 @@ def test_concurrent_clients_share_one_computation(serving_dirs):
                 await c.close()
         return payloads, stats
 
-    # a wide batch window guarantees all n requests land in one window
-    payloads, stats = run_with_server(
-        body, serving_dirs, batch_window_s=0.25, max_batch=64
-    )
+    # the duplicates land while the first query is in flight (pool
+    # fork plus compute), so they share its computation
+    payloads, stats = run_with_server(body, serving_dirs)
     assert len(set(payloads)) == 1
     assert payloads[0] == compute_payload(query)
     batcher = stats["batcher"]
