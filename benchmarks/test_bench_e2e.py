@@ -4,16 +4,18 @@
 BBV pipeline over the 16-workload corpus twice:
 
 * **legacy** — the pre-pipeline implementations: object-yielding
-  ``Machine.run()`` recording, the scalar event-by-event walker (bulk
-  replay disabled), the scalar per-event VLI splitter, and
-  ``np.add.at`` BBV accumulation;
-* **fast** — the shipping defaults: the row-template recorder,
-  bulk replay, the sparsity-aware split (vectorized candidate
+  ``Machine.run()`` recording, a profile through the scalar
+  event-by-event walker (``walk_scalar`` into the profiler's
+  ``_MomentBuilder``), the scalar per-event VLI splitter (bulk replay
+  disabled), and ``np.add.at`` BBV accumulation;
+* **fast** — the shipping defaults: the row-template recorder, the
+  span-table profile, the sparsity-aware split (vectorized candidate
   pre-scan), and the flattened-bincount BBV accumulator.  The fast
   side runs three times per workload and reports each stage's median.
 
-Every workload's outputs are asserted bit-identical between the two
-sides before the timings count, then the numbers land in
+Every workload's outputs — trace columns, whole graphs
+(``graph_to_dict``), intervals and BBVs — are asserted bit-identical
+between the two sides before the timings count, then the numbers land in
 ``benchmarks/results/BENCH_e2e_*.json`` — corpus totals per stage, plus
 each workload's fast-pipeline seconds per stage
 (``per_workload[w]["stage_seconds"]``).  The headline claim is a >= 3x
@@ -42,6 +44,9 @@ import pytest
 import repro.callloop.walker as walker_mod
 from perfbench.common import fingerprint
 from repro.callloop import CallLoopProfiler, SelectionParams, select_markers
+from repro.callloop.profiler import _MomentBuilder
+from repro.callloop.serialization import graph_to_dict
+from repro.callloop.walker import ContextWalker
 from repro.engine import Machine, record_trace
 from repro.engine.events import K_BLOCK
 from repro.intervals import split_at_markers, split_at_markers_scalar
@@ -54,6 +59,15 @@ STAGES = ("record", "profile", "select", "split", "bbv")
 
 #: fast-pipeline passes per workload; each stage reports their median
 FAST_REPEATS = 3
+
+
+def _walk_profile(program, trace):
+    """The pre-pipeline profile: the scalar walker's per-event callbacks
+    folded by the profiler's moment handler."""
+    profiler = CallLoopProfiler(program)
+    handler = _MomentBuilder()
+    total = ContextWalker(program, profiler.table).walk_scalar(trace, handler)
+    return profiler._fold(handler.edges, total)
 
 
 @contextmanager
@@ -93,7 +107,10 @@ def _pipeline(program, program_input, params, fast):
     times["record"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    graph = CallLoopProfiler(program).profile_trace(trace)
+    if fast:
+        graph = CallLoopProfiler(program).profile_trace(trace)
+    else:
+        graph = _walk_profile(program, trace)
     times["profile"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -156,7 +173,9 @@ def test_bench_e2e_pipeline_speedup(runner, results_dir):
                 assert np.array_equal(
                     getattr(f_trace, name), getattr(l_trace, name)
                 ), f"{workload.spec_name}: trace column {name}"
-            assert f_graph.total_instructions == l_graph.total_instructions
+            assert graph_to_dict(f_graph) == graph_to_dict(l_graph), (
+                workload.spec_name
+            )
             assert np.array_equal(f_iv.row_bounds, l_iv.row_bounds)
             assert np.array_equal(f_iv.phase_ids, l_iv.phase_ids)
             assert np.array_equal(f_bbvs, l_bbvs), workload.spec_name

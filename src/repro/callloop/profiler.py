@@ -1,9 +1,13 @@
 """Building the annotated call-loop graph from execution traces.
 
 This is the reproduction of the paper's ATOM-based profiling step
-(Section 4.2): one pass over the trace with the shadow call/loop stack,
-folding every edge traversal's hierarchical instruction count into that
-edge's running statistics.
+(Section 4.2): every edge traversal's hierarchical instruction count is
+folded into that edge's running statistics.  The traversals come from
+the span builder (:mod:`repro.callloop.spans`), which pairs each edge's
+opens with its closes in array passes; a trace it declines takes one
+bulk walk of the shadow call/loop stack
+(:class:`~repro.callloop.walker.ContextWalker`) into
+:class:`_MomentBuilder` instead.  Both produce the same edge map.
 
 The profile accumulates **exact integer moments** per edge
 (:class:`~repro.callloop.stats.MomentStats`) and derives the float
@@ -20,6 +24,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.callloop.graph import CallLoopGraph, NodeTable
+from repro.callloop.spans import SpanBuilder
 from repro.callloop.stats import MomentStats
 from repro.callloop.walker import ContextHandler, ContextWalker
 from repro.engine.machine import Machine
@@ -89,7 +94,7 @@ class CallLoopProfiler:
         self.program = program
         self.table = table or NodeTable(program)
         self.graph = CallLoopGraph(program.name, program.variant)
-        self._walker = ContextWalker(program, self.table)
+        self._spans: Optional[SpanBuilder] = None
 
     def profile_trace(self, trace: Trace) -> CallLoopGraph:
         """Fold one recorded trace into the graph."""
@@ -103,17 +108,32 @@ class CallLoopProfiler:
         return graph
 
     def _profile_trace(self, trace: Trace) -> CallLoopGraph:
-        handler = _MomentBuilder()
-        total = self._walker.walk(trace, handler)
-        self._fold_edges(handler.edges)
-        self.graph.total_instructions += total
+        if self._spans is None:
+            self._spans = SpanBuilder(self.program, self.table)
+        got = self._spans.build(trace)
         tm = get_telemetry()
+        if isinstance(got, str):
+            if tm.enabled:
+                tm.counter(f"callloop.profile.fallback.{got}")
+            return self.walk_trace(trace)
+        edges, total = got
         if tm.enabled:
-            tm.counter("callloop.profile.instructions", total)
-        return self.graph
+            tm.counter("callloop.profile.spans")
+        return self._fold(edges, total)
 
-    def _fold_edges(self, edges: Dict[Tuple[int, int], list]) -> None:
-        """Fold one walk's edge map into the graph, in first-close order.
+    def walk_trace(self, trace: Trace) -> CallLoopGraph:
+        """Fold one trace in through a bulk walk of the shadow stack.
+
+        :meth:`profile_trace`'s fallback for a trace the span builder
+        declines; the ``graph`` verify check calls it directly, since
+        fuzz programs never make the builder decline.
+        """
+        handler = _MomentBuilder()
+        total = ContextWalker(self.program, self.table).walk(trace, handler)
+        return self._fold(handler.edges, total)
+
+    def _fold(self, edges: Dict[Tuple[int, int], list], total: int) -> CallLoopGraph:
+        """Fold one trace's edge map into the graph, in first-close order.
 
         The derived :class:`RunningStats` adopt exactly when the edge is
         fresh and fold via the parallel merge formula when several
@@ -124,6 +144,11 @@ class CallLoopProfiler:
             edge = self.graph.edge(nodes[src], nodes[dst])
             edge.stats = edge.stats.merge(entry[0].to_running_stats())
             edge.site_sources |= entry[1]
+        self.graph.total_instructions += total
+        tm = get_telemetry()
+        if tm.enabled:
+            tm.counter("callloop.profile.instructions", total)
+        return self.graph
 
     def profile_input(
         self, program_input: ProgramInput, max_instructions: Optional[int] = None

@@ -194,8 +194,9 @@ def _prescan_boundaries(
     total = int(t_after[-1]) if n_rows else 0
     t_before = t_after - sizes
 
+    chains = table.chains
     if len(blk_rows):
-        addrs = np.unique(np.asarray([b.address for b in program.blocks]))
+        addrs = chains.addresses
         if len(addrs) == 0:
             return "unknown_address"
         pos = np.searchsorted(addrs, baddrs)
@@ -205,39 +206,11 @@ def _prescan_boundaries(
 
     loops = table.loops
     entry = program.procedures[program.entry]
-    procs = {p.proc_id: p for p in program.procedures.values()}
-    # Address range of each procedure's code, up to its last
-    # instruction: a call site is its block's *end* address, which lies
-    # past the last block's start when that block ends in the call.
-    proc_span = {
-        p.proc_id: (
-            min(b.address for b in p.blocks),
-            max(b.end_address for b in p.blocks),
-        )
-        for p in procs.values()
-        if p.blocks
-    }
     proc_head_of = {nid: name for name, nid in table.proc_head.items()}
     proc_body_of = {nid: name for name, nid in table.proc_body.items()}
     loop_head_of = {nid: h for h, nid in table.loop_head.items()}
     loop_body_of = {nid: h for h, nid in table.loop_body.items()}
-    proc_id_of = {p.name: p.proc_id for p in procs.values()}
-
-    def chain_of(addr: int) -> List[int]:
-        """Static loop chain covering *addr*, outermost first."""
-        return sorted(
-            h for h, lp in loops.items() if h <= addr <= lp.latch_branch_address
-        )
-
-    def ctx_node(addr: int, exclude: Optional[int] = None) -> int:
-        """Static parent context of a call site / loop header address."""
-        chain = [h for h in chain_of(addr) if h != exclude]
-        if chain:
-            return table.loop_body[chain[-1]]
-        for pid, (lo, hi) in proc_span.items():
-            if lo <= addr <= hi:
-                return table.proc_body[procs[pid].name]
-        return -1  # address outside every procedure: never matches
+    proc_id_of = {p.name: p.proc_id for p in program.procedures.values()}
 
     call_rows = np.nonzero(kinds == K_CALL)[0]
     callees = b_col[call_rows]
@@ -265,9 +238,9 @@ def _prescan_boundaries(
     emit: List[Tuple] = []  # (kind, marker, src, extra)
 
     def covering(addr: int, exclude: Optional[int] = None) -> bool:
-        for h in chain_of(addr):
+        for h in chains.chain_at(addr):
             if h != exclude:
-                pid = _proc_of_addr(h, proc_span)
+                pid = chains.proc_of(h)
                 if pid is None:
                     return False
                 validate[h] = pid
@@ -297,7 +270,7 @@ def _prescan_boundaries(
             if pid == entry.proc_id:
                 emit.append(("entry", marker, src, None))
         elif head_loop is not None:
-            pid = _proc_of_addr(head_loop, proc_span)
+            pid = chains.proc_of(head_loop)
             if pid is None:
                 continue
             validate[head_loop] = pid
@@ -307,7 +280,7 @@ def _prescan_boundaries(
         elif body_loop is not None:
             if src != table.loop_head[body_loop]:
                 continue
-            pid = _proc_of_addr(body_loop, proc_span)
+            pid = chains.proc_of(body_loop)
             if pid is None:
                 continue
             validate[body_loop] = pid
@@ -321,7 +294,7 @@ def _prescan_boundaries(
     def rows_of(pid: int):
         got = proc_rows.get(pid)
         if got is None:
-            lo, hi = proc_span[pid]
+            lo, hi = chains.proc_span[pid]
             rows = blk_rows[(baddrs >= lo) & (baddrs <= hi)]
             cp, _, recursive = calls_of(pid)
             if recursive:
@@ -388,7 +361,7 @@ def _prescan_boundaries(
             sites = a_col[cp]
             match = np.zeros(len(cp), dtype=bool)
             for site in np.unique(sites).tolist():
-                if ctx_node(site) == src:
+                if chains.context(site) == src:
                     match |= sites == site
             add(cp[outer & match], 0, marker)
         elif kind == "proc-body":
@@ -396,7 +369,7 @@ def _prescan_boundaries(
             add(cp, 1, marker)
         elif kind == "loop-entry":
             entries, _, _ = loop_runs[extra]
-            if ctx_node(extra, exclude=extra) == src:
+            if chains.context(extra, exclude=extra) == src:
                 add(entries, 0, marker)
         else:  # loop-iter
             _, iters, pos = loop_runs[extra]
@@ -424,13 +397,6 @@ def _prescan_boundaries(
             else:
                 boundaries.append((row, t, mid))
     return boundaries, total
-
-
-def _proc_of_addr(addr: int, proc_span: dict) -> Optional[int]:
-    for pid, (lo, hi) in proc_span.items():
-        if lo <= addr <= hi:
-            return pid
-    return None
 
 
 def _finalize(

@@ -181,9 +181,11 @@ def canonical_json_bytes(obj: Any) -> bytes:
 def _acquire_graph(query: Query, program, program_input, cache, trace_store):
     """The annotated call-loop graph for *query*, via cache when possible.
 
-    Returns ``(graph, source)`` where source is "cache" or "profiled".
-    Graph serialization is exact, so cache hits and misses produce
-    byte-identical downstream payloads.
+    Returns ``(graph, source, trace)``: source is "cache" or "profiled",
+    and trace is the recorded trace a profile read (``None`` on a cache
+    hit), so the caller need not acquire it again.  Graph serialization
+    is exact, so cache hits and misses produce byte-identical downstream
+    payloads.
     """
     from repro.callloop.profiler import CallLoopProfiler
 
@@ -192,13 +194,13 @@ def _acquire_graph(query: Query, program, program_input, cache, trace_store):
         key = cache.graph_key(query.workload, query.which, program_input)
         cached = cache.load_graph(key)
         if cached is not None:
-            return cached, "cache"
+            return cached, "cache", None
     trace = _acquire_trace(query, program, program_input, trace_store)
     profiler = CallLoopProfiler(program)
     profiler.profile_trace(trace)
     if cache is not None:
         cache.store_graph(key, profiler.graph)
-    return profiler.graph, "profiled"
+    return profiler.graph, "profiled", trace
 
 
 def _acquire_trace(query: Query, program, program_input, trace_store):
@@ -254,9 +256,11 @@ def compute_result(
     workload = get_workload(query.workload)
     program = workload.build()
     program_input = workload.input_for(query.which)
-    graph, source = _acquire_graph(
+    graph, source, trace = _acquire_graph(
         query, program, program_input, cache, trace_store
     )
+    if trace is None and query.kind in ("stream", "bbv", "vli", "phases"):
+        trace = _acquire_trace(query, program, program_input, trace_store)
     doc: Dict[str, Any] = {
         "payload_version": PAYLOAD_VERSION,
         "query": query.as_dict(),
@@ -278,7 +282,6 @@ def compute_result(
         from repro.callloop import SelectionParams
         from repro.streaming import StreamingConfig, stream_trace
 
-        trace = _acquire_trace(query, program, program_input, trace_store)
         config = StreamingConfig(
             slot_instructions=STREAM_SLOT_INSTRUCTIONS,
             window_slots=query.window,
@@ -320,7 +323,6 @@ def compute_result(
 
     from repro.intervals import collect_bbvs, split_at_markers
 
-    trace = _acquire_trace(query, program, program_input, trace_store)
     intervals = split_at_markers(program, trace, markers)
 
     def _digest(column) -> str:

@@ -23,8 +23,9 @@ and markers that adapt when behavior drifts.
 * when ``drift_threshold`` is set, each slot seal runs the
   :class:`~repro.streaming.drift.DriftDetector` over the windowed CoV
   of the marker edges and, on drift (or when no markers exist yet —
-  cold start), re-selects markers from the windowed graph via the
-  existing vectorized selection engine and hot-swaps the tracker.
+  cold start), re-selects markers from the windowed graph with
+  :func:`~repro.callloop.selection.select_markers` and hot-swaps the
+  tracker.
 
 **Batch-equivalence guarantee:** with an unbounded window
 (``window_slots=0``) and drift disabled (``drift_threshold=None``),

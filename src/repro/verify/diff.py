@@ -7,9 +7,11 @@ stage-by-stage checks are also usable on their own:
 ========================  ==================================================
 check                     optimized side vs oracle side
 ========================  ==================================================
-:func:`diff_graphs`       ``CallLoopProfiler`` (shadow stack + exact
-                          integer moments) vs :func:`oracle_call_loop_graph`
-                          (naive walk + two-pass statistics)
+:func:`diff_graphs`       ``CallLoopProfiler`` (span builder + exact
+                          integer moments) and its bulk-walk fallback,
+                          each vs :func:`oracle_call_loop_graph` (naive
+                          walk + two-pass statistics): edges, their
+                          first-close order, statistics, and sources
 :func:`diff_depths`       ``estimate_max_depth`` / ``processing_order``
                           vs recursive transliteration; plus exact
                           longest-simple-path brute force on acyclic graphs
@@ -68,7 +70,7 @@ logic bug).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.callloop.depth import estimate_max_depth, processing_order
@@ -171,7 +173,12 @@ def _key_str(key) -> str:
 
 
 def diff_graphs(optimized: CallLoopGraph, oracle: OracleGraph) -> List[Mismatch]:
-    """Compare edge sets, traversal counts, statistics, and sources."""
+    """Compare edge sets, edge order, traversal counts, statistics, and
+    sources.
+
+    The edges must come in the oracle's first-observation (first-close)
+    order: selection's depth-first search follows it.
+    """
     out: List[Mismatch] = []
     if optimized.total_instructions != oracle.total_instructions:
         out.append(
@@ -186,6 +193,13 @@ def diff_graphs(optimized: CallLoopGraph, oracle: OracleGraph) -> List[Mismatch]
         out.append(Mismatch("graph", _key_str(key), "present", "absent"))
     for key in sorted(orc_keys - opt_keys, key=_key_str):
         out.append(Mismatch("graph", _key_str(key), "absent", "present"))
+    shared = opt_keys & orc_keys
+    opt_order = [_key_str(e.key()) for e in optimized.edges if e.key() in shared]
+    orc_order = [_key_str(k) for k in oracle.edge_keys() if k in shared]
+    if opt_order != orc_order:
+        out.append(
+            Mismatch("graph", "order", opt_order, orc_order, "first-close order")
+        )
 
     for edge in optimized.edges:
         key = (edge.src, edge.dst)
@@ -949,8 +963,17 @@ def verify_program(
         "streaming",
         diff_streaming(program, trace, params, sequential=optimized),
     )
+    # the shipping profile, then its bulk-walk fallback probed directly
+    # (fuzz programs never make the span builder decline)
+    oracle_graph = oracle_call_loop_graph(program, trace)
+    walked = CallLoopProfiler(program).walk_trace(trace)
     report.extend(
-        "graph", diff_graphs(optimized, oracle_call_loop_graph(program, trace))
+        "graph",
+        diff_graphs(optimized, oracle_graph)
+        + [
+            replace(m, key=f"walk {m.key}")
+            for m in diff_graphs(walked, oracle_graph)
+        ],
     )
     report.extend("depth", diff_depths(optimized))
     report.extend("selection", diff_selection(optimized, params))

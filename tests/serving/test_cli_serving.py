@@ -78,7 +78,7 @@ def test_serve_and_loadgen_cli_round_trip(serving_dirs, tmp_path):
     no byte mismatches."""
     cache_dir, trace_root = serving_dirs
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [
             sys.executable,
             "-m",
@@ -97,55 +97,55 @@ def test_serve_and_loadgen_cli_round_trip(serving_dirs, tmp_path):
         stderr=subprocess.PIPE,
         env=env,
         text=True,
-    )
-    try:
-        line = proc.stdout.readline()
-        match = re.search(r"http://([\d.]+):(\d+)", line)
-        assert match, f"no listening line from repro serve: {line!r}"
-        host, port = match.group(1), match.group(2)
-        summary_file = tmp_path / "summary.json"
-        rc = main(
-            [
-                "loadgen",
-                "--host",
-                host,
-                "--port",
-                port,
-                "--scenario",
-                "server",
-                "--target-qps",
-                "40",
-                "--min-duration",
-                "0.5",
-                "--min-queries",
-                "10",
-                "--max-duration",
-                "10",
-                "--workload",
-                WORKLOAD,
-                "--cache-dir",
-                cache_dir,
-                "--trace-root",
-                trace_root,
-                "--check",
-                "--shutdown",
-                "-o",
-                str(summary_file),
-            ]
-        )
-        assert rc == 0
-        summary = json.loads(summary_file.read_text())
-        assert summary["errors"] == 0
-        assert summary["check_mismatches"] == 0
-        assert summary["completed"] >= 10
-        assert summary["latency_ms"]["p99"] > 0
-        # --shutdown drained the server; it exits 0 on its own
-        assert proc.wait(timeout=30) == 0
-    finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+    ) as proc:
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"http://([\d.]+):(\d+)", line)
+            assert match, f"no listening line from repro serve: {line!r}"
+            host, port = match.group(1), match.group(2)
+            summary_file = tmp_path / "summary.json"
+            rc = main(
+                [
+                    "loadgen",
+                    "--host",
+                    host,
+                    "--port",
+                    port,
+                    "--scenario",
+                    "server",
+                    "--target-qps",
+                    "40",
+                    "--min-duration",
+                    "0.5",
+                    "--min-queries",
+                    "10",
+                    "--max-duration",
+                    "10",
+                    "--workload",
+                    WORKLOAD,
+                    "--cache-dir",
+                    cache_dir,
+                    "--trace-root",
+                    trace_root,
+                    "--check",
+                    "--shutdown",
+                    "-o",
+                    str(summary_file),
+                ]
+            )
+            assert rc == 0
+            summary = json.loads(summary_file.read_text())
+            assert summary["errors"] == 0
+            assert summary["check_mismatches"] == 0
+            assert summary["completed"] >= 10
+            assert summary["latency_ms"]["p99"] > 0
+            # --shutdown drained the server; it exits 0 on its own
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM)
+                try:
+                    proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()

@@ -69,6 +69,24 @@ def test_payload_is_a_pure_function_of_the_query():
     assert compute_payload(query) == compute_payload(query)
 
 
+def test_storeless_query_records_its_trace_once(monkeypatch):
+    """With no trace store, the trace a cache-miss profile records is
+    the one the split and BBVs read: one recording per query."""
+    from repro.engine import tracing
+
+    record = tracing.record_trace
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return record(source)
+
+    monkeypatch.setattr(tracing, "record_trace", counted)
+    doc = json.loads(compute_payload(Query(kind="bbv", workload=WORKLOAD)))
+    assert doc["bbv"]["num_intervals"] > 0
+    assert len(calls) == 1
+
+
 def test_cache_hit_and_miss_payloads_are_byte_identical(serving_dirs):
     from repro.runner.cache import ProfileCache
     from repro.runner.traces import TraceStore

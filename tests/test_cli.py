@@ -194,7 +194,7 @@ def test_stats_prometheus_from_real_run(tmp_path, capsys):
     capsys.readouterr()
     assert main(["stats", str(trace), "--prometheus"]) == 0
     out = capsys.readouterr().out
-    assert "# TYPE repro_callloop_walk_events_total counter" in out
+    assert "# TYPE repro_callloop_profile_instructions_total counter" in out
 
 
 def test_metrics_series_written_and_summarized(tmp_path, capsys):
@@ -218,7 +218,7 @@ def test_metrics_series_written_and_summarized(tmp_path, capsys):
     assert main(["stats", "--series", str(series)]) == 0
     out = capsys.readouterr().out
     assert "metrics time series" in out
-    assert "callloop.walk.events" in out
+    assert "callloop.profile.instructions" in out
 
 
 def test_stats_missing_series_fails(tmp_path, capsys):

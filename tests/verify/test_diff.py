@@ -72,6 +72,34 @@ def test_detects_spurious_count(toy_program, toy_input):
     assert any(m.detail == "count" for m in mismatches)
 
 
+def test_detects_swapped_edge_order(toy_program, toy_input):
+    """Edges must come in the oracle's first-close order (selection's
+    depth-first search follows it): two swapped edges are an ``order``
+    mismatch and nothing else."""
+    optimized, oracle = _graph_pair(toy_program, toy_input)
+    edges = list(optimized._edges.items())
+    edges[0], edges[1] = edges[1], edges[0]
+    optimized._edges = dict(edges)
+    mismatches = diff_graphs(optimized, oracle)
+    assert [m.key for m in mismatches] == ["order"]
+    assert mismatches[0].optimized[:2] == mismatches[0].oracle[1::-1]
+
+
+def test_graph_check_covers_the_walk_fallback(toy_program, toy_input, monkeypatch):
+    """verify_program diffs the bulk-walk fallback against the oracle
+    too, under ``walk``-prefixed keys."""
+    walk_trace = diff_module.CallLoopProfiler.walk_trace
+
+    def off_by_one(self, trace):
+        graph = walk_trace(self, trace)
+        graph.total_instructions += 1
+        return graph
+
+    monkeypatch.setattr(diff_module.CallLoopProfiler, "walk_trace", off_by_one)
+    report = verify_program(toy_program, toy_input)
+    assert [m.key for m in report.mismatches] == ["walk total_instructions"]
+
+
 def test_trace_pipeline_clean(toy_program, toy_input):
     trace = record_trace(Machine(toy_program, toy_input).run())
     assert diff_trace_pipeline(toy_program, toy_input, trace) == []
