@@ -28,7 +28,8 @@ bench-smoke:
 bench-e2e:
 	$(PYTHON) -m pytest benchmarks -q -k e2e
 
-# split-stage speedup: scalar splitter vs the pre-scan split, with
+# split-stage speedup: scalar splitter vs the span-index split (the
+# index built on a bare copy, and read from an attached one), with
 # bit-identity gates on every interval column; refreshes
 # benchmarks/results/BENCH_split_*.json
 bench-split:

@@ -16,7 +16,9 @@
 
 The measured numbers land in ``benchmarks/results/BENCH_stream_*.json``;
 the committed per-event baseline doubles as a regression floor
-(throughput must stay within 2x), mirroring the e2e smoke gate.
+(throughput must stay within 2x), mirroring the e2e smoke gate.  Each
+side's time is the best of ``REPEATS`` passes, in the gate and in the
+baseline it writes.
 """
 
 import json
@@ -70,31 +72,46 @@ def _vm_rss_kib():
     return None
 
 
+#: each side is timed as the best of this many runs: one timing on a
+#: shared host swings by a third, a best of three by much less
+REPEATS = 3
+
+
+def _best_of(fn):
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_bench_stream_per_event_overhead(results_dir):
     program, trace = _train_trace()
     rows = len(trace)
 
-    start = time.perf_counter()
-    ContextWalker(program, NodeTable(program)).walk_scalar(trace, _Null())
-    batch_s = time.perf_counter() - start
+    def batch():
+        ContextWalker(program, NodeTable(program)).walk_scalar(trace, _Null())
 
-    start = time.perf_counter()
-    walker = IncrementalWalker(program, NodeTable(program), handler=_Null())
-    for chunk in trace.iter_chunks(CHUNK_ROWS):
-        walker.feed_rows(*chunk)
-    walker.finish()
-    walker_s = time.perf_counter() - start
+    def incremental():
+        walker = IncrementalWalker(program, NodeTable(program), handler=_Null())
+        for chunk in trace.iter_chunks(CHUNK_ROWS):
+            walker.feed_rows(*chunk)
+        walker.finish()
 
-    start = time.perf_counter()
-    monitor = StreamingPhaseMonitor(
-        program,
-        config=StreamingConfig(
-            slot_instructions=5_000, window_slots=4, drift_threshold=0.25
-        ),
-    )
-    monitor.feed_trace(trace, chunk_rows=CHUNK_ROWS)
-    monitor.finish()
-    monitor_s = time.perf_counter() - start
+    def streaming():
+        monitor = StreamingPhaseMonitor(
+            program,
+            config=StreamingConfig(
+                slot_instructions=5_000, window_slots=4, drift_threshold=0.25
+            ),
+        )
+        monitor.feed_trace(trace, chunk_rows=CHUNK_ROWS)
+        monitor.finish()
+
+    batch_s = _best_of(batch)
+    walker_s = _best_of(incremental)
+    monitor_s = _best_of(streaming)
 
     walker_ratio = walker_s / batch_s
     monitor_ratio = monitor_s / batch_s
@@ -141,7 +158,7 @@ def test_bench_stream_per_event_overhead(results_dir):
                 "monitor_ratio": monitor_ratio,
                 "monitor_rows_per_s": throughput,
                 "fingerprint": fingerprint(0),
-                "unit": "seconds (single pass)",
+                "unit": f"seconds (best of {REPEATS} passes)",
             },
             indent=2,
         )

@@ -125,8 +125,7 @@ class StaticChains:
     cover it, outermost (lowest header) first.  As long as every region
     is entered through its header, the shadow loop stack at a block row
     equals the static chain of the block's address, so the walker's
-    bulk loop, the split pre-scan and the span builder all read their
-    loop facts from here:
+    bulk loop and the span builder read their loop facts from here:
 
     * ``headers``/``loop_index`` — loop headers in address order and
       each header's dense index into it;
@@ -136,9 +135,7 @@ class StaticChains:
       unique block address: whether it heads a loop, and its chain id
       (the walker's lookup);
     * :meth:`by_block` — the same facts by block id (the span
-      builder's lookup);
-    * ``proc_span`` — each procedure's code range, first block to last
-      instruction (a call site is its block's *end* address).
+      builder's lookup).
 
     The walker builds the table at its first fed chunk, inside a
     streamed chunk's time, so the constructor makes only the walker's
@@ -155,9 +152,6 @@ class StaticChains:
         self.loop_index: Dict[int, int] = {h: i for i, h in enumerate(self.headers)}
         self.chains: List[Tuple[int, ...]] = [()]
         self._chain_id: Dict[Tuple[int, ...], int] = {(): 0}
-        self._at: Dict[int, Tuple[int, ...]] = {}
-        self._context: Dict[Tuple[int, Optional[int]], int] = {}
-        self._proc_span: Optional[Dict[int, Tuple[int, int]]] = None
         self._by_block: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         addrs = sorted({b.address for b in program.blocks})
         self._ids = {a: self.chain_id(a) for a in addrs}
@@ -190,27 +184,9 @@ class StaticChains:
             )
         return self._by_block
 
-    @property
-    def proc_span(self) -> Dict[int, Tuple[int, int]]:
-        if self._proc_span is None:
-            self._proc_span = {
-                p.proc_id: (
-                    min(b.address for b in p.blocks),
-                    max(b.end_address for b in p.blocks),
-                )
-                for p in self._table.program.procedures.values()
-                if p.blocks
-            }
-        return self._proc_span
-
     def chain_at(self, addr: int) -> Tuple[int, ...]:
         """Headers of the loop regions covering *addr*, outermost first."""
-        got = self._at.get(addr)
-        if got is None:
-            got = self._at[addr] = tuple(
-                h for h, latch in self._regions if h <= addr <= latch
-            )
-        return got
+        return tuple(h for h, latch in self._regions if h <= addr <= latch)
 
     def chain_id(self, addr: int) -> int:
         """Dense id of :meth:`chain_at` (*addr*); ``chains[id]`` holds it
@@ -220,38 +196,6 @@ class StaticChains:
         if got is None:
             got = self._chain_id[at] = len(self.chains)
             self.chains.append(tuple(self.loop_index[h] for h in at))
-        return got
-
-    def proc_of(self, addr: int) -> Optional[int]:
-        """Id of the procedure whose code range holds *addr*."""
-        for pid, (lo, hi) in self.proc_span.items():
-            if lo <= addr <= hi:
-                return pid
-        return None
-
-    def context(self, addr: int, exclude: Optional[int] = None) -> int:
-        """Static parent context node of a call site or loop header.
-
-        The innermost covering loop's body node (ignoring the loop
-        headed at *exclude*), else the enclosing procedure's body node,
-        else -1 for an address outside every procedure.
-        """
-        key = (addr, exclude)
-        got = self._context.get(key)
-        if got is None:
-            chain = [h for h in self.chain_at(addr) if h != exclude]
-            if chain:
-                got = self._table.loop_body[chain[-1]]
-            else:
-                pid = self.proc_of(addr)
-                got = (
-                    -1
-                    if pid is None
-                    else self._table.proc_body[
-                        self._table.program.procedure_by_id(pid).name
-                    ]
-                )
-            self._context[key] = got
         return got
 
 

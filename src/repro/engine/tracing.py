@@ -26,6 +26,11 @@ Two recording paths produce the same columnar form:
   through compiled row templates (:mod:`repro.engine.recorder`) and
   builds the columns with one ``take`` each, allocating no per-event
   objects.
+
+A trace can also carry its **span index** (``opens``): where every
+call-loop edge opens, as :class:`repro.callloop.spans.EdgeOpens`.  The
+profile's span-builder pass attaches it, the trace store spills it with
+the columns, and the VLI split gathers marker firings from it.
 """
 
 from __future__ import annotations
@@ -71,7 +76,13 @@ def packed_rows(events: Iterable[object]) -> Iterator[Tuple[int, int, int, int]]
 
 
 class Trace:
-    """A recorded run: columnar event storage plus summary statistics."""
+    """A recorded run: columnar event storage plus summary statistics.
+
+    ``opens`` is the span index (:class:`repro.callloop.spans.EdgeOpens`),
+    the reason the span builder declined the trace, or ``None`` until
+    one is built (:func:`repro.callloop.spans.index_trace`).  A new
+    ``Trace`` over existing columns starts without one.
+    """
 
     def __init__(self, kinds: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
         if not (len(kinds) == len(a) == len(b) == len(c)):
@@ -80,6 +91,7 @@ class Trace:
         self.a = a
         self.b = b
         self.c = c
+        self.opens = None
 
     # -- construction --------------------------------------------------------
 

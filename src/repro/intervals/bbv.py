@@ -15,48 +15,49 @@ from repro.engine.events import K_BLOCK
 from repro.engine.tracing import Trace
 from repro.intervals.base import IntervalSet
 
-#: block events stream through the accumulator in chunks of this many
-#: rows, bounding the temporary flattened-index arrays for long traces
-BBV_CHUNK_EVENTS = 1 << 20
+#: trace rows per chunk of the accumulation: the chunk's temporaries
+#: stay small and cache-resident instead of spanning the trace
+BBV_CHUNK_ROWS = 1 << 16
 
 
 def collect_bbvs(
     interval_set: IntervalSet, trace: Trace, num_blocks: int
 ) -> np.ndarray:
-    """Compute (and attach) the size-weighted BBV matrix of *interval_set*."""
+    """Compute (and attach) the size-weighted BBV matrix of *interval_set*.
+
+    The block rows stream through in ``BBV_CHUNK_ROWS`` chunks; each
+    chunk's ``bincount`` covers only the intervals the chunk spans.
+    Rows outside ``[row_bounds[0], row_bounds[-1])`` belong to no
+    interval and are skipped (clipping them into the first or last
+    interval would inflate its BBV).  The float64 sums are of int64
+    block sizes, exact below 2**53, so the matrix equals
+    ``np.add.at(bbvs, (interval, block), size)`` whatever the chunking.
+    """
     n = len(interval_set)
     bbvs = np.zeros((n, num_blocks), dtype=np.float64)
-    if n == 0:
-        interval_set.bbvs = bbvs
-        return bbvs
-    mask = trace.kinds == K_BLOCK
-    rows = np.nonzero(mask)[0]
-    ids = trace.a[rows]
-    sizes = trace.c[rows]
-    # which interval each block event belongs to
-    idx = np.searchsorted(interval_set.row_bounds, rows, side="right") - 1
-    # Events outside [row_bounds[0], row_bounds[-1]) belong to no
-    # interval; drop them (clipping them into the first or last interval
-    # would inflate its BBV).
-    valid = (idx >= 0) & (idx < n)
-    if not valid.all():
-        idx = idx[valid]
-        ids = ids[valid]
-        sizes = sizes[valid]
-    # Flattened bincount accumulation: numerically identical to
-    # np.add.at(bbvs, (idx, ids), sizes) — the weights are int64 block
-    # sizes, and float64 sums of integers stay exact below 2**53 — but
-    # an order of magnitude faster (np.add.at is a known soft spot).
-    flat_bins = n * num_blocks
-    out = bbvs.reshape(flat_bins)
-    for lo in range(0, len(idx), BBV_CHUNK_EVENTS):
-        hi = lo + BBV_CHUNK_EVENTS
-        out += np.bincount(
-            idx[lo:hi] * num_blocks + ids[lo:hi],
-            weights=sizes[lo:hi],
-            minlength=flat_bins,
-        )
     interval_set.bbvs = bbvs
+    if n == 0:
+        return bbvs
+    bounds = interval_set.row_bounds
+    out = bbvs.reshape(n * num_blocks)
+    kinds, ids, sizes = trace.kinds, trace.a, trace.c
+    lo = max(int(bounds[0]), 0)
+    hi = min(int(bounds[-1]), len(kinds))
+    for r0 in range(lo, hi, BBV_CHUNK_ROWS):
+        r1 = min(r0 + BBV_CHUNK_ROWS, hi)
+        rows = np.flatnonzero(kinds[r0:r1] == K_BLOCK)
+        if not len(rows):
+            continue
+        # which interval each block row belongs to, from the chunk's first
+        idx = np.searchsorted(bounds, rows + r0, side="right") - 1
+        first = int(idx[0])
+        span = (int(idx[-1]) - first + 1) * num_blocks
+        idx -= first
+        idx *= num_blocks
+        idx += ids[r0:r1][rows]
+        out[first * num_blocks : first * num_blocks + span] += np.bincount(
+            idx, weights=sizes[r0:r1][rows], minlength=span
+        )
     return bbvs
 
 

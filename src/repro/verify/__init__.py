@@ -29,9 +29,9 @@ the algorithms themselves:
   :func:`~repro.verify.diff.diff_streaming` check also rides every fuzz
   iteration);
 * :mod:`repro.verify.split` — the split equivalence pass: every
-  workload's ``train`` trace is split through the vectorized pre-scan
-  and its batched-collector fallback, and both must reproduce the
-  scalar per-event splitter's intervals bit for bit (the same
+  workload's ``train`` trace is split from its span index, built in the
+  call and reloaded from a trace-store spill, and both must reproduce
+  the scalar per-event splitter's intervals bit for bit (the same
   :func:`~repro.verify.diff.diff_split` check also rides every fuzz
   iteration).
 

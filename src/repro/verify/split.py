@@ -1,12 +1,12 @@
 """Split equivalence pass over the bundled workload corpus.
 
-The VLI split ships two fast paths — the vectorized candidate pre-scan
-and the batched-collector walk it falls back to — both claiming
-bit-identity with the scalar per-event splitter (see
+The VLI split gathers marker firings from the trace's span index and
+claims bit-identity with the scalar per-event splitter (see
 ``docs/PERFORMANCE.md``).  :func:`check_split_corpus` proves that claim
 on every bundled workload's ``train`` trace by running
-:func:`~repro.verify.diff.diff_split` on each, the same check that
-rides every fuzz iteration inside
+:func:`~repro.verify.diff.diff_split` on each — the index built in the
+call, and the index reloaded from a trace-store spill — the same check
+that rides every fuzz iteration inside
 :func:`~repro.verify.diff.verify_program`.
 
 Like the streaming pass, nothing is pinned on disk — both sides are
@@ -34,7 +34,8 @@ class SplitCheckResult:
     """Outcome of the split pass over the corpus."""
 
     checked: List[str] = field(default_factory=list)
-    prescanned: List[str] = field(default_factory=list)
+    #: workloads split from the span index (not the scalar fallback)
+    indexed: List[str] = field(default_factory=list)
     failed: List[str] = field(default_factory=list)
     details: Dict[str, List[str]] = field(default_factory=dict)
 
@@ -46,7 +47,7 @@ class SplitCheckResult:
         if self.ok:
             return (
                 f"split: {len(self.checked)} workload(s) match "
-                f"the scalar splitter ({len(self.prescanned)} via pre-scan)"
+                f"the scalar splitter ({len(self.indexed)} via span index)"
             )
         lines = [
             f"split: {len(self.failed)} of "
@@ -76,7 +77,7 @@ def check_split_corpus(
         mismatches = diff_split(program, trace, markers)
         result.checked.append(name)
         if split_at_markers_prescan(program, trace, markers) is not None:
-            result.prescanned.append(name)
+            result.indexed.append(name)
         if mismatches:
             result.failed.append(name)
             result.details[name] = [

@@ -24,17 +24,13 @@ def toy_split(toy_program, toy_input):
 
 @pytest.fixture
 def drop_last_prescan_firing(monkeypatch):
-    """Break the pre-scan: it forgets the last marker firing."""
-    real = vli._prescan_boundaries
+    """Break the index split: the gather forgets the last marker firing."""
+    real = vli._gather
 
     def broken(*args):
-        got = real(*args)
-        if isinstance(got, str):
-            return got
-        bounds, total = got
-        return bounds[:-1], total
+        return real(*args)[:-1]
 
-    monkeypatch.setattr(vli, "_prescan_boundaries", broken)
+    monkeypatch.setattr(vli, "_gather", broken)
 
 
 def _labels(mismatches):
@@ -54,14 +50,12 @@ def test_diff_split_detects_broken_prescan(
     mismatches = diff_split(toy_program, trace, markers)
     assert mismatches
     assert all(m.kind == "split" for m in mismatches)
-    assert _labels(mismatches) == {"default", "prescan"}
+    assert _labels(mismatches) == {"bare", "reloaded"}
 
 
-def test_diff_split_detects_broken_batched_fallback(monkeypatch):
-    """A marked loop inside a recursive procedure makes the pre-scan
-    decline, so the default path is the batched-collector walk; a hook
-    that forgets marked back-edge runs must show up as a ``default``
-    mismatch."""
+def _recloop_with_marked_spin():
+    """A marked loop inside a recursive procedure (the case the pre-scan
+    declined) and its trace."""
     b = ProgramBuilder("recloop")
     with b.proc("main"):
         with b.loop("calls", trips=6):
@@ -75,7 +69,6 @@ def test_diff_split_detects_broken_batched_fallback(monkeypatch):
     inp = ProgramInput("i", seed=11)
     trace = record_trace(Machine(program, inp))
     graph = build_call_loop_graph(program, [inp])
-    # mark spin's iterations: 40-trip runs reach the batched hook
     edge = next(
         e
         for e in graph.edges
@@ -96,28 +89,43 @@ def test_diff_split_detects_broken_batched_fallback(monkeypatch):
                 avg_interval=edge.avg,
                 cov=0.0,
                 max_interval=edge.max,
+                merge_iterations=3,
             )
         ],
     )
-    assert split_at_markers_prescan(program, trace, markers) is None
+    return program, trace, markers
+
+
+def test_diff_split_detects_a_broken_stored_index(monkeypatch):
+    """The ``reloaded`` arm reads the index back from a trace-store
+    spill: rows that do not survive the round trip show up there and
+    nowhere else."""
+    from repro.runner import traces
+
+    program, trace, markers = _recloop_with_marked_spin()
+    assert split_at_markers_prescan(program, trace, markers) is not None
     assert diff_split(program, trace, markers) == []
 
-    monkeypatch.setattr(
-        vli._FastBoundaryCollector,
-        "on_edge_iterations",
-        lambda self, head, body, t_prev, ts, source: None,
-    )
+    real = traces._read
+
+    def shifted(path, mmap):
+        got = real(path, mmap)
+        got.opens.rows = got.opens.rows + 1  # every open one row late
+        return got
+
+    monkeypatch.setattr(traces, "_read", shifted)
     mismatches = diff_split(program, trace, markers)
     assert mismatches
-    assert _labels(mismatches) == {"default"}
+    assert _labels(mismatches) == {"reloaded"}
 
 
 def test_check_split_corpus_clean():
     result = check_split_corpus(["gzip"])
     assert result.ok, result.describe()
     assert result.checked == ["gzip"]
-    assert result.prescanned == ["gzip"]
+    assert result.indexed == ["gzip"]
     assert "1 workload(s) match" in result.describe()
+    assert "(1 via span index)" in result.describe()
 
 
 def test_check_split_corpus_reports_divergence(drop_last_prescan_firing):
