@@ -90,3 +90,34 @@ def test_partitions_conserve_totals(runner):
     assert fprof.hits.sum(axis=0).tolist() == vprof.hits.sum(axis=0).tolist()
     assert fixed.branch_mispredicts.sum() == vli.branch_mispredicts.sum()
     assert fixed.cycles.sum() == pytest.approx(vli.cycles.sum())
+
+
+def test_cold_graph_spills_the_profiles_index(tmp_path, monkeypatch):
+    """A graph-cache miss profiles the fresh recording before spilling
+    it: one span-builder pass profiles and indexes it.  A later profile
+    of the spilled trace, which has its index, collects none."""
+    from repro.callloop.serialization import graph_to_dict
+    from repro.callloop.spans import EdgeOpens, SpanBuilder
+    from repro.runner.cache import ProfileCache
+
+    indexed = []
+    build = SpanBuilder.build
+
+    def counted(self, trace, index=True):
+        indexed.append(index)
+        return build(self, trace, index)
+
+    monkeypatch.setattr(SpanBuilder, "build", counted)
+    cache = ProfileCache(tmp_path / "profiles")
+    cold = Runner(cache=cache)
+    graph = cold.graph(SPEC)
+    assert indexed == [True]
+    spilled = cold.trace(SPEC)
+    assert isinstance(spilled.kinds, np.memmap)
+    assert isinstance(spilled.opens, EdgeOpens)
+
+    cache.clear()
+    indexed.clear()
+    again = Runner(cache=cache).graph(SPEC)  # a trace-store hit
+    assert indexed == [False]
+    assert graph_to_dict(again) == graph_to_dict(graph)
