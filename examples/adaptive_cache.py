@@ -35,7 +35,7 @@ TOLERANCE = 0.002
 
 
 def reconfigure(program, program_input, markers):
-    trace = record_trace(Machine(program, program_input).run())
+    trace = record_trace(Machine(program, program_input))
     intervals = split_at_markers(program, trace, markers)
     profile = attach_metrics(intervals, trace, program, program_input)
     result = adaptive_average_size(

@@ -51,7 +51,7 @@ def main() -> None:
     print(f"{len(markers)} limit markers selected on the base binary")
 
     # 2. VLI SimPoint on the base binary
-    trace = record_trace(Machine(base, ref).run())
+    trace = record_trace(Machine(base, ref))
     intervals = split_at_markers(base, trace, markers)
     attach_metrics(intervals, trace, base, ref)
     result = run_simpoint_on_intervals(

@@ -58,7 +58,7 @@ def main() -> None:
     scene = ProgramInput("shot42", {"frames": 25, "rays": 900, "pixels": 700},
                          seed=11)
 
-    trace = record_trace(Machine(program, scene).run())
+    trace = record_trace(Machine(program, scene))
     graph = build_call_loop_graph(program, [scene])
     print(graph.summary(), "\n")
 

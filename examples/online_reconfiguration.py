@@ -7,8 +7,9 @@ staged before each phase begins.  Phase markers make this software-only:
 
 1. markers are selected offline (here: loaded the way a deployed tool
    would, via the JSON marker file);
-2. at run time a :class:`PhaseMonitor` watches the execution stream and
-   fires a callback at every phase change;
+2. at run time a :class:`StreamingPhaseMonitor` watches the execution
+   stream (here the ref run's recording, fed chunk by chunk) and fires a
+   callback at every phase change;
 3. the controller keeps a per-phase configuration table (explore twice,
    then lock in) and an order-1 Markov predictor to pre-stage the next
    phase's configuration.
@@ -24,10 +25,12 @@ from repro import (
     Machine,
     SelectionParams,
     build_call_loop_graph,
+    record_trace,
     select_markers,
 )
 from repro.callloop.serialization import load_markers, save_markers
-from repro.runtime import MarkovPredictor, PhaseMonitor
+from repro.runtime import MarkovPredictor
+from repro.streaming import StreamingConfig, StreamingPhaseMonitor
 from repro.workloads import get_workload
 
 
@@ -79,13 +82,17 @@ def main() -> None:
     print(f"shipped {len(markers)} markers (selected on train) to {marker_file}")
 
     # online: load the file and run the controller against the ref input
+    # (drift off: the deployed markers stay fixed)
     deployed = load_markers(marker_file)
     controller = CacheController()
-    monitor = PhaseMonitor(
-        program, deployed, on_change=controller.on_phase_change,
-        min_interval=1_000,
+    monitor = StreamingPhaseMonitor(
+        program, deployed, StreamingConfig(min_interval=1_000),
+        on_change=controller.on_phase_change,
     )
-    total = monitor.run(Machine(program, workload.ref_input).run())
+    trace = record_trace(Machine(program, workload.ref_input))
+    for chunk in trace.iter_chunks():
+        monitor.feed_rows(*chunk)
+    total = monitor.finish()
 
     print(f"\nran {total:,} instructions with {controller.reconfigurations} "
           f"phase changes")

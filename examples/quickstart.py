@@ -35,7 +35,7 @@ def main() -> None:
     print(f"workload: {workload.spec_name} — {workload.description}")
 
     # 1. execute and record
-    trace = record_trace(Machine(program, workload.ref_input).run())
+    trace = record_trace(Machine(program, workload.ref_input))
     print(f"executed {trace.total_instructions:,} instructions")
 
     # 2. profile the call-loop graph

@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.callloop.graph import NodeTable
-from repro.callloop.markers import MarkerSet, MarkerTracker, PhaseMarker
-from repro.callloop.walker import ContextHandler, ContextWalker
+from repro.callloop.markers import MarkerSet, PhaseMarker, marker_firings
 from repro.engine.machine import Machine
 from repro.engine.tracing import Trace, record_trace
-from repro.ir.program import Program, ProgramInput, SourceLoc
+from repro.ir.program import Program, ProgramInput
 
 
 @dataclass
@@ -74,17 +73,6 @@ class MarkerFiring:
     t: int
 
 
-class _TraceRecorder(ContextHandler):
-    def __init__(self, tracker: MarkerTracker):
-        self.tracker = tracker
-        self.firings: List[MarkerFiring] = []
-
-    def on_edge_open(self, src: int, dst: int, t: int, source: Optional[SourceLoc]) -> None:
-        marker = self.tracker.edge_opened(src, dst)
-        if marker is not None:
-            self.firings.append(MarkerFiring(marker.marker_id, t))
-
-
 def marker_trace(
     program: Program,
     program_input: ProgramInput,
@@ -92,16 +80,15 @@ def marker_trace(
     trace: Optional[Trace] = None,
     max_instructions: Optional[int] = None,
 ) -> List[MarkerFiring]:
-    """Run (or replay) the program and return the executed-marker sequence."""
+    """Run (or replay) the program and return the executed-marker
+    sequence: :func:`~repro.callloop.markers.marker_firings`, one
+    :class:`MarkerFiring` each."""
     if trace is None:
         trace = record_trace(
             Machine(program, program_input, max_instructions=max_instructions)
         )
-    table = NodeTable(program)
-    tracker = MarkerTracker(marker_set, table)
-    recorder = _TraceRecorder(tracker)
-    ContextWalker(program, table).walk(trace, recorder)
-    return recorder.firings
+    _, ts, mids = marker_firings(program, trace, marker_set)
+    return [MarkerFiring(m, t) for m, t in zip(mids.tolist(), ts.tolist())]
 
 
 def traces_identical(

@@ -6,15 +6,31 @@ entry, or loop back-edge) signals the start of a new behavior interval.
 Marker identity is source-stable (node identities are proc names and loop
 source lines), so a :class:`MarkerSet` selected on one binary can be
 applied to another compilation of the same source.
+
+The ordered executions of a marker set's edges — its *firings* — feed
+three consumers: VLI boundaries (Section 6.2), the marker sequence two
+binaries must match (Section 6.2.1), and run-time reconfiguration
+triggers (Section 5.3).  :func:`marker_firings` computes them once, for
+all three, from the trace's span index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.callloop.graph import Node, NodeTable
-from repro.ir.program import SourceLoc
+from repro.callloop.spans import EdgeOpens, index_trace
+from repro.callloop.walker import ContextHandler, ContextWalker
+from repro.engine.tracing import Trace
+from repro.ir.program import Program, SourceLoc
+from repro.telemetry import get_telemetry
+
+#: int64 ``(rows, ts, marker_ids)``: each firing's trace row (-1 for the
+#: entry procedure's opens at t = 0), instructions before it, and marker
+Firings = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -92,10 +108,13 @@ class MarkerSet:
 class MarkerTracker:
     """Runtime marker matching against walker edge-open notifications.
 
-    Used by the VLI splitter and the cross-binary marker tracer.  The
-    tracker resolves markers to the *target* program's node table (which
-    may belong to a different compilation than the markers were selected
-    on) and implements every-Nth-iteration firing for merged loop markers.
+    One probe per edge open: the walk collector behind
+    :func:`marker_firings_scalar` and the streaming monitor match
+    markers with it.  The tracker resolves markers to the *target*
+    program's node table (which may belong to a different compilation
+    than the markers were selected on) and implements every-Nth-iteration
+    firing for merged loop markers; a fresh tracker starts every cadence
+    at zero.
     """
 
     def __init__(self, marker_set: MarkerSet, table: NodeTable):
@@ -118,16 +137,6 @@ class MarkerTracker:
                 self._counters[pair] = 0
                 # reset the counter whenever the loop is (re-)entered
                 self._reset_on_head.setdefault(src, []).append(pair)
-
-    def reset(self) -> None:
-        """Zero the merged-iteration counters (fresh-run state).
-
-        Callers that reuse a tracker across independent runs (e.g.
-        :meth:`repro.runtime.monitor.PhaseMonitor.run`) call this so a
-        merged marker's every-Nth cadence restarts with the stream.
-        """
-        for pair in self._counters:
-            self._counters[pair] = 0
 
     def watches(self, src: int, dst: int) -> bool:
         """Whether opening edge ``(src, dst)`` can fire a marker or reset
@@ -153,3 +162,100 @@ class MarkerTracker:
         if count % n == 0:
             return marker
         return None
+
+
+class _FiringCollector(ContextHandler):
+    """Every marker firing of a walk, as ``(row, t, marker id)``."""
+
+    def __init__(self, tracker: MarkerTracker, walker: ContextWalker):
+        self.tracker = tracker
+        self.walker = walker
+        self.firings: List[Tuple[int, int, int]] = []
+
+    def on_edge_open(
+        self, src: int, dst: int, t: int, source: Optional[SourceLoc]
+    ) -> None:
+        marker = self.tracker.edge_opened(src, dst)
+        if marker is not None:
+            self.firings.append((self.walker.row, t, marker.marker_id))
+
+
+def marker_firings_scalar(
+    program: Program,
+    trace: Trace,
+    marker_set: MarkerSet,
+    table: Optional[NodeTable] = None,
+) -> Firings:
+    """:func:`marker_firings` from a walk, one :class:`MarkerTracker`
+    probe per edge open: the reference the gather must equal bit for
+    bit, and the fallback for a trace the index cannot answer."""
+    table = table or NodeTable(program)
+    walker = ContextWalker(program, table)
+    collector = _FiringCollector(MarkerTracker(marker_set, table), walker)
+    walker.walk(trace, collector)
+    return tuple(np.array(collector.firings, dtype=np.int64).reshape(-1, 3).T.copy())
+
+
+def _gather(opens: EdgeOpens, marker_set: MarkerSet) -> Firings:
+    """Each marker's opens (a merged marker's every Nth), sorted into the
+    walker's open order by the key (row, an edge into a head node
+    first): a row opens at most one edge into a head node and one
+    other edge."""
+    empty = np.zeros(0, dtype=np.int64)
+    keys, ts, mids = [empty], [empty], [empty]
+    for marker in marker_set:
+        got = opens.of(marker.src, marker.dst, marker.merge_iterations)
+        if got is not None:
+            keys.append((got[0].astype(np.int64) + 1) * 2 + (not marker.dst.kind.is_head))
+            ts.append(got[1])
+            mids.append(np.full(len(got[1]), marker.marker_id, dtype=np.int64))
+    keys = np.concatenate(keys)
+    o = np.argsort(keys, kind="stable")
+    return keys[o] // 2 - 1, np.concatenate(ts)[o], np.concatenate(mids)[o]
+
+
+def indexed_firings(
+    program: Program,
+    trace: Trace,
+    marker_set: MarkerSet,
+    table: Optional[NodeTable] = None,
+) -> Union[Firings, str]:
+    """:func:`marker_firings` from *trace*'s span index (built and
+    attached if missing), or the reason the index cannot answer: the
+    builder's decline, or ``merged_head`` for a merged marker on an edge
+    into a head node, whose every-Nth counter resets on opens into the
+    edge's source, which the index does not count (selection merges
+    only loop head->body edges)."""
+    opens = index_trace(program, trace, table)
+    if isinstance(opens, str):
+        return opens
+    if any(m.merge_iterations > 1 and m.dst.kind.is_head for m in marker_set):
+        return "merged_head"
+    return _gather(opens, marker_set)
+
+
+def marker_firings(
+    program: Program,
+    trace: Trace,
+    marker_set: MarkerSet,
+    table: Optional[NodeTable] = None,
+) -> Firings:
+    """Every firing of *marker_set* in *trace*, uncollapsed, in the
+    walker's open order.
+
+    Gathered from the trace's span index (:func:`indexed_firings`); a
+    trace the index cannot answer walks (:func:`marker_firings_scalar`).
+    Under telemetry each call counts ``markers.firings.spans`` (answered
+    from the index), ``markers.firings.index_builds`` (the call built
+    the index) or ``markers.firings.fallback.<reason>`` (a walk).
+    """
+    tm = get_telemetry()
+    if trace.opens is None:
+        tm.counter("markers.firings.index_builds")
+        table = table or NodeTable(program)  # shared with a declined trace's walk
+    got = indexed_firings(program, trace, marker_set, table)
+    if isinstance(got, str):
+        tm.counter(f"markers.firings.fallback.{got}")
+        return marker_firings_scalar(program, trace, marker_set, table)
+    tm.counter("markers.firings.spans")
+    return got

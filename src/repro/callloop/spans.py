@@ -153,6 +153,13 @@ def index_trace(
     return trace.opens
 
 
+def trace_total(trace: Trace) -> int:
+    """*trace*'s instruction count, read off its span index when it has
+    one (a declined or unindexed trace sums its block sizes)."""
+    opens = trace.opens
+    return opens.total if isinstance(opens, EdgeOpens) else trace.total_instructions
+
+
 def _small(limit: int):
     """The narrowest signed dtype holding ``0 .. limit``; int16 keys take
     numpy's radix sort."""

@@ -103,9 +103,8 @@ class ContextHandler:
 
         During the callback ``walker.iter_rows`` holds the absolute
         trace rows of the batched arrivals (int64 array aligned with
-        *ts*), so handlers that record firing positions — the VLI
-        splitter — see the same rows the per-iteration path would have
-        reported through ``walker.row``.
+        *ts*): the rows the per-iteration path reports through
+        ``walker.row``.
         """
         pass  # pragma: no cover - _replay_rows checks the override
 

@@ -87,13 +87,16 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _select(args: argparse.Namespace):
+    """Profile the workload and select markers; also returns the profiled
+    recording, which carries its span index."""
     from repro.callloop import (
+        CallLoopProfiler,
         LimitParams,
         SelectionParams,
-        build_call_loop_graph,
         select_markers,
         select_markers_with_limit,
     )
+    from repro.engine import Machine, record_trace
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
@@ -101,7 +104,8 @@ def _select(args: argparse.Namespace):
     profile_input = (
         workload.train_input if args.train else workload.ref_input
     )
-    graph = build_call_loop_graph(program, [profile_input])
+    trace = record_trace(Machine(program, profile_input))
+    graph = CallLoopProfiler(program).profile_trace(trace)
     if args.max_limit:
         result = select_markers_with_limit(
             graph, LimitParams(ilower=args.ilower, max_limit=args.max_limit)
@@ -113,11 +117,18 @@ def _select(args: argparse.Namespace):
                 ilower=args.ilower, procedures_only=args.procedures_only
             ),
         )
-    return workload, program, graph, result.markers
+    return workload, program, graph, result.markers, trace
+
+
+def _ref_trace(args: argparse.Namespace, workload, program, trace):
+    """The ref run: the trace ``_select`` profiled, unless ``--train``."""
+    from repro.engine import Machine, record_trace
+
+    return record_trace(Machine(program, workload.ref_input)) if args.train else trace
 
 
 def _cmd_markers(args: argparse.Namespace) -> int:
-    workload, program, graph, markers = _select(args)
+    workload, program, graph, markers, _ = _select(args)
     print(graph.summary())
     print(markers.describe())
     if args.output:
@@ -130,12 +141,11 @@ def _cmd_markers(args: argparse.Namespace) -> int:
 
 def _cmd_phases(args: argparse.Namespace) -> int:
     from repro.analysis import phase_cov, whole_program_cov
-    from repro.engine import Machine, record_trace
     from repro.intervals import attach_metrics, split_at_markers
 
-    workload, program, graph, markers = _select(args)
+    workload, program, graph, markers, trace = _select(args)
     ref = workload.ref_input
-    trace = record_trace(Machine(program, ref))
+    trace = _ref_trace(args, workload, program, trace)
     intervals = split_at_markers(program, trace, markers)
     attach_metrics(intervals, trace, program, ref)
     cov = phase_cov(intervals)
@@ -162,11 +172,10 @@ def _cmd_phases(args: argparse.Namespace) -> int:
 def _cmd_timeplot(args: argparse.Namespace) -> int:
     from repro.analysis.ascii_plot import render_series
     from repro.analysis.timevarying import time_varying_series
-    from repro.engine import Machine, record_trace
 
-    workload, program, graph, markers = _select(args)
+    workload, program, graph, markers, trace = _select(args)
     ref = workload.ref_input
-    trace = record_trace(Machine(program, ref))
+    trace = _ref_trace(args, workload, program, trace)
     series = time_varying_series(
         program, ref, trace, markers, interval_length=args.resolution
     )
@@ -180,7 +189,7 @@ def _cmd_timeplot(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     from repro.callloop.dot import to_dot
 
-    workload, program, graph, markers = _select(args)
+    workload, program, graph, markers, _ = _select(args)
     dot = to_dot(graph, markers if args.highlight_markers else None)
     if args.output:
         with open(args.output, "w") as f:
@@ -192,16 +201,11 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.runtime import (
-        MarkovPredictor,
-        evaluate_predictor,
-        monitor_run,
-    )
+    from repro.runtime import MarkovPredictor, PhaseMonitor, evaluate_predictor
 
-    workload, program, graph, markers = _select(args)
-    monitor = monitor_run(
-        program, workload.ref_input, markers, min_interval=args.ilower // 10
-    )
+    workload, program, graph, markers, trace = _select(args)
+    monitor = PhaseMonitor(program, markers, min_interval=args.ilower // 10)
+    monitor.run(_ref_trace(args, workload, program, trace))
     print(f"{len(monitor.changes)} phase changes observed:")
     limit = args.head or len(monitor.changes)
     for change in monitor.changes[:limit]:

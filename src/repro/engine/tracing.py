@@ -56,11 +56,8 @@ DEFAULT_CHUNK_ROWS = 4096
 
 
 def packed_rows(events: Iterable[object]) -> Iterator[Tuple[int, int, int, int]]:
-    """Map event objects to packed ``(kind, a, b, c)`` rows, lazily.
-
-    The one event-to-row mapping: :meth:`Trace.from_events` records
-    through it, and the live monitor walks through it without recording.
-    """
+    """Map event objects to packed ``(kind, a, b, c)`` rows, lazily: the
+    event-to-row mapping :meth:`Trace.from_events` records through."""
     for ev in events:
         t = type(ev)
         if t is BlockEvent:

@@ -22,7 +22,7 @@ from repro.experiments.runner import Runner, default_runner
 from repro.intervals.metrics import attach_metrics
 from repro.intervals.vli import split_at_markers
 from repro.ir.linker import ALPHA_O0, ALPHA_PEAK
-from repro.runtime import LastPhasePredictor, MarkovPredictor, evaluate_predictor, monitor_run
+from repro.runtime import LastPhasePredictor, MarkovPredictor, PhaseMonitor, evaluate_predictor
 from repro.simpoint.error import (
     filter_by_coverage,
     relative_error,
@@ -117,12 +117,13 @@ def run_prediction(
         digits=1,
     )
     for spec in specs:
-        monitor = monitor_run(
+        monitor = PhaseMonitor(
             runner.program(spec),
-            runner.input_for(spec, "ref"),
             runner.markers(spec, "nolimit-self"),
             min_interval=runner.config.ilower // 10,
         )
+        # the ref trace the markers were profiled on
+        monitor.run(runner.trace(spec))
         seq = monitor.phase_sequence
         row = [spec, len(monitor.changes)]
         for predictor in (LastPhasePredictor(), MarkovPredictor(1), MarkovPredictor(2)):

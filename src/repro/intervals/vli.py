@@ -11,133 +11,64 @@ zero-length intervals, so coincident firings collapse to the innermost
 
 Markers are *rare* by the paper's own design (Section 6.2 picks
 procedure-level edges), so applying them should cost the number of
-firings, not the length of the trace.  The split gathers them from the
-trace's span index (:class:`~repro.callloop.spans.EdgeOpens`,
-``trace.opens``): every edge's opens, as rows and instruction counts,
-with where a merged marker's every-Nth counter restarts — recorded once
-per trace by the span builder.  The profile's builder pass attaches the
-index, the trace store spills it with the columns, and a split of a
-trace without one builds it once.  Each marker takes its edge's opens
-(a merged marker every Nth of them); the firings are ordered by (row,
-an edge into a head node first), collapsed, and finalized.
+firings, not the length of the trace.  The split takes the firings from
+:func:`~repro.callloop.markers.marker_firings`, which gathers them from
+the trace's span index (:class:`~repro.callloop.spans.EdgeOpens`,
+``trace.opens``), then collapses and finalizes them.  The profile's
+builder pass attaches the index, the trace store spills it with the
+columns, and a split of a trace without one builds it once.
 
-The per-event :func:`split_at_markers_scalar` is the reference and the
-fallback for a trace the span builder declines; the ``split`` verify
-check pins the index path against it on every fuzz iteration and
-corpus workload.
+:func:`split_at_markers_scalar` collapses and finalizes the walk
+collector's firings instead — the reference the ``split`` verify check
+pins the index split against on every fuzz iteration and corpus
+workload.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.callloop.graph import NodeTable
-from repro.callloop.markers import MarkerSet, MarkerTracker
-from repro.callloop.spans import EdgeOpens, index_trace
-from repro.callloop.walker import ContextHandler, ContextWalker
+from repro.callloop.markers import (
+    Firings,
+    MarkerSet,
+    indexed_firings,
+    marker_firings,
+    marker_firings_scalar,
+)
+from repro.callloop.spans import trace_total
 from repro.engine.tracing import Trace
 from repro.intervals.base import IntervalSet
-from repro.ir.program import Program, SourceLoc
+from repro.ir.program import Program
 from repro.telemetry import get_telemetry
 
 
-class _BoundaryCollector(ContextHandler):
-    """Collects (row, t, phase_id) for every marker firing.
-
-    The per-event form: one marker-table probe per edge open, the side
-    :func:`split_at_markers_scalar` walks with.
-    """
-
-    def __init__(self, tracker: MarkerTracker, walker: ContextWalker):
-        self.tracker = tracker
-        self.walker = walker
-        self.boundaries: List[Tuple[int, int, int]] = []
-        # Without merge_iterations counters, edge_opened is a pure pair
-        # lookup — inline it on the hot path.
-        self._by_pair = tracker._by_pair if not tracker._counters else None
-
-    def on_edge_open(
-        self, src: int, dst: int, t: int, source: Optional[SourceLoc]
-    ) -> None:
-        by_pair = self._by_pair
-        if by_pair is not None:
-            marker = by_pair.get((src, dst))
-        else:
-            marker = self.tracker.edge_opened(src, dst)
-        if marker is None:
-            return
-        boundaries = self.boundaries
-        if boundaries and boundaries[-1][1] == t:
-            # coincident firing: keep the innermost marker, no empty interval
-            boundaries[-1] = (boundaries[-1][0], t, marker.marker_id)
-        else:
-            boundaries.append((self.walker.row, t, marker.marker_id))
-
-
-def _gather(opens: EdgeOpens, marker_set: MarkerSet) -> List[Tuple[int, int, int]]:
-    """The collapsed ``(row, t, phase id)`` firings of *marker_set*.
-
-    Each marker's opens come from the index.  Sorted
-    by (row, an edge into a head node first) they are in the walker's
-    open order, and an equal-t run collapses as
-    :class:`_BoundaryCollector` collapses it: the first row, the last
-    (innermost) marker.
-    """
-    rows: List[np.ndarray] = []
-    keys: List[np.ndarray] = []
-    ts: List[np.ndarray] = []
-    mids: List[np.ndarray] = []
-    for marker in marker_set:
-        got = opens.of(marker.src, marker.dst, marker.merge_iterations)
-        if got is None:
-            continue
-        r, t = got
-        rows.append(r)
-        keys.append((r.astype(np.int64) + 1) * 2 + (0 if marker.dst.kind.is_head else 1))
-        ts.append(t)
-        mids.append(np.full(len(r), marker.marker_id, dtype=np.int64))
-    if not rows:
-        return []
-    o = np.argsort(np.concatenate(keys), kind="stable")
-    r = np.concatenate(rows)[o]
-    t = np.concatenate(ts)[o]
-    m = np.concatenate(mids)[o]
-    first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-    last = np.r_[first[1:], len(t)] - 1
-    return list(zip(r[first].tolist(), t[first].tolist(), m[last].tolist()))
-
-
 def _finalize(
-    program: Program,
-    num_rows: int,
-    total: int,
-    bounds: List[Tuple[int, int, int]],
+    program: Program, num_rows: int, total: int, firings: Firings
 ) -> IntervalSet:
-    """Turn a collapsed boundary list into the :class:`IntervalSet`.
+    """Turn the firings into the :class:`IntervalSet`.
 
-    Applies the rules shared by every split path: firings at
-    t == 0 set the first interval's phase id and drop (the prologue
-    would be empty), and a firing exactly at end of execution drops its
-    empty tail interval.
+    An equal-t run of firings collapses to its first row and its last
+    (innermost) marker.  A firing at t == 0 then sets the first
+    interval's phase id and drops (the prologue would be empty), and a
+    firing exactly at end of execution drops its empty tail interval.
     """
-    # Drop firings at t == 0 by advancing an index — re-slicing the list
-    # per firing was quadratic when many coincident t==0 firings piled up.
+    rows, ts, mids = firings
+    first = np.ones(len(ts), dtype=bool)
+    first[1:] = ts[1:] != ts[:-1]
+    last = np.roll(first, -1)  # the next firing starts a run, or none follows
+    rows, ts, mids = rows[first], ts[first], mids[last]
     first_phase = 0
-    i = 0
-    n = len(bounds)
-    while i < n and bounds[i][1] == 0:
-        first_phase = bounds[i][2]
-        i += 1
-    if i:
-        bounds = bounds[i:]
+    if len(ts) and ts[0] == 0:
+        first_phase = int(mids[0])
+        rows, ts, mids = rows[1:], ts[1:], mids[1:]
 
-    rows = np.array([0] + [b[0] for b in bounds] + [num_rows], dtype=np.int64)
-    start_ts = np.array([0] + [b[1] for b in bounds], dtype=np.int64)
-    ends = np.concatenate((start_ts[1:], [total]))
-    lengths = (ends - start_ts).astype(np.int64)
-    phase_ids = np.array([first_phase] + [b[2] for b in bounds], dtype=np.int64)
+    rows = np.concatenate(([0], rows, [num_rows])).astype(np.int64)
+    start_ts = np.concatenate(([0], ts)).astype(np.int64)
+    lengths = np.diff(start_ts, append=total)
+    phase_ids = np.concatenate(([first_phase], mids)).astype(np.int64)
 
     # A marker can fire exactly at end of execution; drop the empty tail.
     if len(lengths) > 1 and lengths[-1] == 0:
@@ -149,44 +80,24 @@ def _finalize(
     return IntervalSet(program.name, "vli", rows, start_ts, lengths, phase_ids)
 
 
-#: the fallback reason for a merged marker on an edge into a head node:
-#: its every-Nth counter resets on opens into the edge's source, which
-#: the index does not count (selection merges only loop head->body edges)
-_MERGED_HEAD = "merged_head"
-
-
-def _indexed(
-    program: Program,
-    trace: Trace,
-    marker_set: MarkerSet,
-    table: Optional[NodeTable],
-) -> Union[IntervalSet, str]:
-    """The split gathered from *trace*'s span index (built and attached
-    if missing), or the reason it cannot be."""
-    opens = index_trace(program, trace, table)
-    if isinstance(opens, str):
-        return opens
-    if any(m.merge_iterations > 1 and m.dst.kind.is_head for m in marker_set):
-        return _MERGED_HEAD
-    return _finalize(program, len(trace), opens.total, _gather(opens, marker_set))
-
-
 def split_at_markers_prescan(
     program: Program,
     trace: Trace,
     marker_set: MarkerSet,
     table: Optional[NodeTable] = None,
 ) -> Optional[IntervalSet]:
-    """The split from the span index, or ``None`` if the span builder
-    declines the trace (or a merged marker sits on an edge into a head
-    node).
+    """The split from the span index, or ``None`` if the index cannot
+    answer (the span builder declines the trace, or a merged marker sits
+    on an edge into a head node).
 
     The name is historical: the index replaced the pre-scan this probe
     once ran.  The verify harness and the benchmark tracer probe it to
     tell whether a split was answered from the index.
     """
-    got = _indexed(program, trace, marker_set, table)
-    return None if isinstance(got, str) else got
+    got = indexed_firings(program, trace, marker_set, table)
+    if isinstance(got, str):
+        return None
+    return _finalize(program, len(trace), trace.opens.total, got)
 
 
 def split_at_markers_scalar(
@@ -195,19 +106,12 @@ def split_at_markers_scalar(
     marker_set: MarkerSet,
     table: Optional[NodeTable] = None,
 ) -> IntervalSet:
-    """Marker application through per-event callbacks — the reference.
-
-    One marker-table probe per edge open of a walk: the implementation
-    the ``split`` verify check pins the index split against, the split
-    of a trace the span builder declines, and the baseline side of
-    ``make bench-split``.
-    """
-    table = table or NodeTable(program)
-    walker = ContextWalker(program, table)
-    tracker = MarkerTracker(marker_set, table)
-    collector = _BoundaryCollector(tracker, walker)
-    total = walker.walk(trace, collector)
-    return _finalize(program, len(trace), total, collector.boundaries)
+    """The split of the walk collector's firings
+    (:func:`~repro.callloop.markers.marker_firings_scalar`) — the
+    reference the ``split`` verify check pins the index split against,
+    and the baseline side of ``make bench-split``."""
+    firings = marker_firings_scalar(program, trace, marker_set, table)
+    return _finalize(program, len(trace), trace.total_instructions, firings)
 
 
 def split_at_markers(
@@ -218,39 +122,15 @@ def split_at_markers(
 ) -> IntervalSet:
     """Partition *trace* into VLIs at the executions of *marker_set*.
 
-    Gathers the firings from the trace's span index, building it first
-    if the trace has none; a trace the span builder declines takes
-    :func:`split_at_markers_scalar`, whose result the index split
-    equals (the ``split`` verify check pins this).  Under telemetry it
-    counts ``vli.split.spans`` (an indexed split),
-    ``vli.split.index_builds`` (the split built the index) and
-    ``vli.split.fallback.<reason>`` (a decline).
+    The firings come from
+    :func:`~repro.callloop.markers.marker_firings` (the span index, or a
+    walk for a trace the index cannot answer, counted as
+    ``markers.firings.*``); under telemetry the split is a ``vli.split``
+    span that counts ``vli.split.intervals``.
     """
     tm = get_telemetry()
-    if not tm.enabled:
-        return _split(program, trace, marker_set, table)
     with tm.span("vli.split", program=program.name):
-        if trace.opens is None:
-            tm.counter("vli.split.index_builds")
-        result = _split(program, trace, marker_set, table)
+        firings = marker_firings(program, trace, marker_set, table)
+        result = _finalize(program, len(trace), trace_total(trace), firings)
         tm.counter("vli.split.intervals", len(result.lengths))
     return result
-
-
-def _split(
-    program: Program,
-    trace: Trace,
-    marker_set: MarkerSet,
-    table: Optional[NodeTable],
-) -> IntervalSet:
-    if trace.opens is None and table is None:
-        table = NodeTable(program)  # shared with a declined trace's walk
-    got = _indexed(program, trace, marker_set, table)
-    tm = get_telemetry()
-    if not isinstance(got, str):
-        if tm.enabled:
-            tm.counter("vli.split.spans")
-        return got
-    if tm.enabled:
-        tm.counter(f"vli.split.fallback.{got}")
-    return split_at_markers_scalar(program, trace, marker_set, table)

@@ -17,9 +17,11 @@ and markers that adapt when behavior drifts.
   ``slot_instructions`` instructions, cut at the block row that reaches
   the boundary, and only the newest ``window_slots`` are retained;
 * the current :class:`~repro.callloop.markers.MarkerSet` is applied
-  online exactly as the batch :class:`~repro.runtime.monitor.
-  PhaseMonitor` applies it (same tracker, same hysteresis, same dwell
-  accounting);
+  online: a :class:`~repro.callloop.markers.MarkerTracker` matches each
+  edge open, and each firing goes to the
+  :class:`~repro.runtime.monitor.PhaseLog` — the hysteresis and dwell
+  accounting the batch :class:`~repro.runtime.monitor.PhaseMonitor`
+  feeds from the span index;
 * when ``drift_threshold`` is set, each slot seal runs the
   :class:`~repro.streaming.drift.DriftDetector` over the windowed CoV
   of the marker edges and, on drift (or when no markers exist yet —
@@ -50,7 +52,7 @@ from repro.callloop.walker import ContextHandler, chunk_length
 from repro.engine.events import K_BLOCK
 from repro.engine.tracing import DEFAULT_CHUNK_ROWS, Trace
 from repro.ir.program import Program, SourceLoc
-from repro.runtime.monitor import PhaseChange
+from repro.runtime.monitor import PhaseChange, PhaseLog, PhaseLogView
 from repro.streaming.drift import DriftDetector
 from repro.streaming.walker import IncrementalWalker
 from repro.streaming.window import StreamingWindow
@@ -114,7 +116,7 @@ class Reselection:
     drifted_edges: int  #: marker edges that drifted (0 = cold-start pickup)
 
 
-class StreamingPhaseMonitor(ContextHandler):
+class StreamingPhaseMonitor(ContextHandler, PhaseLogView):
     """Applies (and adapts) a marker set over a live packed-row stream.
 
     Parameters
@@ -157,14 +159,8 @@ class StreamingPhaseMonitor(ContextHandler):
             )
         self.marker_set = marker_set
         self.tracker = MarkerTracker(marker_set, self.table)
-        self.on_change = on_change
+        self.log = PhaseLog(self.config.min_interval, on_change)
         self.window = StreamingWindow(self.config.window_slots)
-        self.current_phase = 0
-        self.phase_start_t = 0
-        self.changes: List[PhaseChange] = []
-        self.time_in_phase: Dict[int, int] = {}
-        #: (phase, dwell) per completed stay, as in the batch monitor
-        self.dwells: List[Tuple[int, int]] = []
         self.reselections: List[Reselection] = []
         #: marker-edge drift observations (edges over threshold at a seal)
         self.drift_events = 0
@@ -187,28 +183,8 @@ class StreamingPhaseMonitor(ContextHandler):
         self, src: int, dst: int, t: int, source: Optional[SourceLoc]
     ) -> None:
         marker = self.tracker.edge_opened(src, dst)
-        if marker is None:
-            return
-        if marker.marker_id == self.current_phase:
-            return
-        if t - self.phase_start_t < self.config.min_interval:
-            return
-        change = PhaseChange(
-            t=t,
-            previous_phase=self.current_phase,
-            new_phase=marker.marker_id,
-            marker=marker,
-            time_in_previous=t - self.phase_start_t,
-        )
-        self.time_in_phase[self.current_phase] = (
-            self.time_in_phase.get(self.current_phase, 0) + change.time_in_previous
-        )
-        self.dwells.append((self.current_phase, change.time_in_previous))
-        self.current_phase = marker.marker_id
-        self.phase_start_t = t
-        self.changes.append(change)
-        if self.on_change is not None:
-            self.on_change(change)
+        if marker is not None:
+            self.log.fire(marker, t)
 
     def on_edge_close(
         self,
@@ -396,11 +372,7 @@ class StreamingPhaseMonitor(ContextHandler):
             # re-selection — the stream is over
             self.window.seal()
             self.slots_sealed += 1
-        final_dwell = total - self.phase_start_t
-        self.time_in_phase[self.current_phase] = (
-            self.time_in_phase.get(self.current_phase, 0) + final_dwell
-        )
-        self.dwells.append((self.current_phase, final_dwell))
+        self.log.close(total)
         tm = self._tm
         if tm is not None:
             tm.counter("streaming.events", self.events_fed)
@@ -411,11 +383,6 @@ class StreamingPhaseMonitor(ContextHandler):
     @property
     def finished(self) -> bool:
         return self._walker.finished
-
-    @property
-    def phase_sequence(self) -> List[int]:
-        """Phase ids in observation order (starting with phase 0)."""
-        return [0] + [c.new_phase for c in self.changes]
 
 
 def stream_trace(

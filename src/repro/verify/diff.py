@@ -29,12 +29,15 @@ check                     optimized side vs oracle side
                           scalar loop vs :func:`oracle_walk` — columns,
                           callback sequences, and row positions compared
                           **bit-for-bit**
-:func:`diff_split`        the VLI split from the span index — on a bare
-                          trace (the index built in the call) and on a
-                          trace reloaded from a ``TraceStore`` spill —
-                          vs the scalar per-event splitter: interval
-                          boundaries, timestamps, lengths, and phase ids
-                          compared **bit-for-bit**
+:func:`diff_split`        the marker firings gathered from the span
+                          index and the VLI split made of them — on a
+                          bare trace (the index built in the call) and
+                          on a trace reloaded from a ``TraceStore``
+                          spill — vs the walk collector's firings and
+                          the scalar splitter: firing rows, timestamps
+                          and marker ids, and interval boundaries,
+                          timestamps, lengths and phase ids, compared
+                          **bit-for-bit**
 :func:`diff_cache`        ``profile_events`` (one address gather, the
                           lock-step stack-depth kernel, one ``bincount``)
                           vs :func:`oracle_profile_events`
@@ -76,7 +79,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.callloop.depth import estimate_max_depth, processing_order
 from repro.callloop.graph import CallLoopGraph, NodeTable
-from repro.callloop.markers import MarkerSet
+from repro.callloop.markers import MarkerSet, marker_firings, marker_firings_scalar
 from repro.callloop.profiler import CallLoopProfiler
 from repro.callloop.walker import ContextHandler, ContextWalker
 from repro.callloop.selection import SelectionParams, select_markers
@@ -614,31 +617,37 @@ def diff_split(
     trace: Trace,
     marker_set: MarkerSet,
 ) -> List[Mismatch]:
-    """Compare the VLI split from the span index against the scalar
-    splitter.
-
-    The scalar per-event splitter (:func:`split_at_markers_scalar`) is
-    the reference; against it, **bit-for-bit** on ``row_bounds`` /
-    ``start_ts`` / ``lengths`` / ``phase_ids``, two arms of
-    :func:`split_at_markers`:
+    """Compare the marker firings from the span index, and the VLI split
+    of them, **bit-for-bit** against the walk collector's
+    (:func:`~repro.callloop.markers.marker_firings_scalar`: uncollapsed
+    ``rows`` / ``ts`` / ``marker_ids``, dtypes included) and the split
+    of those (:func:`split_at_markers_scalar`: ``row_bounds`` /
+    ``start_ts`` / ``lengths`` / ``phase_ids``), in two arms:
 
     * ``bare`` — a new :class:`Trace` over *trace*'s columns, so the
-      split builds the span index in the call;
+      gather builds the span index in the call;
     * ``reloaded`` — the same trace spilled to a scratch
       :class:`~repro.runner.traces.TraceStore` with that index and
-      mapped back, so the split reads the stored index.
+      mapped back, so the gather reads the stored index.
 
-    A trace the span builder declines takes the scalar fallback on both
-    arms.
+    A trace the index cannot answer takes the walk on both arms.
     """
     import tempfile
 
     from repro.runner.traces import TraceStore
 
     out: List[Mismatch] = []
+    want_firings = marker_firings_scalar(program, trace, marker_set)
     want = split_at_markers_scalar(program, trace, marker_set)
 
-    def compare(label: str, got) -> None:
+    def compare(label: str, arm: Trace) -> None:
+        firings = marker_firings(program, arm, marker_set)
+        for name, got, ref in zip(("rows", "ts", "marker_ids"), firings, want_firings):
+            if got.dtype != ref.dtype or got.tobytes() != ref.tobytes():
+                out.append(
+                    Mismatch("split", f"{label} firing {name}", got.tolist(), ref.tolist())
+                )
+        got = split_at_markers(program, arm, marker_set)
         for name in ("row_bounds", "start_ts", "lengths", "phase_ids"):
             got_col = getattr(got, name).tolist()
             want_col = getattr(want, name).tolist()
@@ -646,10 +655,9 @@ def diff_split(
                 out.append(Mismatch("split", f"{label} {name}", got_col, want_col))
 
     bare = Trace(trace.kinds, trace.a, trace.b, trace.c)
-    compare("bare", split_at_markers(program, bare, marker_set))
+    compare("bare", bare)
     with tempfile.TemporaryDirectory() as root:
-        reloaded = TraceStore(root).store("split", bare, program).load()
-        compare("reloaded", split_at_markers(program, reloaded, marker_set))
+        compare("reloaded", TraceStore(root).store("split", bare, program).load())
     return out
 
 
@@ -746,8 +754,9 @@ def diff_streaming(
       window to the exact serialized batch graph, and selecting on that
       window must serialize to the exact batch marker set;
     * phases — the same streaming monitor's phase changes, dwell
-      records, and per-phase time accounting must equal a batch
-      :class:`~repro.runtime.PhaseMonitor` replaying the same trace;
+      records, and per-phase time accounting must equal a
+      :class:`~repro.runtime.PhaseMonitor` run over the recorded trace
+      (its firings gathered from the span index);
     * chunked monitor — a cold-start monitor with a bounded window,
       drift re-selection, and slots small enough that seals land inside
       chunks, fed in *chunk_rows* pieces, must match the same monitor
@@ -843,30 +852,13 @@ def diff_streaming(
         )
 
     batch_monitor = PhaseMonitor(program, selection.markers)
-    batch_monitor.run(trace.replay())
-    if monitor.changes != batch_monitor.changes:
-        out.append(
-            Mismatch(
-                "streaming", "phase changes",
-                len(monitor.changes), len(batch_monitor.changes),
-                "change lists differ",
+    batch_monitor.run(trace)
+    for what in ("changes", "dwells", "time_in_phase"):
+        got, want = getattr(monitor, what), getattr(batch_monitor, what)
+        if got != want:
+            out.append(
+                Mismatch("streaming", f"phase {what}", len(got), len(want), "differs")
             )
-        )
-    if monitor.dwells != batch_monitor.dwells:
-        out.append(
-            Mismatch(
-                "streaming", "dwells",
-                len(monitor.dwells), len(batch_monitor.dwells),
-                "dwell records differ",
-            )
-        )
-    if monitor.time_in_phase != batch_monitor.time_in_phase:
-        out.append(
-            Mismatch(
-                "streaming", "time_in_phase",
-                monitor.time_in_phase, batch_monitor.time_in_phase,
-            )
-        )
 
     config = StreamingConfig(
         slot_instructions=_CHUNKED_MONITOR_SLOT,

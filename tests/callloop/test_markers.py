@@ -84,32 +84,6 @@ class TestMarkerTracker:
         tracker.edge_opened(parent, h)
         assert tracker.edge_opened(h, b) is not None
 
-    def test_reset_restarts_merged_cadence(self, toy_program):
-        """reset() returns the tracker to fresh-run state: the every-Nth
-        cadence starts over, as if no iterations had been seen."""
-        table = NodeTable(toy_program)
-        header = next(iter(table.loop_head))
-        head = table.node(table.loop_head[header])
-        body = table.node(table.loop_body[header])
-        ms = MarkerSet("toy", "base", 100.0, None, [marker(3, head, body, merge=4)])
-        tracker = MarkerTracker(ms, table)
-        h, b = table.index(head), table.index(body)
-        fresh = [tracker.edge_opened(h, b) is not None for _ in range(6)]
-        tracker.reset()
-        rerun = [tracker.edge_opened(h, b) is not None for _ in range(6)]
-        assert rerun == fresh == [True, False, False, False, True, False]
-
-    def test_reset_is_a_noop_mid_cadence_for_plain_markers(self, toy_program):
-        table = NodeTable(toy_program)
-        src = table.node(table.proc_body["main"])
-        dst = table.node(table.proc_head["work"])
-        ms = MarkerSet("toy", "base", 100.0, None, [marker(7, src, dst)])
-        tracker = MarkerTracker(ms, table)
-        s, d = table.index(src), table.index(dst)
-        assert tracker.edge_opened(s, d).marker_id == 7
-        tracker.reset()
-        assert tracker.edge_opened(s, d).marker_id == 7
-
     def test_suppressed_consumer_does_not_rewind_cadence(self, toy_program):
         """The tracker owns the cadence: a consumer ignoring a firing
         (hysteresis) must see the *same* later firing points as an eager

@@ -21,7 +21,12 @@ from repro.callloop import (
     select_markers,
 )
 from repro.callloop.graph import Node, NodeKind
-from repro.callloop.markers import MarkerSet, PhaseMarker
+from repro.callloop.markers import (
+    MarkerSet,
+    PhaseMarker,
+    marker_firings,
+    marker_firings_scalar,
+)
 from repro.callloop.spans import index_trace
 from repro.engine import Machine, Trace, record_trace
 from repro.engine.events import K_BLOCK, K_CALL, K_RETURN
@@ -60,13 +65,13 @@ def declined(program, trace, markers):
 
 
 def split_counters(program, trace, markers):
-    """``(intervals, vli.split.* counters except .intervals)``."""
+    """``(intervals, markers.firings.* counters)``."""
     with telemetry_session() as tm:
         got = split_at_markers(program, trace, markers)
     counters = {
         k: v
         for k, v in tm.metrics.counters.items()
-        if k.startswith("vli.split.") and k != "vli.split.intervals"
+        if k.startswith("markers.firings.")
     }
     return got, counters
 
@@ -74,9 +79,14 @@ def split_counters(program, trace, markers):
 def assert_all_arms_match(program, trace, markers, tmp_path=None):
     """Split from a fresh index, from the attached one, from a spill
     reloaded off a trace store, and through the scalar fallback: each
-    equals the scalar splitter."""
+    equals the scalar splitter, and the index's uncollapsed firings equal
+    the walk collector's."""
     want = columns(split_at_markers_scalar(program, trace, markers))
     fresh = bare(trace)
+    want_firings = [c.tolist() for c in marker_firings_scalar(program, trace, markers)]
+    got_firings = marker_firings(program, fresh, markers)
+    assert [c.tolist() for c in got_firings] == want_firings
+    assert all(c.dtype == np.int64 for c in got_firings)
     assert columns(split_at_markers(program, fresh, markers)) == want
     assert fresh.opens is not None and not isinstance(fresh.opens, str)
     assert columns(split_at_markers(program, fresh, markers)) == want
@@ -193,20 +203,21 @@ def test_merged_markers_match_scalar(loop_only_program):
 
 def test_prologue_drop_handles_piles_of_coincident_t0_firings(toy_program):
     """Many t==0 firings (deeply nested entry opens) once re-sliced the
-    boundary list per firing — quadratic.  The index advance keeps it
+    boundary list per firing — quadratic.  The array collapse keeps it
     linear and the innermost (last) marker still names the first phase."""
     n = 200_000
-    bounds = [(0, 0, mid) for mid in range(1, n + 1)]
-    bounds.append((50, 700, 7))
+    rows = np.r_[np.zeros(n, dtype=np.int64), 50]
+    ts = np.r_[np.zeros(n, dtype=np.int64), 700]
+    mids = np.r_[np.arange(1, n + 1, dtype=np.int64), 7]
     start = time.perf_counter()
-    intervals = _finalize(toy_program, 100, 1000, bounds)
+    intervals = _finalize(toy_program, 100, 1000, (rows, ts, mids))
     elapsed = time.perf_counter() - start
     assert intervals.phase_ids.tolist() == [n, 7]
     assert intervals.start_ts.tolist() == [0, 700]
     assert intervals.lengths.tolist() == [700, 300]
     assert intervals.row_bounds.tolist() == [0, 50, 100]
-    # the quadratic re-slice copied ~2e10 elements here; the index
-    # advance is comfortably under a second even on a loaded machine
+    # the quadratic re-slice copied ~2e10 elements here; the collapse
+    # is comfortably under a second even on a loaded machine
     assert elapsed < 2.0
 
 
@@ -241,7 +252,7 @@ def test_loops_in_recursive_procedures_split_from_the_index():
     want = columns(split_at_markers_scalar(program, trace, markers))
     got, counters = split_counters(program, trace, markers)
     assert columns(got) == want
-    assert counters == {"vli.split.index_builds": 1, "vli.split.spans": 1}
+    assert counters == {"markers.firings.index_builds": 1, "markers.firings.spans": 1}
     assert columns(split_at_markers_prescan(program, trace, markers)) == want
 
     bogus = Trace(trace.kinds.copy(), trace.a.copy(), trace.b.copy(), trace.c.copy())
@@ -250,14 +261,14 @@ def test_loops_in_recursive_procedures_split_from_the_index():
     got, counters = split_counters(program, bogus, markers)
     assert columns(got) == want
     assert counters == {
-        "vli.split.index_builds": 1,
-        "vli.split.fallback.unknown_address": 1,
+        "markers.firings.index_builds": 1,
+        "markers.firings.fallback.unknown_address": 1,
     }
     assert bogus.opens == "unknown_address"
     assert split_at_markers_prescan(program, bogus, markers) is None
     # the decline is kept: the next split neither builds nor walks twice
     _, counters = split_counters(program, bogus, markers)
-    assert counters == {"vli.split.fallback.unknown_address": 1}
+    assert counters == {"markers.firings.fallback.unknown_address": 1}
 
 
 def test_prescan_handles_recursive_call_markers(recursive_program, tmp_path):
@@ -387,7 +398,7 @@ def test_prescan_empty_trace(toy_program, toy_split, tmp_path):
     want = assert_all_arms_match(toy_program, empty, markers, tmp_path)
     assert want[:3] == ([0, 0], [0], [0])  # one empty interval
     _, counters = split_counters(toy_program, bare(empty), markers)
-    assert counters == {"vli.split.index_builds": 1, "vli.split.spans": 1}
+    assert counters == {"markers.firings.index_builds": 1, "markers.firings.spans": 1}
 
 
 def test_merged_marker_on_an_edge_into_a_head_falls_back(toy_program, toy_split):
@@ -407,8 +418,8 @@ def test_merged_marker_on_an_edge_into_a_head_falls_back(toy_program, toy_split)
     got, counters = split_counters(toy_program, bare(trace), merged)
     assert columns(got) == want
     assert counters == {
-        "vli.split.index_builds": 1,
-        "vli.split.fallback.merged_head": 1,
+        "markers.firings.index_builds": 1,
+        "markers.firings.fallback.merged_head": 1,
     }
     assert split_at_markers_prescan(toy_program, bare(trace), merged) is None
 
@@ -460,15 +471,15 @@ def test_each_decline_falls_back_to_the_scalar_split(reason, spoil, tmp_path):
     got, counters = split_counters(program, spoiled, markers)
     assert columns(got) == want
     assert counters == {
-        "vli.split.index_builds": 1,
-        f"vli.split.fallback.{reason}": 1,
+        "markers.firings.index_builds": 1,
+        f"markers.firings.fallback.{reason}": 1,
     }
     # the decline is spilled in place of an index, and read back
     reloaded = TraceStore(tmp_path).store("cd" * 32, spoiled, program).load()
     assert reloaded.opens == reason
     got, counters = split_counters(program, reloaded, markers)
     assert columns(got) == want
-    assert counters == {f"vli.split.fallback.{reason}": 1}
+    assert counters == {f"markers.firings.fallback.{reason}": 1}
 
 
 def test_split_after_a_profile_builds_nothing(toy_program, toy_input):
@@ -477,5 +488,5 @@ def test_split_after_a_profile_builds_nothing(toy_program, toy_input):
     assert trace.opens is not None
     markers = select_markers(graph, SelectionParams(ilower=500)).markers
     got, counters = split_counters(toy_program, trace, markers)
-    assert counters == {"vli.split.spans": 1}
+    assert counters == {"markers.firings.spans": 1}
     assert columns(got) == columns(split_at_markers_scalar(toy_program, trace, markers))

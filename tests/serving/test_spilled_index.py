@@ -73,8 +73,8 @@ def test_warm_split_kinds_read_the_stored_index(tmp_path, storeless):
             got = compute_payload(Query(kind=kind, workload=WORKLOAD), cache, store)
         assert got == storeless[kind]
         counters = tm.metrics.counters
-        assert counters["vli.split.spans"] == 1
-        assert "vli.split.index_builds" not in counters
+        assert counters["markers.firings.spans"] == 1
+        assert "markers.firings.index_builds" not in counters
         assert "engine.trace.events" not in counters  # no recording
 
 

@@ -67,7 +67,7 @@ def test_unbounded_stream_is_bit_identical_to_batch(
         selection.markers
     )
     batch = PhaseMonitor(toy_program, selection.markers)
-    total = batch.run(toy_trace.replay())
+    total = batch.run(toy_trace)
     assert monitor.changes == batch.changes
     assert monitor.dwells == batch.dwells
     assert monitor.time_in_phase == batch.time_in_phase
@@ -318,7 +318,7 @@ def test_streaming_matches_batch_monitor_with_merged_markers(
             config=_equiv_config(min_interval=min_interval),
         )
         batch = PhaseMonitor(toy_program, markers, min_interval=min_interval)
-        batch.run(toy_trace.replay())
+        batch.run(toy_trace)
         assert streaming.changes == batch.changes
         assert streaming.dwells == batch.dwells
 

@@ -31,6 +31,25 @@ def test_phases(capsys):
     assert "CoV of CPI" in out
 
 
+@pytest.mark.parametrize("command", ["phases", "timeplot", "monitor"])
+def test_ref_input_recorded_once(command, monkeypatch, capsys):
+    """The profiled recording of the ref input is the one the command
+    splits, plots or monitors: nothing records it a second time."""
+    from repro.engine.machine import Machine
+    from repro.workloads import get_workload
+
+    recorded = []
+    record = Machine.record
+
+    def counted(self):
+        recorded.append(self.input.name)
+        return record(self)
+
+    monkeypatch.setattr(Machine, "record", counted)
+    assert main([command, "vortex"]) == 0
+    assert recorded == [get_workload("vortex").ref_input.name]
+
+
 def test_monitor(capsys):
     assert main(["monitor", "vortex", "--head", "3"]) == 0
     out = capsys.readouterr().out
@@ -161,7 +180,7 @@ def test_stats_renders_stage_table_from_real_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Telemetry: per-stage spans" in out
     assert "runner.trace" in out
-    assert "callloop.walk" in out
+    assert "markers.firings.spans" in out  # fig3's marker trace, from the index
     assert "engine.trace.events" in out
 
 

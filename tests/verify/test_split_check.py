@@ -7,7 +7,7 @@ from repro.callloop.graph import NodeKind
 from repro.callloop.markers import MarkerSet, PhaseMarker
 from repro.engine.machine import Machine
 from repro.engine.tracing import record_trace
-from repro.intervals import vli
+from repro.callloop import markers as marker_module
 from repro.intervals.vli import split_at_markers_prescan
 from repro.ir import ProgramBuilder
 from repro.ir.program import ProgramInput
@@ -24,13 +24,13 @@ def toy_split(toy_program, toy_input):
 
 @pytest.fixture
 def drop_last_prescan_firing(monkeypatch):
-    """Break the index split: the gather forgets the last marker firing."""
-    real = vli._gather
+    """Break the firing gather: it forgets the last marker firing."""
+    real = marker_module._gather
 
     def broken(*args):
-        return real(*args)[:-1]
+        return tuple(col[:-1] for col in real(*args))
 
-    monkeypatch.setattr(vli, "_gather", broken)
+    monkeypatch.setattr(marker_module, "_gather", broken)
 
 
 def _labels(mismatches):
@@ -51,6 +51,9 @@ def test_diff_split_detects_broken_prescan(
     assert mismatches
     assert all(m.kind == "split" for m in mismatches)
     assert _labels(mismatches) == {"bare", "reloaded"}
+    # both the uncollapsed firings and the split made of them diverge
+    keys = {m.key.split(" ", 1)[1] for m in mismatches}
+    assert {"firing rows", "firing ts", "firing marker_ids"} <= keys
 
 
 def _recloop_with_marked_spin():
@@ -117,6 +120,7 @@ def test_diff_split_detects_a_broken_stored_index(monkeypatch):
     mismatches = diff_split(program, trace, markers)
     assert mismatches
     assert _labels(mismatches) == {"reloaded"}
+    assert "reloaded firing rows" in {m.key for m in mismatches}
 
 
 def test_check_split_corpus_clean():
