@@ -55,8 +55,8 @@ bench-stream:
 # SimPoint-evaluation gates: stack depths over 16 ref traces and lucas/mgrid
 # clustering, bit-identical to the per-event cache loop and plain k-means,
 # each cell within 25% of the committed baseline (HostClock-scaled), and
-# the one-set stream within 1.5x of the reference loop; refreshes
-# benchmarks/results/BENCH_simpoint_fast.json
+# the one-set stream within 1.5x of the reference loop; a passing run
+# is written to benchmarks/results/BENCH_simpoint_run.json (gitignored)
 bench-simpoint:
 	$(PYTHON) -m pytest benchmarks -q -k bench_simpoint
 

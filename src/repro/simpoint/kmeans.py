@@ -4,12 +4,15 @@ SimPoint 2.0 clusters equal-weight intervals; SimPoint 3.0 VLI weights
 each interval by the fraction of execution it represents so that a long
 interval influences the centroids proportionally.  Both reduce to this
 one implementation.
+
+SimPoint clusters one input many times (k = 1..k_max, several seeds
+per k); :class:`PreparedPoints` holds what those runs share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -92,7 +95,7 @@ def _candidates(
 
 
 class _PairCounts:
-    """Pairs a plain pass would compute exactly, and those computed."""
+    """Pairs a plain run would compute exactly, and those computed."""
 
     __slots__ = ("pairs", "exact")
 
@@ -101,60 +104,119 @@ class _PairCounts:
         self.exact = 0
 
 
-def _plusplus_init(
-    points: np.ndarray,
-    weights: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    norms: np.ndarray,
-    sq_norms: np.ndarray,
-    counts: _PairCounts,
-) -> np.ndarray:
-    """k-means++ seeding (weighted).
+class _Draws:
+    """One seed's k-means++ sequence: the points drawn so far, and each
+    distinct row's distance to the nearest of them."""
 
-    After each draw, a point's ``closest`` distance changes only if the
-    new centroid is nearer; the filter bound of :func:`kmeans` rules
-    that out for most points, so only the rest get the exact
-    subtract-square-sum, and ``np.minimum`` sees the same values as on
-    the full column.
+    __slots__ = ("rng", "picks", "closest")
+
+    def __init__(self, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.picks: List[int] = []
+        self.closest: Optional[np.ndarray] = None
+
+
+class PreparedPoints:
+    """Points and weights prepared once for every k-means run on them.
+
+    Holds the weighted points, the points' distinct rows (distinct by
+    bytes) with each point's row index and the rows' norms, and one
+    k-means++ draw sequence per seed, extended on demand.  Exact
+    distances are computed over the distinct rows and gathered back to
+    the points through :attr:`row_of`.
     """
-    n = len(points)
-    scale = _error_scale(points.shape[1])
-    centroids = np.empty((k, points.shape[1]))
-    probs = weights / weights.sum()
-    first = rng.choice(n, p=probs)
-    centroids[0] = points[first]
-    closest = ((points - centroids[0]) ** 2).sum(axis=1)
-    counts.pairs += n
-    counts.exact += n
-    for j in range(1, k):
-        scores = closest * weights
+
+    def __init__(self, points: np.ndarray, weights: Optional[np.ndarray] = None):
+        points = np.asarray(points, dtype=np.float64)
+        n = len(points)
+        if n == 0:
+            raise ValueError("cannot cluster zero points")
+        if weights is None:
+            weights = np.ones(n)
+        weights = np.asarray(weights, dtype=np.float64)
+        if len(weights) != n:
+            raise ValueError("weights length mismatch")
+        total = weights.sum()
+        if total <= 0:
+            raise ValueError("total weight must be positive")
+        self.points = points
+        self.weights = weights
+        self.probs = weights / total
+        self.weighted = points * weights[:, None]
+        contiguous = np.ascontiguousarray(points)
+        keys = contiguous.view(np.dtype((np.void, contiguous[0].nbytes))).ravel()
+        _, first, self.row_of = np.unique(keys, return_index=True, return_inverse=True)
+        self.rows = points[first]
+        self.sq_norms = np.add.reduce(self.rows * self.rows, axis=1)
+        self.norms = np.sqrt(self.sq_norms)
+        self._draws: Dict[int, _Draws] = {}
+
+    def initial_centroids(self, k: int, seed: int, counts: _PairCounts) -> np.ndarray:
+        """The first *k* centroids of *seed*'s k-means++ sequence, in a
+        new array: the centroids ``kmeans(points, k, weights, seed)``
+        starts from.  A sequence that stopped short (every point
+        coincides with a drawn one) fills the rest with its first draw."""
+        draws = self._draws.get(seed)
+        if draws is None:
+            draws = self._draws[seed] = _Draws(seed)
+        _plusplus_init(self, draws, k, counts)
+        picks = draws.picks[:k]
+        counts.pairs += len(self.points) * len(picks)
+        centroids = np.empty((k, self.points.shape[1]))
+        centroids[: len(picks)] = self.points[picks]
+        centroids[len(picks) :] = centroids[0]
+        return centroids
+
+
+def _plusplus_init(
+    prepared: PreparedPoints, draws: _Draws, k: int, counts: _PairCounts
+) -> None:
+    """Extend a seed's k-means++ sequence (weighted) to *k* draws, or
+    until every point coincides with a drawn one.
+
+    Each draw is ``rng.choice`` over all points, weighted by their
+    distance to the nearest drawn point.  Those distances are kept per
+    distinct row: after each draw, a row's ``closest`` distance changes
+    only if the new centroid is nearer; the filter bound of
+    :func:`kmeans` rules that out for most rows, so only the rest get
+    the exact subtract-square-sum, and ``np.minimum`` sees the same
+    values as on the full column.
+    """
+    points, rows, rng = prepared.points, prepared.rows, draws.rng
+    n, m = len(points), len(rows)
+    if not draws.picks:
+        draws.picks.append(int(rng.choice(n, p=prepared.probs)))
+    while len(draws.picks) < k:
+        if draws.closest is None:
+            first = points[draws.picks[0]]
+            draws.closest = np.add.reduce(np.square(rows - first), axis=1)
+            counts.exact += m
+        closest = draws.closest
+        scores = closest[prepared.row_of] * prepared.weights
         total = np.add.reduce(scores)
         if total <= 0:
-            # all points coincide with chosen centroids; duplicate one
-            centroids[j:] = centroids[0]
             break
-        idx = rng.choice(n, p=scores / total)
-        centroids[j] = points[idx]
-        counts.pairs += n
-        if n < FILTER_MIN_PAIRS:
-            dist = np.add.reduce(np.square(points - centroids[j]), axis=1)
+        idx = int(rng.choice(n, p=scores / total))
+        draws.picks.append(idx)
+        centroid = points[idx]
+        if m < FILTER_MIN_PAIRS:
+            dist = np.add.reduce(np.square(rows - centroid), axis=1)
             np.minimum(closest, dist, out=closest)
-            counts.exact += n
+            counts.exact += m
             continue
-        approx = points @ centroids[j]
+        row = prepared.row_of[idx]
+        approx = rows @ centroid
         approx *= -2.0
-        approx += sq_norms
-        approx += sq_norms[idx]
-        bound = norms + norms[idx]
+        approx += prepared.sq_norms
+        approx += prepared.sq_norms[row]
+        bound = prepared.norms + prepared.norms[row]
         bound *= bound
-        bound *= scale
+        bound *= _error_scale(rows.shape[1])
         approx -= bound
         near = np.nonzero(approx <= closest)[0]
-        dist = np.add.reduce(np.square(points[near] - centroids[j]), axis=1)
+        dist = np.add.reduce(np.square(rows[near] - centroid), axis=1)
         closest[near] = np.minimum(closest[near], dist)
         counts.exact += len(near)
-    return centroids
 
 
 def _update_centroids(
@@ -163,11 +225,12 @@ def _update_centroids(
     weights: np.ndarray,
     weighted: np.ndarray,
     points: np.ndarray,
-    d2: np.ndarray,
+    served: np.ndarray,
 ) -> None:
     """Move every centroid to its members' weighted mean, in place; an
-    empty (or weightless) cluster re-seeds at the worst-served point.
-    Summation order: see :func:`kmeans`."""
+    empty (or weightless) cluster re-seeds at the worst-served point,
+    by each point's weight times *served*, its squared distance to its
+    centroid.  Summation order: see :func:`kmeans`."""
     order = np.argsort(assignments, kind="stable")
     bounds = np.searchsorted(
         assignments[order], np.arange(len(centroids) + 1)
@@ -182,12 +245,12 @@ def _update_centroids(
             centroids[j] = np.add.reduce(sorted_weighted[lo:hi], axis=0) / total
         else:
             if worst is None:
-                worst = (d2[np.arange(len(points)), assignments] * weights).argmax()
+                worst = (served * weights).argmax()
             centroids[j] = points[worst]
 
 
 def kmeans(
-    points: np.ndarray,
+    points: Union[np.ndarray, PreparedPoints],
     k: int,
     weights: Optional[np.ndarray] = None,
     seed: int = 0,
@@ -195,10 +258,24 @@ def kmeans(
 ) -> KMeansResult:
     """Lloyd's algorithm with k-means++ init; deterministic per seed.
 
+    *points* is an (n, d) array, or a :class:`PreparedPoints` that
+    carries its own weights (*weights* must then be None): runs on one
+    prepared set share its distinct rows and each seed's k-means++
+    draws, and give the results a plain array would.
+
     Bit-identical to :func:`repro.verify.oracles.oracle_kmeans` (the
     plain algorithm: a full subtract-square-sum distance matrix per
     pass, masked per-cluster sums), at a fraction of the distance work:
 
+    * **Distinct rows.**  Equal points have equal distances, so every
+      exact distance (seeding updates, the filter below, the Lloyd
+      passes, the final SSE and the empty-cluster re-seed) is computed
+      once per distinct row and gathered back to the points.  The
+      k-means++ draws and the per-cluster sums stay over all points.
+    * **Shared draws.**  The first k centroids of a seed's k-means++
+      sequence do not depend on k, so runs on one prepared set draw
+      each seed's sequence once, extending it when a larger k needs
+      more; every run starts from its own copy.
     * **Filter.**  The BLAS expansion ``a = |x|^2 - 2x.c + |c|^2`` of a
       squared distance is cheap for all pairs at once.  Against the true
       distance, a dot product of length d rounds by at most
@@ -217,9 +294,10 @@ def kmeans(
       rule: ``|x|^2`` is common to the row and drops out, and every
       ``E_j`` is replaced by the row's largest (``||c||`` at its
       maximum), which only admits more candidates.  Seeding tests
-      ``a - E <= closest`` per point to skip the points the new
-      centroid cannot bring closer.  Passes over fewer than
-      :data:`FILTER_MIN_PAIRS` pairs compute them all.
+      ``a - E <= closest`` per row to skip the rows the new centroid
+      cannot bring closer.  Passes over fewer than
+      :data:`FILTER_MIN_PAIRS` pairs of distinct rows and centroids
+      compute them all.
     * **No redundant pass.**  When the loop stops on unchanged
       assignments, the centroids have not moved since the last distance
       pass, so its matrix and assignments are final; only a run that
@@ -234,61 +312,59 @@ def kmeans(
       for it — ``np.add.at`` adds rows one by one, and NumPy's axis-0
       reduction does not always (with d = 1 it sums pairwise).
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    if n == 0:
-        raise ValueError("cannot cluster zero points")
+    if isinstance(points, PreparedPoints):
+        if weights is not None:
+            raise ValueError("a prepared point set carries its own weights")
+        prepared = points
+    else:
+        prepared = PreparedPoints(points, weights)
     if k <= 0:
         raise ValueError("k must be positive")
+    points, rows, row_of = prepared.points, prepared.rows, prepared.row_of
+    weights = prepared.weights
+    n, m = len(points), len(rows)
     k = min(k, n)
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != n:
-        raise ValueError("weights length mismatch")
-    if weights.sum() <= 0:
-        raise ValueError("total weight must be positive")
 
     counts = _PairCounts()
-    sq_norms = (points * points).sum(axis=1)
-    norms = np.sqrt(sq_norms)
-    rng = np.random.default_rng(seed)
-    centroids = _plusplus_init(points, weights, k, rng, norms, sq_norms, counts)
-    weighted = points * weights[:, None]
-    assignments = np.full(n, -1, dtype=np.int64)
+    centroids = prepared.initial_centroids(k, seed, counts)
+    labels = np.full(m, -1, dtype=np.int64)  # each distinct row's cluster
     iterations = 0
     converged = False
 
     def distances() -> np.ndarray:
         counts.pairs += n * k
-        if n * k < FILTER_MIN_PAIRS:
-            counts.exact += n * k
-            return pairwise_sq_dists(points, centroids)
-        candidates = _candidates(points, norms, centroids)
+        if m * k < FILTER_MIN_PAIRS:
+            counts.exact += m * k
+            return pairwise_sq_dists(rows, centroids)
+        candidates = _candidates(rows, prepared.norms, centroids)
         counts.exact += int(np.count_nonzero(candidates))
-        return pairwise_sq_dists(points, centroids, candidates)
+        return pairwise_sq_dists(rows, centroids, candidates)
 
     for iterations in range(1, max_iter + 1):
         d2 = distances()
-        new_assignments = d2.argmin(axis=1)
-        if np.array_equal(new_assignments, assignments):
+        new_labels = d2.argmin(axis=1)
+        if np.array_equal(new_labels, labels):
             converged = True
             break
-        assignments = new_assignments
-        _update_centroids(centroids, assignments, weights, weighted, points, d2)
+        labels = new_labels
+        served = d2[np.arange(m), labels][row_of]
+        _update_centroids(
+            centroids, labels[row_of], weights, prepared.weighted, points, served
+        )
     if not converged:
         d2 = distances()
-        assignments = d2.argmin(axis=1)
-    sse = float((d2[np.arange(n), assignments] * weights).sum())
+        labels = d2.argmin(axis=1)
+    served = d2[np.arange(m), labels][row_of]
+    sse = float((served * weights).sum())
     tm = get_telemetry()
     if tm.enabled:
         tm.counter("simpoint.kmeans.pairs", counts.pairs)
         tm.counter("simpoint.kmeans.exact_pairs", counts.exact)
-    return KMeansResult(assignments, centroids, sse, iterations)
+    return KMeansResult(labels[row_of], centroids, sse, iterations)
 
 
 def kmeans_best_of(
-    points: np.ndarray,
+    points: Union[np.ndarray, PreparedPoints],
     k: int,
     weights: Optional[np.ndarray] = None,
     seeds: int = 5,

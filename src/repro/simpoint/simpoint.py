@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.intervals.base import IntervalSet
 from repro.simpoint.bic import bic_score, choose_k
-from repro.simpoint.kmeans import KMeansResult, kmeans_best_of
+from repro.simpoint.kmeans import KMeansResult, PreparedPoints, kmeans_best_of
 from repro.simpoint.projection import project_bbvs
 
 
@@ -83,12 +83,16 @@ def run_simpoint(
     weights = weights / total
 
     projected = project_bbvs(bbvs, dims=options.dims, seed=options.seed)
+    # every (k, seed) run below shares one prepared set: run (k, s) is
+    # seeded options.seed + k + s, so each seed's k-means++ draws serve
+    # up to options.seeds values of k
+    prepared = PreparedPoints(projected, weights)
 
     results: List[KMeansResult] = []
     scores: List[float] = []
     for k in range(1, min(options.k_max, n) + 1):
         result = kmeans_best_of(
-            projected, k, weights, seeds=options.seeds, base_seed=options.seed + k
+            prepared, k, seeds=options.seeds, base_seed=options.seed + k
         )
         results.append(result)
         scores.append(bic_score(projected, result, weights))

@@ -45,9 +45,12 @@ check                     optimized side vs oracle side
                           — per-event accesses and hits at every
                           associativity compared **exactly**, in the
                           paper's cache geometry and a conflict-heavy one
-:func:`diff_kmeans`       ``kmeans`` (BLAS-filtered distances, sorted
+:func:`diff_kmeans`       ``kmeans`` (BLAS-filtered distances over
+                          distinct rows, shared k-means++ draws, sorted
                           per-cluster sums) vs :func:`oracle_kmeans`
-                          (full distance matrix, masked sums), k = 1..8;
+                          (full distance matrix, masked sums), in
+                          SimPoint's sweep shape on one prepared set:
+                          k = 1..8, seeds k and k + 1;
                           :func:`verify_program` feeds it the run's
                           projected fixed-interval BBVs — assignments,
                           centroid bytes, SSE, and iteration count
@@ -438,6 +441,10 @@ KMEANS_INTERVALS = 600
 #: the k-means check clusters for k = 1..KMEANS_K_MAX
 KMEANS_K_MAX = 8
 
+#: seeds per k in the k-means check: run (k, s) is seeded k + s, as
+#: SimPoint seeds its runs, so every seed's k-means++ draws serve two k
+KMEANS_SEEDS = 2
+
 
 def _projected_bbvs(program: Program, trace: Trace):
     """SimPoint's input for the run: its fixed-interval BBVs, projected,
@@ -455,25 +462,30 @@ def _projected_bbvs(program: Program, trace: Trace):
 
 
 def diff_kmeans(points, weights=None) -> List[Mismatch]:
-    """Compare :func:`kmeans` against :func:`oracle_kmeans` bit for bit,
-    for k = 1..:data:`KMEANS_K_MAX`: assignments, centroid bytes, SSE,
-    iterations."""
-    from repro.simpoint.kmeans import kmeans
+    """Compare :func:`kmeans` against :func:`oracle_kmeans` bit for bit
+    in SimPoint's sweep shape: every run on one prepared set, k =
+    1..:data:`KMEANS_K_MAX` with seeds k + s for s < :data:`KMEANS_SEEDS`
+    (so each seed's k-means++ draws are extended from one k to the
+    next): assignments, centroid bytes, SSE, iterations."""
+    from repro.simpoint.kmeans import PreparedPoints, kmeans
 
+    prepared = PreparedPoints(points, weights)
     out: List[Mismatch] = []
     for k in range(1, KMEANS_K_MAX + 1):
-        got = kmeans(points, k, weights, seed=k)
-        want = oracle_kmeans(points, k, weights, seed=k)
-        for label, g, w in (
-            ("assignments", got.assignments.tolist(), want.assignments.tolist()),
-            ("centroids", got.centroids.tobytes(), want.centroids.tobytes()),
-            ("sse", got.sse, want.sse),
-            ("iterations", got.iterations, want.iterations),
-        ):
-            if g != w:
-                if label == "centroids":
-                    g, w = got.centroids.tolist(), want.centroids.tolist()
-                out.append(Mismatch("kmeans", f"k={k} {label}", g, w))
+        for s in range(KMEANS_SEEDS):
+            seed = k + s
+            got = kmeans(prepared, k, seed=seed)
+            want = oracle_kmeans(points, k, weights, seed=seed)
+            for label, g, w in (
+                ("assignments", got.assignments.tolist(), want.assignments.tolist()),
+                ("centroids", got.centroids.tobytes(), want.centroids.tobytes()),
+                ("sse", got.sse, want.sse),
+                ("iterations", got.iterations, want.iterations),
+            ):
+                if g != w:
+                    if label == "centroids":
+                        g, w = got.centroids.tolist(), want.centroids.tolist()
+                    out.append(Mismatch("kmeans", f"k={k} seed={seed} {label}", g, w))
     return out
 
 

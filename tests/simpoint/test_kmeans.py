@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simpoint.kmeans import kmeans, kmeans_best_of
+from repro.simpoint.kmeans import PreparedPoints, kmeans, kmeans_best_of
 from repro.verify.oracles import oracle_kmeans
 
 
@@ -172,3 +172,118 @@ def test_bit_identical_property(seed, n, d, k, distinct):
     if weights.sum() <= 0:
         weights[0] = 1.0
     assert _identical(kmeans(points, k, weights, seed=seed), oracle_kmeans(points, k, weights, seed=seed))
+
+
+# -- runs sharing one prepared set ---------------------------------------------
+
+
+def _sweep(points, weights, runs):
+    """Run every (k, seed) of *runs* in order on one prepared set; each
+    must equal a plain oracle run, and so must its initial centroids
+    (``max_iter=0``), which Lloyd updates could otherwise wash out."""
+    prepared = PreparedPoints(points, weights)
+    for k, seed in runs:
+        for max_iter in (0, 100):
+            got = kmeans(prepared, k, seed=seed, max_iter=max_iter)
+            want = oracle_kmeans(points, k, weights, seed=seed, max_iter=max_iter)
+            assert _identical(got, want), (k, seed, max_iter)
+    return prepared
+
+
+def _simpoint_runs(k_max, seeds, base=0):
+    """SimPoint's sweep: run (k, s) is seeded base + k + s."""
+    return [(k, base + k + s) for k in range(1, k_max + 1) for s in range(seeds)]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_simpoint_sweep_over_repeated_rows(weighted):
+    """k = 1..30 with 5 seeds per k on 900 points over 100 distinct rows:
+    each seed's draws are extended across up to five k."""
+    rng = np.random.default_rng(900)
+    distinct = rng.normal(size=(100, 15)) * 10.0 ** rng.integers(-2, 3, size=(100, 1))
+    points = distinct[rng.permutation(np.arange(900) % 100)]
+    weights = rng.random(900) if weighted else None
+    prepared = _sweep(points, weights, _simpoint_runs(30, 5, base=2006))
+    assert len(prepared.rows) == 100
+
+
+def test_identical_points_fill_then_extend():
+    """All points equal: every sequence stops after one draw (``total <=
+    0``) and fills with it, at the k that first asks and at larger k."""
+    points = np.full((40, 3), 2.5)
+    prepared = _sweep(points, None, [(3, 7), (1, 7), (8, 7), (2, 8), (12, 8)])
+    assert len(prepared.rows) == 1
+    assert all(len(d.picks) == 1 for d in prepared._draws.values())
+
+
+def test_sequence_exhausts_after_distinct_rows():
+    """Three distinct rows: draws stop at the fourth, and the runs that
+    ask for more fill with the first draw."""
+    rng = np.random.default_rng(3)
+    points = np.array([[0.0, 1.0], [4.0, -2.0], [9.0, 9.0]])[rng.integers(0, 3, 60)]
+    prepared = _sweep(points, rng.random(60), [(2, 1), (6, 1), (3, 1), (10, 2), (1, 2)])
+    assert all(len(d.picks) == 3 for d in prepared._draws.values())
+
+
+def test_rows_differing_in_the_sign_of_zero():
+    """-0.0 and 0.0 are distinct rows by bytes; each centroid keeps the
+    bytes of the point it was drawn from."""
+    rng = np.random.default_rng(4)
+    base = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0], [3.0, 0.0]])
+    points = base[rng.integers(0, len(base), 80)]
+    prepared = _sweep(points, None, _simpoint_runs(5, 3))
+    assert len(prepared.rows) == len(base)
+
+
+def test_zero_weights_on_some_copies_of_a_row():
+    """A row whose copies are weighted on some points and zero on
+    others: draws and cluster totals see each point's own weight."""
+    rng = np.random.default_rng(5)
+    distinct = rng.normal(size=(12, 4))
+    points = distinct[np.arange(120) % 12]
+    weights = rng.random(120)
+    weights[(np.arange(120) % 12 < 6) & (np.arange(120) % 24 < 12)] = 0.0
+    _sweep(points, weights, _simpoint_runs(10, 3))
+
+
+def test_k_max_above_the_point_count():
+    rng = np.random.default_rng(6)
+    points = rng.normal(size=(7, 3))[rng.integers(0, 7, 9)]
+    prepared = PreparedPoints(points)
+    for k, seed in _simpoint_runs(14, 2):
+        got = kmeans(prepared, k, seed=seed)
+        assert got.k == min(k, len(points))
+        assert _identical(got, oracle_kmeans(points, k, seed=seed)), (k, seed)
+
+
+def test_smaller_k_after_larger_is_a_prefix():
+    """A run for a smaller k after a larger one on the same seed starts
+    from the first k draws, not a redraw."""
+    rng = np.random.default_rng(7)
+    points = rng.normal(size=(300, 15))
+    weights = rng.random(300)
+    prepared = _sweep(points, weights, [(20, 11), (4, 11), (1, 11), (25, 11), (9, 11)])
+    assert len(prepared._draws[11].picks) == 25
+
+
+def test_runs_start_from_their_own_centroids():
+    """One run's Lloyd updates never change the centroids a later run
+    on the same seed starts from, and no run writes into another's
+    result."""
+    points, _ = blobs(seed=8, spread=3.0)
+    want = oracle_kmeans(points, 5, seed=3)
+    prepared = PreparedPoints(points)
+    first = kmeans(prepared, 5, seed=3)
+    assert _identical(first, want)
+    assert _identical(kmeans(prepared, 4, seed=4), oracle_kmeans(points, 4, seed=4))
+    assert _identical(first, want)
+    first.centroids[:] = np.nan
+    assert _identical(kmeans(prepared, 5, seed=3), want)
+
+
+def test_prepared_points_carry_their_weights():
+    points, _ = blobs()
+    with pytest.raises(ValueError):
+        kmeans(PreparedPoints(points), 3, weights=np.ones(len(points)))
+    with pytest.raises(ValueError):
+        kmeans(PreparedPoints(points), 0)

@@ -263,7 +263,7 @@ def test_kmeans_check_clean():
 def test_kmeans_check_catches_bincount_totals(monkeypatch):
     """Cluster weight totals summed sequentially (``bincount``) instead
     of pairwise move centroids by an ulp, and the check sees it."""
-    def sequential_totals(centroids, assignments, weights, weighted, points, d2):
+    def sequential_totals(centroids, assignments, weights, weighted, points, served):
         totals = np.bincount(assignments, weights, minlength=len(centroids))
         for j in np.nonzero(totals > 0)[0]:
             centroids[j] = weighted[assignments == j].sum(0) / totals[j]
@@ -272,6 +272,37 @@ def test_kmeans_check_catches_bincount_totals(monkeypatch):
     points, weights = _clustered_points()
     mismatches = diff_kmeans(points, weights)
     assert any(m.kind == "kmeans" and "centroids" in m.key for m in mismatches)
+
+
+def test_kmeans_check_catches_reseeded_draws(monkeypatch):
+    """A seed's k-means++ sequence that restarts its generator when a
+    larger k extends it draws other centroids than a fresh run."""
+    extend = kmeans_module._plusplus_init
+
+    def reseeding(prepared, draws, k, counts):
+        if draws.picks:
+            draws.rng = np.random.default_rng(len(draws.picks))
+        extend(prepared, draws, k, counts)
+
+    monkeypatch.setattr(kmeans_module, "_plusplus_init", reseeding)
+    points, weights = _clustered_points()
+    mismatches = diff_kmeans(points, weights)
+    assert any(m.kind == "kmeans" and "centroids" in m.key for m in mismatches)
+
+
+def test_kmeans_check_catches_shifted_row_index(monkeypatch):
+    """Distances gathered back to the points through a row index
+    shifted by one put points in their neighbours' clusters."""
+    prepare = kmeans_module.PreparedPoints.__init__
+
+    def shifted(self, points, weights=None):
+        prepare(self, points, weights)
+        self.row_of = np.roll(self.row_of, 1)
+
+    monkeypatch.setattr(kmeans_module.PreparedPoints, "__init__", shifted)
+    points, weights = _clustered_points()
+    mismatches = diff_kmeans(points, weights)
+    assert any(m.kind == "kmeans" and "assignments" in m.key for m in mismatches)
 
 
 def test_cache_and_kmeans_checks_in_verify_program(toy_program, toy_input):
