@@ -34,7 +34,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.callloop.graph import CallLoopGraph
 from repro.callloop.serialization import graph_from_dict, graph_to_dict
@@ -112,6 +112,17 @@ class ProfileCache:
     def path_for(self, key: str) -> Path:
         """Where the entry for *key* lives (two-level fan-out dir)."""
         return self.root / key[:2] / f"{key}.json"
+
+    def identity(self, key: str) -> Optional[Tuple[int, int, int]]:
+        """The entry file's (inode, size, mtime in ns), or None when there
+        is no entry.  A reader keeping the graph it loaded compares this
+        with the identity it took before the load: any difference means
+        the file is no longer the one it read."""
+        try:
+            st = os.stat(self.path_for(key))
+        except OSError:
+            return None
+        return st.st_ino, st.st_size, st.st_mtime_ns
 
     # -- load / store ---------------------------------------------------------
 

@@ -203,6 +203,23 @@ class TraceStore:
         """Directory holding the entry for *key* (two-level fan-out)."""
         return self.root / key[:2] / key
 
+    def identity(self, key: str) -> Optional[tuple]:
+        """Each entry file's (name, inode, size, mtime in ns), sorted by
+        name, or None when there is no entry.  A reader keeping the trace
+        it mapped compares this with the identity it took before the
+        load: any difference — a file replaced, truncated, added or
+        removed — means its mapping may no longer match the disk, and it
+        must drop the mapping without reading it."""
+        try:
+            with os.scandir(self.path_for(key)) as entries:
+                files = []
+                for entry in entries:
+                    st = entry.stat(follow_symlinks=False)
+                    files.append((entry.name, st.st_ino, st.st_size, st.st_mtime_ns))
+        except OSError:
+            return None
+        return tuple(sorted(files))
+
     # -- store / load ---------------------------------------------------------
 
     def store(self, key: str, trace: Trace, program: Program) -> TraceHandle:

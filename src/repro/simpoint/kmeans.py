@@ -231,7 +231,10 @@ def _update_centroids(
     empty (or weightless) cluster re-seeds at the worst-served point,
     by each point's weight times *served*, its squared distance to its
     centroid.  Summation order: see :func:`kmeans`."""
-    order = np.argsort(assignments, kind="stable")
+    # NumPy sorts integers of 16 bits or fewer by radix, in linear time;
+    # a stable sort of the same keys gives the same order
+    keys = assignments.astype(np.int16) if len(centroids) <= 1 << 15 else assignments
+    order = np.argsort(keys, kind="stable")
     bounds = np.searchsorted(
         assignments[order], np.arange(len(centroids) + 1)
     ).tolist()

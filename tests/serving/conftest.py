@@ -30,3 +30,16 @@ def serving_dirs(tmp_path_factory):
         trace_store=TraceStore(trace_root),
     )
     return cache_dir, trace_root
+
+
+@pytest.fixture(autouse=True)
+def _empty_worker_state():
+    """``run_query_job`` called in this process keeps its programs,
+    graphs and mapped traces in the process's worker state; empty it
+    around every test, so no kept mapping of one test's temporary stores
+    outlives the test."""
+    from repro.serving.queries import WORKER_STATE
+
+    WORKER_STATE.clear()
+    yield
+    WORKER_STATE.clear()
