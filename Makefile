@@ -22,16 +22,18 @@ bench:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks -q -k smoke
 
-# end-to-end trace-pipeline speedup (legacy vs fast over the full corpus,
-# with per-workload stage seconds); refreshes
-# benchmarks/results/BENCH_e2e_*.json
+# end-to-end trace-pipeline speedup over the full corpus: every run's
+# trace, intervals and BBVs checked against perfbench/refs/pipeline.json,
+# then timed against the committed BENCH_e2e_legacy.json (never re-run);
+# refreshes benchmarks/results/BENCH_e2e_fast.json only
 bench-e2e:
 	$(PYTHON) -m pytest benchmarks -q -k e2e
 
-# split-stage speedup: scalar splitter vs the span-index split (the
-# index built on a bare copy, and read from an attached one), with
-# bit-identity gates on every interval column; refreshes
-# benchmarks/results/BENCH_split_*.json
+# split-stage speedup: the span-index split (the index built on a bare
+# copy, and read from an attached one), its intervals checked against
+# perfbench/refs/pipeline.json, timed against the committed
+# BENCH_split_legacy.json (never re-run); refreshes
+# benchmarks/results/BENCH_split_fast.json only
 bench-split:
 	$(PYTHON) -m pytest benchmarks -q -k bench_split
 

@@ -1,11 +1,9 @@
-"""Split-stage benchmark: scalar splitter vs the shipping split.
+"""Split-stage benchmark: the shipping split against the committed
+scalar-splitter timing.
 
 ``make bench-split`` times marker application (the VLI split) over the
 16-workload corpus (ref traces):
 
-* **legacy** — the scalar per-event splitter
-  (:func:`split_at_markers_scalar`): one Python-level callback per
-  trace event, the reference the index split is diffed against;
 * **fast** — the shipping default (:func:`split_at_markers`) on a bare
   copy of the trace (``Trace(kinds, a, b, c)``, no span index): one
   span-builder pass builds the edge-open index, then the split gathers
@@ -13,14 +11,18 @@
 * **indexed** — the same split of a trace that already carries its
   index (what a split after a profile, or of a stored trace, costs).
 
-Both fast sides must be **bit-identical** to the scalar splitter on all
-four interval columns *before* any timing counts, then the bare-copy
-split must beat legacy by >= 2x overall.  Numbers land in
-``benchmarks/results/BENCH_split_*.json``.
+Both must match the class-``"0"`` ``intervals`` digest in
+``perfbench/refs/pipeline.json`` (all four interval columns, made by
+``perfbench/make_refs.py`` with the scalar splitter
+``split_at_markers_scalar``) *before* any timing counts.  The legacy
+side is not re-run: ``BENCH_split_legacy.json`` holds one measured pass
+of the scalar per-event splitter, and the bare-copy split must beat it
+by >= 2x overall.  A passing run refreshes ``BENCH_split_fast.json``
+only.
 
-``test_bench_split_smoke_regression`` is the CI guard: it re-checks
-bit-identity on two workloads and fails if bare-copy split throughput
-fell more than 20% below the committed baseline JSON.
+``test_bench_split_smoke_regression`` is the CI guard: it re-checks the
+digests on two workloads and fails if bare-copy split throughput fell
+more than 20% below the committed baseline JSON.
 """
 
 import json
@@ -29,9 +31,9 @@ from pathlib import Path
 
 import pytest
 
-from perfbench.common import fingerprint
+from perfbench.common import digest, fingerprint, load_refs
 from repro.engine import Trace
-from repro.intervals import split_at_markers, split_at_markers_scalar
+from repro.intervals import split_at_markers
 from repro.workloads import all_workloads
 
 RESULTS = Path(__file__).parent / "results"
@@ -50,17 +52,27 @@ def _bare(trace):
     return Trace(trace.kinds, trace.a, trace.b, trace.c)
 
 
-def _columns(intervals):
-    return (
-        intervals.row_bounds.tolist(),
-        intervals.start_ts.tolist(),
-        intervals.lengths.tolist(),
-        intervals.phase_ids.tolist(),
+def _reference_digests():
+    """Per workload, the committed digest of its ref-input intervals."""
+    refs = load_refs("pipeline.json")["classes"]["0"]
+    return {name: ref["intervals"] for name, ref in refs.items()}
+
+
+def _digest(intervals):
+    """The intervals digest, as ``perfbench.pipeline.output_digests``
+    takes it."""
+    return digest(
+        intervals.row_bounds,
+        intervals.start_ts,
+        intervals.lengths,
+        intervals.phase_ids,
     )
 
 
 def test_bench_split_speedup(runner, results_dir):
-    seconds = {"legacy": 0.0, "fast": 0.0, "indexed": 0.0}
+    legacy = json.loads((RESULTS / "BENCH_split_legacy.json").read_text())
+    refs = _reference_digests()
+    seconds = {"fast": 0.0, "indexed": 0.0}
     total_instructions = 0
     total_intervals = 0
     per_workload = {}
@@ -71,62 +83,52 @@ def test_bench_split_speedup(runner, results_dir):
         trace = runner.trace(spec)
         markers = runner.markers(spec, MARKER_VARIANT)
 
-        legacy_s, legacy = _timed(
-            lambda: split_at_markers_scalar(program, trace, markers)
-        )
         bare = _bare(trace)
         fast_s, fast = _timed(lambda: split_at_markers(program, bare, markers))
         # the bare copy now carries the index its split built
         indexed_s, indexed = _timed(lambda: split_at_markers(program, bare, markers))
 
-        # bit-identity gate: the fast splits must reproduce the scalar
-        # split exactly before their timings count for anything
-        assert _columns(fast) == _columns(legacy), spec
-        assert _columns(indexed) == _columns(legacy), spec
+        # identity gate: both splits must reproduce the reference digest
+        # before their timings count for anything
+        assert _digest(fast) == refs[spec], spec
+        assert _digest(indexed) == refs[spec], spec
 
-        seconds["legacy"] += legacy_s
         seconds["fast"] += fast_s
         seconds["indexed"] += indexed_s
         total_instructions += trace.total_instructions
-        total_intervals += len(legacy)
+        total_intervals += len(fast)
         per_workload[spec] = {
-            "legacy_seconds": legacy_s,
             "fast_seconds": fast_s,
             "indexed_seconds": indexed_s,
-            "intervals": len(legacy),
+            "intervals": len(fast),
             "instructions": trace.total_instructions,
         }
 
-    speedup = seconds["legacy"] / seconds["fast"]
-    common = {
-        "benchmark": (
-            "VLI split over 16-workload corpus (ref traces, "
-            f"{MARKER_VARIANT} markers)"
-        ),
-        "total_instructions": total_instructions,
-        "total_intervals": total_intervals,
-        "fingerprint": fingerprint(0),
-        "unit": "seconds (single pass per variant)",
-    }
+    # the committed legacy pass split the same corpus
+    assert total_instructions == legacy["total_instructions"]
+    assert total_intervals == legacy["total_intervals"]
+    speedup = legacy["seconds"] / seconds["fast"]
     print(
-        f"\nsplit: legacy {seconds['legacy']:.2f}s -> fast "
+        f"\nsplit: legacy {legacy['seconds']:.2f}s (committed) -> fast "
         f"{seconds['fast']:.2f}s ({speedup:.2f}x), indexed "
         f"{seconds['indexed'] * 1e3:.1f}ms"
     )
     assert speedup >= 2.0
     # only a passing run becomes the next run's baseline
-    (results_dir / "BENCH_split_legacy.json").write_text(
-        json.dumps(
-            {**common, "variant": "legacy (scalar per-event splitter)",
-             "seconds": seconds["legacy"]},
-            indent=2,
-        )
-        + "\n"
-    )
     (results_dir / "BENCH_split_fast.json").write_text(
         json.dumps(
             {
-                **common,
+                "benchmark": (
+                    "VLI split over 16-workload corpus (ref traces, "
+                    f"{MARKER_VARIANT} markers)"
+                ),
+                "total_instructions": total_instructions,
+                "total_intervals": total_intervals,
+                "fingerprint": fingerprint(0),
+                "unit": (
+                    "seconds (single pass per variant); speedup against "
+                    "the committed BENCH_split_legacy.json"
+                ),
                 "variant": (
                     "fast (span-index build plus gather on a bare copy; "
                     "indexed: gather from an attached index)"
@@ -149,10 +151,10 @@ SMOKE_SPECS = ("gzip", "vortex")
 
 
 def test_bench_split_smoke_regression(runner):
-    """Bare-copy split bit-identity plus a 20% throughput-regression
-    gate against the committed ``BENCH_split_fast.json``.  Each repeat
-    splits a fresh bare copy, so none reads an index an earlier one
-    built."""
+    """Bare-copy split identity with the reference digest plus a 20%
+    throughput-regression gate against the committed
+    ``BENCH_split_fast.json``.  Each repeat splits a fresh bare copy, so
+    none reads an index an earlier one built."""
     baseline_path = RESULTS / "BENCH_split_fast.json"
     if not baseline_path.exists():
         pytest.skip(
@@ -164,20 +166,20 @@ def test_bench_split_smoke_regression(runner):
         r["fast_seconds"] for r in rows
     )
 
+    refs = _reference_digests()
     instructions = 0
     seconds = 0.0
     for spec in SMOKE_SPECS:
         program = runner.program(spec)
         trace = runner.trace(spec)
         markers = runner.markers(spec, MARKER_VARIANT)
-        want = _columns(split_at_markers_scalar(program, trace, markers))
         # median of 3 to damp scheduler noise on shared CI runners
         times = []
         for _ in range(3):
             bare = _bare(trace)
             fast_s, fast = _timed(lambda: split_at_markers(program, bare, markers))
             times.append(fast_s)
-            assert _columns(fast) == want, spec
+            assert _digest(fast) == refs[spec], spec
         instructions += trace.total_instructions
         seconds += sorted(times)[1]
     throughput = instructions / seconds

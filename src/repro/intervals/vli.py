@@ -107,9 +107,10 @@ def split_at_markers_scalar(
     table: Optional[NodeTable] = None,
 ) -> IntervalSet:
     """The split of the walk collector's firings
-    (:func:`~repro.callloop.markers.marker_firings_scalar`) — the
+    (:func:`~repro.callloop.markers.marker_firings_scalar`) — the one
     reference the ``split`` verify check pins the index split against,
-    and the baseline side of ``make bench-split``."""
+    and the split behind the committed pipeline digests
+    (``perfbench/make_refs.py``) that the benchmarks check."""
     firings = marker_firings_scalar(program, trace, marker_set, table)
     return _finalize(program, len(trace), trace.total_instructions, firings)
 

@@ -6,10 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.events import K_BLOCK
-from repro.engine.tracing import Trace
-from repro.ir.program import Program
-
 
 @dataclass(frozen=True)
 class PerfModel:
@@ -22,24 +18,6 @@ class PerfModel:
 
     branch_mispredict_penalty: float = 10.0
     dl1_miss_penalty: float = 40.0
-
-    def base_cycles_per_interval(
-        self, program: Program, trace: Trace, row_bounds: np.ndarray
-    ) -> np.ndarray:
-        """Base (hazard-free) cycles of each interval of a partition."""
-        n = len(row_bounds) - 1
-        out = np.zeros(n, dtype=np.float64)
-        if n == 0:
-            return out
-        mask = trace.kinds == K_BLOCK
-        rows = np.nonzero(mask)[0]
-        ids = trace.a[mask]
-        sizes = trace.c[mask]
-        cpi_by_block = np.array([b.base_cpi for b in program.blocks])
-        cycles = sizes * cpi_by_block[ids]
-        idx = np.clip(np.searchsorted(row_bounds, rows, side="right") - 1, 0, n - 1)
-        np.add.at(out, idx, cycles)
-        return out
 
     def total_cycles(
         self,

@@ -114,10 +114,11 @@ _REQUIRED_FIELDS = ("kind", "workload")
 def query_from_dict(data: Mapping[str, Any]) -> Query:
     """Validate and build a :class:`Query` from untrusted JSON data.
 
-    Strict by design: unknown fields, wrong types, unknown kinds, and
-    unknown workloads all raise :class:`QueryError` with a message the
-    server returns verbatim as the HTTP 400 body — a typo in a client
-    never burns a pool worker.
+    Strict by design: unknown fields, wrong types, unknown kinds,
+    unknown workloads, and a ``name/label`` spec whose label names none
+    of the workload's inputs all raise :class:`QueryError` with a
+    message the server returns verbatim as the HTTP 400 body — a typo in
+    a client never burns a pool worker.
     """
     if not isinstance(data, Mapping):
         raise QueryError(f"query must be a JSON object, got {type(data).__name__}")
@@ -156,12 +157,19 @@ def query_from_dict(data: Mapping[str, Any]) -> Query:
     from repro.workloads import workload_names
     from repro.workloads.base import _REGISTRY
 
-    base = query.workload.split("/")[0]
+    base, slash, label = query.workload.partition("/")
     if base not in _REGISTRY:
         raise QueryError(
             f"unknown workload {base!r}; available: {workload_names()}"
         )
     workload = _REGISTRY[base]
+    # the whole spec keys the stores and a worker's kept entries, so a
+    # label must name one of the workload's inputs
+    if slash and label not in workload.inputs:
+        raise QueryError(
+            f"unknown label {label!r} in workload {query.workload!r}; "
+            f"available: {sorted(workload.inputs)}"
+        )
     if query.which not in ("ref", "train") and query.which not in workload.inputs:
         raise QueryError(
             f"unknown input {query.which!r} for workload {base!r}; "

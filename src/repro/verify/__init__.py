@@ -46,7 +46,6 @@ from repro.verify.diff import (
     Mismatch,
     diff_depths,
     diff_graphs,
-    diff_intervals,
     diff_reuse,
     diff_selection,
     diff_split,
@@ -86,7 +85,6 @@ from repro.verify.oracles import (
     oracle_reuse_distances,
     oracle_reuse_histogram,
     oracle_select_markers,
-    oracle_split_at_markers,
 )
 
 __all__ = [
@@ -94,7 +92,6 @@ __all__ = [
     "Mismatch",
     "diff_depths",
     "diff_graphs",
-    "diff_intervals",
     "diff_reuse",
     "diff_selection",
     "diff_split",
@@ -124,5 +121,4 @@ __all__ = [
     "oracle_reuse_distances",
     "oracle_reuse_histogram",
     "oracle_select_markers",
-    "oracle_split_at_markers",
 ]

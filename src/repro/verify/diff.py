@@ -1,69 +1,69 @@
 """Differential comparison of optimized vs oracle implementations.
 
 :func:`verify_program` runs one program through both pipelines and
-reports every disagreement as a structured :class:`Mismatch`.  The
-stage-by-stage checks are also usable on their own:
+reports every disagreement as a structured :class:`Mismatch`.  This
+table is the one list of its checks, in the order it runs them
+(pipeline order: an early mismatch makes later checks noisy, so fix the
+first one first).  Each pins one fast path against one reference; the
+first column is the name ``DiffReport.checks_run`` lists, and every
+``diff_*`` function is also usable on its own.
 
-========================  ==================================================
-check                     optimized side vs oracle side
-========================  ==================================================
-:func:`diff_graphs`       ``CallLoopProfiler`` (span builder + exact
-                          integer moments) and its bulk-walk fallback,
-                          each vs :func:`oracle_call_loop_graph` (naive
-                          walk + two-pass statistics): edges, their
-                          first-close order, statistics, and sources
-:func:`diff_depths`       ``estimate_max_depth`` / ``processing_order``
-                          vs recursive transliteration; plus exact
-                          longest-simple-path brute force on acyclic graphs
-:func:`diff_selection`    ``select_markers`` passes vs direct set filters:
-                          candidates, threshold statistics, selected
-                          markers, and marker order
-:func:`diff_intervals`    ``split_at_markers`` vs naive boundary re-derivation
-:func:`diff_reuse`        Fenwick-tree reuse distances vs O(n²) scan, plus
-                          the vectorized log2 histogram vs per-distance
-                          ``bit_length`` binning
-:func:`diff_trace_pipeline`
-                          the row-template recorder (``Machine.record``)
-                          vs the object-event oracle, the bulk row loop
-                          vs the scalar loop (``walk_scalar``), and the
-                          scalar loop vs :func:`oracle_walk` — columns,
-                          callback sequences, and row positions compared
-                          **bit-for-bit**
-:func:`diff_split`        the marker firings gathered from the span
-                          index and the VLI split made of them — on a
-                          bare trace (the index built in the call) and
-                          on a trace reloaded from a ``TraceStore``
-                          spill — vs the walk collector's firings and
-                          the scalar splitter: firing rows, timestamps
-                          and marker ids, and interval boundaries,
-                          timestamps, lengths and phase ids, compared
-                          **bit-for-bit**
-:func:`diff_cache`        ``profile_events`` (one address gather, the
-                          lock-step stack-depth kernel, one ``bincount``)
-                          vs :func:`oracle_profile_events`
-                          (``MultiAssocCacheSim`` stepped event by event)
-                          — per-event accesses and hits at every
-                          associativity compared **exactly**, in the
-                          paper's cache geometry and a conflict-heavy one
-:func:`diff_kmeans`       ``kmeans`` (BLAS-filtered distances over
-                          distinct rows, shared k-means++ draws, sorted
-                          per-cluster sums) vs :func:`oracle_kmeans`
-                          (full distance matrix, masked sums), in
-                          SimPoint's sweep shape on one prepared set:
-                          k = 1..8, seeds k and k + 1;
-                          :func:`verify_program` feeds it the run's
-                          projected fixed-interval BBVs — assignments,
-                          centroid bytes, SSE, and iteration count
-                          compared **bit-for-bit**
-:func:`diff_streaming`    the incremental streaming path (chunked
-                          ``IncrementalWalker`` feed, windowed moment
-                          merge, online phase monitor) vs ``walk_scalar``,
-                          the batch profiler, selection, and
-                          ``PhaseMonitor``, and chunked vs row-at-a-time
-                          monitor feeds — callbacks, graph dicts,
-                          marker-set dicts, and phase changes compared
-                          **bit-for-bit**
-========================  ==================================================
+==================  ==========================================================
+check               fast path vs its one reference
+==================  ==========================================================
+``trace-pipeline``  :func:`diff_trace_pipeline` (mismatch kind ``trace``):
+                    the row-template recorder (``Machine.record``) vs the
+                    object-event ``Machine.run``, the bulk row loop vs the
+                    scalar loop (``walk_scalar``), and the scalar loop vs
+                    :func:`oracle_walk` — columns, callback sequences, and
+                    row positions compared **bit-for-bit**
+``streaming``       :func:`diff_streaming`: the incremental streaming path
+                    (chunked ``IncrementalWalker`` feed, windowed moment
+                    merge, online phase monitor) vs ``walk_scalar``, the
+                    batch profiler, selection, and ``PhaseMonitor``, and
+                    chunked vs row-at-a-time monitor feeds — callbacks,
+                    graph dicts, marker-set dicts, and phase changes
+                    compared **bit-for-bit**
+``graph``           :func:`diff_graphs`: ``CallLoopProfiler`` (span builder
+                    + exact integer moments) and its bulk-walk fallback,
+                    each vs :func:`oracle_call_loop_graph` (naive walk +
+                    two-pass statistics): edges, their first-close order,
+                    statistics, and sources
+``depth``           :func:`diff_depths` (order mismatches: kind ``order``):
+                    ``estimate_max_depth`` / ``processing_order`` vs a
+                    recursive transliteration; plus exact longest simple
+                    path brute force on acyclic graphs
+``selection``       :func:`diff_selection`: ``select_markers`` passes vs
+                    direct set filters: candidates, threshold statistics,
+                    selected markers, and marker order
+``split``           :func:`diff_split`: the marker firings gathered from
+                    the span index and the VLI split made of them — on a
+                    bare trace (the index built in the call) and on a
+                    trace reloaded from a ``TraceStore`` spill — vs the
+                    walk collector's firings (``marker_firings_scalar``)
+                    and the split of those (``split_at_markers_scalar``):
+                    firing rows, timestamps and marker ids, and interval
+                    boundaries, timestamps, lengths and phase ids,
+                    compared **bit-for-bit**
+``cache``           :func:`diff_cache`: ``profile_events`` (one address
+                    gather, the lock-step stack-depth kernel, one
+                    ``bincount``) vs :func:`oracle_profile_events`
+                    (``MultiAssocCacheSim`` stepped event by event) —
+                    per-event accesses and hits at every associativity
+                    compared **exactly**, in the paper's cache geometry
+                    and a conflict-heavy one
+``kmeans``          :func:`diff_kmeans`: ``kmeans`` (BLAS-filtered
+                    distances over distinct rows, shared k-means++ draws,
+                    sorted per-cluster sums) vs :func:`oracle_kmeans`
+                    (full distance matrix, masked sums), in SimPoint's
+                    sweep shape on one prepared set: k = 1..8, seeds k and
+                    k + 1, over the run's projected fixed-interval BBVs —
+                    assignments, centroid bytes, SSE, and iteration count
+                    compared **bit-for-bit**
+``reuse``           :func:`diff_reuse`: Fenwick-tree reuse distances vs an
+                    O(n²) scan, plus the vectorized log2 histogram vs
+                    per-distance ``bit_length`` binning
+==================  ==========================================================
 
 Tolerance rules: traversal counts, depths, orders, marker sets, interval
 boundaries, and reuse distances must match **exactly** (they are integer
@@ -100,7 +100,6 @@ from repro.verify.oracles import (
     oracle_reuse_distances,
     oracle_reuse_histogram,
     oracle_select_markers,
-    oracle_split_at_markers,
     oracle_walk,
 )
 
@@ -334,24 +333,6 @@ def diff_selection(
     return out
 
 
-def diff_intervals(
-    program: Program, trace: Trace, marker_set: MarkerSet
-) -> List[Mismatch]:
-    """Compare VLI boundaries, lengths, and phase ids."""
-    out: List[Mismatch] = []
-    optimized = split_at_markers(program, trace, marker_set)
-    expected = oracle_split_at_markers(program, trace, marker_set)
-    for label, got, want in (
-        ("row_bounds", optimized.row_bounds.tolist(), expected.row_bounds),
-        ("start_ts", optimized.start_ts.tolist(), expected.start_ts),
-        ("lengths", optimized.lengths.tolist(), expected.lengths),
-        ("phase_ids", optimized.phase_ids.tolist(), expected.phase_ids),
-    ):
-        if got != want:
-            out.append(Mismatch("intervals", label, got, want))
-    return out
-
-
 def diff_reuse(
     addresses: Sequence[int], line_bytes: int = 64
 ) -> List[Mismatch]:
@@ -579,12 +560,12 @@ def diff_trace_pipeline(
                     )
 
     table = NodeTable(program)
-    scalar_walks = {}
+    scalar_runs = {}
     for label, make in (("edges", _SpanLog), ("edges+branches", _BranchSpanLog)):
         scalar_walker = ContextWalker(program, table)
         scalar_log = make(scalar_walker)
         scalar_total = scalar_walker.walk_scalar(trace, scalar_log)
-        scalar_walks[label] = (scalar_total, scalar_log.log)
+        scalar_runs[label] = (scalar_total, scalar_log.log)
         bulk_walker = ContextWalker(program, table)
         bulk_log = make(bulk_walker)
         bulk_total = bulk_walker.walk(trace, bulk_log, bulk=True)
@@ -597,7 +578,7 @@ def diff_trace_pipeline(
     # The scalar loop against the independent naive walk, which names
     # nodes directly, hands each open (not each close) its trace row,
     # and keeps no row cursor to compare.
-    scalar_total, scalar_log = scalar_walks["edges"]
+    scalar_total, scalar_log = scalar_runs["edges"]
     node = table.node
     got_log = [
         ("open", node(src), node(dst), *rest)
@@ -989,7 +970,6 @@ def verify_program(
     report.extend("selection", diff_selection(optimized, params))
 
     markers = select_markers(optimized, params).markers
-    report.extend("intervals", diff_intervals(program, trace, markers))
     report.extend("split", diff_split(program, trace, markers))
 
     report.extend("cache", diff_cache(program, program_input, trace))

@@ -4,28 +4,38 @@ Every function here trades all performance for obviousness, so it can
 serve as the trusted side of a differential test (see
 :mod:`repro.verify.diff`):
 
+* :func:`oracle_walk` replays event objects through a naive shadow
+  call/loop stack that keeps :class:`Node` objects and scans the whole
+  frame stack to decide outermost activations; the ``trace-pipeline``
+  check pins the scalar walk loop to it, and so the walk collector the
+  ``split`` check takes as its reference (the split has no oracle of
+  its own);
 * :func:`oracle_call_loop_graph` re-derives the hierarchical call-loop
-  graph from a raw trace with its own event interpretation (event
-  objects, explicit frame scans, no integer node tables) and keeps the
-  **full list of observations** per edge, computing statistics with a
-  two-pass formula instead of Welford's online accumulator;
+  graph from that walk and keeps the **full list of observations** per
+  edge, computing statistics with a two-pass ``math.fsum`` formula
+  instead of exact integer moments;
 * :func:`oracle_estimate_depth` is a direct recursive transliteration
   of the paper's "modified depth-first search" prose, and
   :func:`oracle_longest_path_depths` brute-forces the exact longest
   simple path by enumerating every root-to-node path (exponential — the
   two must agree on acyclic graphs, where the estimate is exact);
+  :func:`oracle_processing_order` orders nodes by the recursive depths;
 * :func:`oracle_select_markers` applies Pass 1 and Pass 2 as direct
-  list filters with ``math.fsum`` statistics (no numpy);
-* :func:`oracle_split_at_markers` re-derives marker-driven interval
-  boundaries from the naive walk;
+  list filters over every node's in-edges, Pass 2 re-testing candidacy
+  by set membership, with ``math.fsum`` statistics (no numpy), recording
+  each candidate's applied threshold;
 * :func:`oracle_reuse_distances` is the textbook O(n²) scan with an
-  explicit ``set`` of lines per access (no Fenwick tree);
+  explicit ``set`` of lines per access (no Fenwick tree), and
+  :func:`oracle_reuse_histogram` bins each distance with
+  ``int.bit_length`` in a Python loop;
 * :func:`oracle_profile_events` steps :class:`MultiAssocCacheSim`
-  through the trace one block event at a time, fetching each event's
-  addresses with its own ``addresses_for_block`` call;
+  (per-set Python lists) through the trace one block event at a time,
+  fetching each event's addresses with its own ``addresses_for_block``
+  call;
 * :func:`oracle_kmeans` is plain weighted Lloyd's with k-means++
-  seeding: a full subtract-square-sum distance matrix every pass and
-  masked per-cluster sums.
+  seeding: a full subtract-square-sum distance matrix every pass,
+  masked per-cluster sums, and one more distance pass after
+  convergence.
 
 The oracles intentionally re-implement *static* facts too: loops are
 re-discovered by scanning for backwards conditional branches rather
@@ -41,7 +51,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.callloop.graph import CallLoopGraph, Edge, Node, NodeKind, ROOT
-from repro.callloop.markers import MarkerSet
 from repro.callloop.selection import SelectionParams
 from repro.cache.stackdist import MultiAssocCacheSim
 from repro.engine.events import K_BLOCK, BlockEvent, CallEvent, ReturnEvent
@@ -515,78 +524,6 @@ def oracle_select_markers(
             if edge.cov <= threshold:
                 result.selected.append(key)
     return result
-
-
-# ---------------------------------------------------------------------------
-# interval oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OracleIntervals:
-    """Naive marker-driven partition of a run."""
-
-    row_bounds: List[int]
-    start_ts: List[int]
-    lengths: List[int]
-    phase_ids: List[int]
-
-
-def oracle_split_at_markers(
-    program: Program, trace: Trace, marker_set: MarkerSet
-) -> OracleIntervals:
-    """Re-derive VLI boundaries from the naive walk.
-
-    Only valid for markers selected on *program* itself (node identities
-    are matched directly, with no cross-binary table resolution).
-    """
-    by_pair = {(m.src, m.dst): m for m in marker_set}
-    counters: Dict[EdgeKey, int] = {}
-    reset_on_head: Dict[Node, List[EdgeKey]] = {}
-    for marker in marker_set:
-        if marker.merge_iterations > 1:
-            pair = (marker.src, marker.dst)
-            counters[pair] = 0
-            reset_on_head.setdefault(marker.src, []).append(pair)
-
-    boundaries: List[Tuple[int, int, int]] = []  # (row, t, phase)
-
-    def on_open(src, dst, t, source, row):
-        for pair in reset_on_head.get(dst, ()):
-            counters[pair] = 0
-        marker = by_pair.get((src, dst))
-        if marker is None:
-            return
-        if marker.merge_iterations > 1:
-            seen = counters[(src, dst)]
-            counters[(src, dst)] = seen + 1
-            if seen % marker.merge_iterations != 0:
-                return
-        if boundaries and boundaries[-1][1] == t:
-            # coincident firing: keep the innermost (last) marker
-            boundaries[-1] = (boundaries[-1][0], t, marker.marker_id)
-        else:
-            boundaries.append((row, t, marker.marker_id))
-
-    total = oracle_walk(program, trace, on_open=on_open)
-
-    first_phase = 0
-    while boundaries and boundaries[0][1] == 0:
-        first_phase = boundaries[0][2]
-        boundaries = boundaries[1:]
-
-    rows = [0] + [b[0] for b in boundaries] + [len(trace)]
-    start_ts = [0] + [b[1] for b in boundaries]
-    ends = start_ts[1:] + [total]
-    lengths = [e - s for s, e in zip(start_ts, ends)]
-    phase_ids = [first_phase] + [b[2] for b in boundaries]
-
-    if len(lengths) > 1 and lengths[-1] == 0:
-        rows = rows[:-2] + rows[-1:]
-        start_ts = start_ts[:-1]
-        lengths = lengths[:-1]
-        phase_ids = phase_ids[:-1]
-    return OracleIntervals(rows, start_ts, lengths, phase_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,17 @@ def test_query_from_dict_accepts_defaults():
         {"kind": "markers", "workload": WORKLOAD, "window": 4},  # not stream
         {"kind": 3, "workload": WORKLOAD},
         "not an object",
+        {"kind": "markers", "workload": "compress95/zzz"},  # not an input
     ],
 )
 def test_query_from_dict_rejects_malformed(doc):
     with pytest.raises(QueryError):
         query_from_dict(doc)
+
+
+@pytest.mark.parametrize("spec", ["gzip/graphic", "compress95/ref", "gzip/train"])
+def test_query_from_dict_accepts_labels_that_name_inputs(spec):
+    assert query_from_dict({"kind": "markers", "workload": spec}).workload == spec
 
 
 def test_payload_is_a_pure_function_of_the_query():

@@ -33,7 +33,8 @@ diff_module = importlib.import_module("repro.verify.diff")
 def test_verify_program_clean_on_fixtures(toy_program, toy_input):
     report = verify_program(toy_program, toy_input)
     assert report.ok, report.describe()
-    assert set(report.checks_run) >= {"graph", "depth", "selection", "intervals"}
+    assert set(report.checks_run) >= {"graph", "depth", "selection", "split"}
+    assert "intervals" not in report.checks_run
 
 
 @pytest.mark.parametrize("name", ["gzip", "mcf", "art"])
