@@ -68,7 +68,8 @@ def test_bench_smoke_parallel_cached_experiment(results_dir, tmp_path):
     # the guarantees: identical output, zero profiler passes when warm
     assert parallel_table == serial_table
     assert warm_table == serial_table
-    assert warm.log.profiling_skipped()
+    summary = warm.run_summary().render()
+    assert f"{len(PAIRS)} cache hits / 0 misses" in summary
     assert warm.cache.hits == len(PAIRS)
     assert warm.cache.misses == 0
 
@@ -81,4 +82,4 @@ def test_bench_smoke_parallel_cached_experiment(results_dir, tmp_path):
     table.add_row(["parallel (2 jobs)", parallel_s, len(PAIRS), 0])
     table.add_row(["warm cache", warm_s, 0, warm.cache.hits])
     save_table(results_dir, "smoke_parallel_cache", table)
-    print(warm.run_summary().render())
+    print(summary)

@@ -19,13 +19,13 @@ import numpy as np
 from repro import (
     Machine,
     SelectionParams,
-    build_call_loop_graph,
     record_trace,
     select_markers,
     split_at_markers,
     attach_metrics,
 )
 from repro.analysis import phase_cov, whole_program_cov
+from repro.callloop import CallLoopProfiler
 from repro.workloads import get_workload
 
 
@@ -38,8 +38,8 @@ def main() -> None:
     trace = record_trace(Machine(program, workload.ref_input))
     print(f"executed {trace.total_instructions:,} instructions")
 
-    # 2. profile the call-loop graph
-    graph = build_call_loop_graph(program, [workload.ref_input])
+    # 2. profile the recorded run into the call-loop graph
+    graph = CallLoopProfiler(program).profile_trace(trace)
     print(graph.summary())
 
     # 3. select markers (minimum interval size: 10K instructions at the

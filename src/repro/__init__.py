@@ -32,6 +32,7 @@ See ``examples/`` for complete walkthroughs.
 
 from repro.callloop import (
     CallLoopGraph,
+    CallLoopProfiler,
     LimitParams,
     MarkerSet,
     PhaseMarker,
@@ -83,16 +84,17 @@ __all__ = [
 def quickstart_pipeline(workload_name: str, ilower: int = 10_000):
     """Run the whole pipeline on one bundled workload.
 
-    Profiles the workload's reference input, selects phase markers, and
-    splits the run into variable-length intervals with CPI / cache
-    metrics attached.  Returns ``(marker_set, interval_set)``.
+    Records the workload's reference input once and profiles that
+    recording, selects phase markers, and splits the same run into
+    variable-length intervals with CPI / cache metrics attached.
+    Returns ``(marker_set, interval_set)``.
     """
     from repro.workloads import get_workload  # deferred: heavy registry
 
     workload = get_workload(workload_name)
     program = workload.build()
     trace = record_trace(Machine(program, workload.ref_input))
-    graph = build_call_loop_graph(program, [workload.ref_input])
+    graph = CallLoopProfiler(program).profile_trace(trace)
     markers = select_markers(graph, SelectionParams(ilower=ilower)).markers
     intervals = split_at_markers(program, trace, markers)
     attach_metrics(intervals, trace, program, workload.ref_input)

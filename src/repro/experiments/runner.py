@@ -18,8 +18,8 @@ cached execution layer from :mod:`repro.runner`:
   parallel path produces byte-identical experiment output.
 
 Every graph acquisition (inline profile, worker profile, cache hit) is
-recorded in :attr:`Runner.log`; :meth:`Runner.run_summary` renders the
-timings and hit/miss counters as a report table.
+listed in :attr:`Runner.acquisitions`; :meth:`Runner.run_summary`
+renders the timings and hit/miss counters as a report table.
 
 Marker-set variants follow the paper's Figures 7-10 legend:
 
@@ -37,7 +37,7 @@ variant            meaning
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,9 +50,8 @@ from repro.callloop import (
     select_markers_with_limit,
 )
 from repro.callloop.graph import CallLoopGraph
-from repro.engine.machine import Machine
 from repro.engine.memory import MemorySystem
-from repro.engine.tracing import Trace, record_trace
+from repro.engine.tracing import Trace
 from repro.experiments.config import SCALED, ExperimentConfig
 from repro.intervals.base import IntervalSet
 from repro.intervals.fixed import split_fixed
@@ -70,13 +69,18 @@ from repro.ir.program import Program, ProgramInput
 from repro.runner.cache import ProfileCache
 from repro.runner.jobs import ProfileJob
 from repro.runner.parallel import run_profile_jobs
-from repro.runner.traces import TRACE_SPILL_ROWS, TraceStore
-from repro.runner.summary import CACHE_HIT, PROFILED, WORKER, RunLog
+from repro.runner.traces import TraceStore, acquire_trace
 from repro.telemetry import get_telemetry
 from repro.util.tables import Table
 from repro.workloads import get_workload
 
 MARKER_VARIANTS = ("nolimit-self", "nolimit-cross", "procs-self", "procs-cross", "limit")
+
+#: graph acquisition sources, as the run summary shows them: profiled in
+#: this process, profiled in a pool worker, loaded from the profile cache
+PROFILED = "profiled"
+WORKER = "worker"
+CACHE_HIT = "cache"
 
 
 class Runner:
@@ -97,14 +101,16 @@ class Runner:
         self.config = config
         self.cache = cache
         self.jobs = jobs
-        # Large traces spill here (memmap-backed columns) instead of
-        # living in the process heap; workers hand traces back through
-        # the store as path handles rather than pickled arrays.  Follows
-        # the profile cache's location unless given explicitly.
+        # Recorded traces spill here (memmap-backed columns) instead of
+        # living in the process heap; pool workers spill theirs here too,
+        # and this process maps the same entries by key.  Follows the
+        # profile cache's location unless given explicitly.
         if trace_store is None and cache is not None:
             trace_store = TraceStore(cache.root.parent / "traces")
         self.trace_store = trace_store
-        self.log = RunLog()
+        #: every graph acquisition, in order: (workload, input, source,
+        #: seconds), source one of PROFILED, WORKER or CACHE_HIT
+        self.acquisitions: List[Tuple[str, str, str, float]] = []
         self.metrics_config = MetricsConfig()
         self._programs: Dict[Tuple[str, str], Program] = {}
         self._traces: Dict[Tuple, Trace] = {}
@@ -121,10 +127,10 @@ class Runner:
         vname = variant.name if variant else "base"
         key = (spec.split("/")[0], vname)
         if key not in self._programs:
-            base = get_workload(spec).build()
-            self._programs[(key[0], "base")] = base
-            if variant is not None:
-                self._programs[key] = link(base, variant)
+            if variant is None:
+                self._programs[key] = get_workload(spec).build()
+            else:
+                self._programs[key] = link(self.program(spec), variant)
         return self._programs[key]
 
     def input_for(self, spec: str, which: str) -> ProgramInput:
@@ -138,41 +144,26 @@ class Runner:
         profiler: Optional[CallLoopProfiler] = None,
     ) -> Trace:
         """The recorded trace of *spec* on input *which*, memoized and
-        via the trace store when there is one; profiled into *profiler*
-        when one is given.
-
-        A spilled recording carries its span index.  A profile attaches
-        the index, so a fresh recording is profiled before it spills and
-        the store builds no second one.
-        """
+        via the trace store when there is one
+        (:func:`~repro.runner.traces.acquire_trace`); profiled into
+        *profiler* when one is given."""
         vname = variant.name if variant else "base"
         key = (spec.split("/")[0], which, vname)
-        profiled = False
-        if key not in self._traces:
+        trace = self._traces.get(key)
+        if trace is None:
             with get_telemetry().span(
                 "runner.trace", spec=key[0], which=which, variant=vname
             ):
-                store = self.trace_store
-                trace = None
-                if store is not None:
-                    store_key = store.trace_key(
-                        spec, which, self.input_for(spec, which), variant=vname
-                    )
-                    trace = store.load(store_key)
-                if trace is None:
-                    program = self.program(spec, variant)
-                    trace = record_trace(Machine(program, self.input_for(spec, which)))
-                    if profiler is not None:
-                        profiler.profile_trace(trace)
-                        profiled = True
-                    if store is not None and len(trace) >= TRACE_SPILL_ROWS:
-                        # keep the memmap-backed copy: pages are shared
-                        # with any worker that replays the same trace and
-                        # the OS can drop them under memory pressure
-                        trace = store.store(store_key, trace, program).load()
-                self._traces[key] = trace
-        trace = self._traces[key]
-        if profiler is not None and not profiled:
+                trace = self._traces[key] = acquire_trace(
+                    spec,
+                    which,
+                    self.program(spec, variant),
+                    self.input_for(spec, which),
+                    self.trace_store,
+                    variant=vname,
+                    profiler=profiler,
+                )
+        elif profiler is not None:
             profiler.profile_trace(trace)
         return trace
 
@@ -181,31 +172,54 @@ class Runner:
     def _graph_cache_key(self, spec: str, which: str) -> str:
         return self.cache.graph_key(spec, which, self.input_for(spec, which))
 
+    def _acquired(
+        self, spec: str, which: str, source: str, graph: CallLoopGraph, seconds: float
+    ) -> None:
+        """Memoize *graph*, list its acquisition for :meth:`run_summary`
+        and record it as a ``runner.acquire`` span and counters in the
+        active telemetry session."""
+        name = spec.split("/")[0]
+        self._graphs[(name, which)] = graph
+        self.acquisitions.append((name, which, source, seconds))
+        tm = get_telemetry()
+        tm.record_span("runner.acquire", seconds, spec=name, which=which, source=source)
+        tm.counter(f"runner.acquire.{source}")
+        tm.counter("runner.acquire.seconds", seconds)
+
+    def _load_graph(self, spec: str, which: str) -> bool:
+        """Acquire *spec*'s graph on input *which* from the profile
+        cache; False on a miss."""
+        if self.cache is None:
+            return False
+        graph = self.cache.load_graph(self._graph_cache_key(spec, which))
+        if graph is None:
+            return False
+        self._acquired(spec, which, CACHE_HIT, graph, 0.0)
+        return True
+
+    def _profile_graph(self, spec: str, which: str) -> None:
+        """Acquire *spec*'s graph on input *which* by profiling it in
+        this process, and store it in the profile cache."""
+        start = time.perf_counter()
+        profiler = CallLoopProfiler(self.program(spec))
+        self.trace(spec, which, profiler=profiler)
+        self._acquired(
+            spec, which, PROFILED, profiler.graph, time.perf_counter() - start
+        )
+        if self.cache is not None:
+            self.cache.store_graph(self._graph_cache_key(spec, which), profiler.graph)
+
     def graph(self, spec: str, which: str = "ref") -> CallLoopGraph:
         key = (spec.split("/")[0], which)
         if key not in self._graphs:
             with get_telemetry().span(
                 "runner.graph", spec=key[0], which=which
             ) as span:
-                cached = None
-                if self.cache is not None:
-                    cached = self.cache.load_graph(self._graph_cache_key(spec, which))
-                if cached is not None:
+                if self._load_graph(spec, which):
                     span.set("source", CACHE_HIT)
-                    self.log.record(key[0], which, CACHE_HIT, 0.0)
-                    self._graphs[key] = cached
                 else:
                     span.set("source", PROFILED)
-                    start = time.perf_counter()
-                    program = self.program(spec)
-                    profiler = CallLoopProfiler(program)
-                    self.trace(spec, which, profiler=profiler)
-                    self.log.record(key[0], which, PROFILED, time.perf_counter() - start)
-                    self._graphs[key] = profiler.graph
-                    if self.cache is not None:
-                        self.cache.store_graph(
-                            self._graph_cache_key(spec, which), profiler.graph
-                        )
+                    self._profile_graph(spec, which)
         return self._graphs[key]
 
     def prefetch_graphs(
@@ -215,65 +229,69 @@ class Runner:
         cache misses out over worker processes.
 
         Warm-cache and already-memoized graphs are served immediately;
-        only the remainder is profiled, in parallel when ``jobs > 1``.
-        Returns the number of graphs that were actually profiled.
-        Worker-profiled graphs round-trip through the exact JSON
-        serialization, so downstream selection results are identical to
-        the serial path's.
+        only the remainder is profiled: over ``jobs`` worker processes
+        when there are several, else in this process, as :meth:`graph`
+        profiles.  Returns the number of graphs that were actually
+        profiled.  Worker-profiled graphs round-trip through the exact
+        JSON serialization, and their traces stay in the trace store,
+        so downstream results are identical to the serial path's.
         """
         jobs = self.jobs if jobs is None else jobs
         tm = get_telemetry()
         with tm.span("runner.prefetch", jobs=jobs) as span:
-            needed = []
-            seen = set()
+            misses: Dict[Tuple[str, str], Tuple[str, str]] = {}
             for spec, which in pairs:
                 key = (spec.split("/")[0], which)
-                if key in seen or key in self._graphs:
+                if key in misses or key in self._graphs:
                     continue
-                seen.add(key)
-                cached = None
-                if self.cache is not None:
-                    cached = self.cache.load_graph(self._graph_cache_key(spec, which))
-                if cached is not None:
-                    self.log.record(key[0], which, CACHE_HIT, 0.0)
-                    self._graphs[key] = cached
-                else:
-                    needed.append((spec, which))
-            span.set("profiled", len(needed))
-            if not needed:
-                return 0
+                if not self._load_graph(spec, which):
+                    misses[key] = (spec, which)
+            span.set("profiled", len(misses))
+            if jobs <= 1 or len(misses) <= 1:
+                for spec, which in misses.values():
+                    self._profile_graph(spec, which)
+                return len(misses)
             trace_root = (
                 str(self.trace_store.root) if self.trace_store is not None else None
             )
             results = run_profile_jobs(
                 [
                     ProfileJob(spec, which, trace_root=trace_root)
-                    for spec, which in needed
+                    for spec, which in misses.values()
                 ],
                 max_workers=jobs,
             )
-            for (spec, which), result in zip(needed, results):
+            for (spec, which), result in zip(misses.values(), results):
                 graph = graph_from_dict(result.graph_data)
-                key = (spec.split("/")[0], which)
-                source = WORKER if jobs > 1 and len(needed) > 1 else PROFILED
-                self.log.record(key[0], which, source, result.seconds)
-                if tm.enabled:
-                    # adopt the worker's spans/counters into this session
-                    tm.merge_snapshot(result.telemetry)
-                self._graphs[key] = graph
+                self._acquired(spec, which, WORKER, graph, result.seconds)
+                # adopt the worker's spans/counters into this session
+                tm.merge_snapshot(result.telemetry)
                 if self.cache is not None:
                     self.cache.store_graph(self._graph_cache_key(spec, which), graph)
-                if result.trace_handle is not None:
-                    # adopt the spilled trace: later trace() calls memmap
-                    # the worker's recording instead of re-running
-                    tkey = (key[0], which, "base")
-                    if tkey not in self._traces:
-                        self._traces[tkey] = result.trace_handle.load()
-            return len(needed)
+            return len(misses)
 
     def run_summary(self) -> Table:
-        """Timings and cache hit/miss counters of this run, as a table."""
-        return self.log.summary_table(self.cache)
+        """The run's graph acquisitions as a table: one row each, then a
+        totals row with the cache hits, the misses (graphs profiled here
+        or in a worker), the profile cache's stores and discarded
+        corrupt entries, and the seconds spent."""
+        table = Table(
+            "Run summary: call-loop profile acquisitions",
+            ["workload", "input", "source", "seconds"],
+            digits=3,
+        )
+        for row in self.acquisitions:
+            table.add_row(row)
+        hits = sum(source == CACHE_HIT for _, _, source, _ in self.acquisitions)
+        totals = f"{hits} cache hits / {len(self.acquisitions) - hits} misses"
+        cache = self.cache
+        if cache is not None and (cache.stores or cache.invalid):
+            totals += f"; {cache.stores} stored"
+            if cache.invalid:
+                totals += f", {cache.invalid} corrupt discarded"
+        spent = sum((seconds for *_, seconds in self.acquisitions), 0.0)
+        table.add_row([f"total ({len(self.acquisitions)})", "", totals, spent])
+        return table
 
     def markers(self, spec: str, variant: str) -> MarkerSet:
         if variant not in MARKER_VARIANTS:

@@ -9,38 +9,30 @@ removes that bottleneck twice over:
   input, code version), so a warm cache turns re-profiling into a JSON
   load.
 * :mod:`repro.runner.jobs` / :mod:`repro.runner.parallel` — pure,
-  picklable :class:`ProfileJob` units fanned out over a
-  ``ProcessPoolExecutor``; independent (workload, input) profiles run
-  concurrently and return exact serialized graphs.
+  picklable :class:`ProfileJob` units, each naming a registry workload,
+  fanned out over a ``ProcessPoolExecutor``; independent (workload,
+  input) profiles run concurrently and return exact serialized graphs.
 * :mod:`repro.runner.traces` — a content-addressed :class:`TraceStore`
-  of spilled columnar traces; workers hand recordings back as tiny
-  :class:`TraceHandle` path records and every consumer memory-maps the
-  same on-disk columns instead of pickling arrays across the pool.
-* :mod:`repro.runner.summary` — a :class:`RunLog` of per-job timings
-  and cache hits/misses, rendered as a standard report table.  Since
-  PR 2 it is a shim over :mod:`repro.telemetry`: acquisitions are
-  ``runner.acquire`` spans/counters, and pool workers ship their span
-  snapshots back through :class:`ProfileJobResult.telemetry`.
+  of spilled columnar traces, which every consumer memory-maps instead
+  of holding or pickling arrays, and :func:`acquire_trace`, the one
+  rule for getting a trace out of it: a store hit, else a fresh
+  recording, profiled first when a profile is wanted, then spilled with
+  its span index.  The memoizing Runner, a profile job and a serving
+  query all acquire traces through it.
 
 The memoizing :class:`~repro.experiments.runner.Runner` threads all
-three together (``Runner(cache=..., jobs=...)``), and the CLI exposes
-them as ``repro experiment NAME --jobs N [--cache-dir DIR | --no-cache]``.
+three together (``Runner(cache=..., jobs=...)``) and lists every graph
+acquisition in its run summary; the CLI exposes them as
+``repro experiment NAME --jobs N [--cache-dir DIR | --no-cache]``.
 """
 
 from repro.runner.cache import CACHE_SCHEMA_VERSION, ProfileCache, default_cache_dir
-from repro.runner.jobs import (
-    ProfileJob,
-    ProfileJobResult,
-    UnpicklableJobError,
-    ensure_picklable,
-    run_profile_job,
-)
+from repro.runner.jobs import ProfileJob, ProfileJobResult, run_profile_job
 from repro.runner.parallel import default_jobs, run_profile_jobs
-from repro.runner.summary import RunEvent, RunLog
 from repro.runner.traces import (
-    TRACE_SPILL_ROWS,
     TraceHandle,
     TraceStore,
+    acquire_trace,
     default_trace_dir,
 )
 
@@ -50,15 +42,11 @@ __all__ = [
     "default_cache_dir",
     "ProfileJob",
     "ProfileJobResult",
-    "UnpicklableJobError",
-    "ensure_picklable",
     "run_profile_job",
     "default_jobs",
     "run_profile_jobs",
-    "RunEvent",
-    "RunLog",
-    "TRACE_SPILL_ROWS",
     "TraceHandle",
     "TraceStore",
+    "acquire_trace",
     "default_trace_dir",
 ]

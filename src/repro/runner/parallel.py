@@ -20,12 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, List, Optional
 
-from repro.runner.jobs import (
-    ProfileJob,
-    ProfileJobResult,
-    ensure_picklable,
-    run_profile_job,
-)
+from repro.runner.jobs import ProfileJob, ProfileJobResult, run_profile_job
 
 
 def available_cpus() -> int:
@@ -67,10 +62,7 @@ def run_profile_jobs(
 ) -> List[ProfileJobResult]:
     """Run every job, fanning out across *max_workers* processes.
 
-    Results are returned in job order.  Every job is checked for
-    picklability up front (:func:`~repro.runner.jobs.ensure_picklable`)
-    so a bad job fails fast with a clear error instead of killing the
-    pool mid-run.
+    Results are returned in job order.
     """
     from repro.telemetry import get_telemetry
 
@@ -88,8 +80,6 @@ def run_profile_jobs(
             for job in job_list
         ]
     if max_workers > 1 and len(job_list) > 1:
-        for job in job_list:
-            ensure_picklable(job)
         workers = min(max_workers, len(job_list))
         if tm.enabled:
             tm.gauge("runner.pool.queue_depth", len(job_list))

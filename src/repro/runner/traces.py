@@ -5,11 +5,14 @@ megabytes of columnar data.  Pickling it across a process pool copies
 every byte through the pipe twice; holding many of them in the runner's
 memo keeps the whole suite's traces resident.  The trace store fixes
 both by spilling each column to its own ``.npy`` file under a
-content-addressed directory and handing out :class:`TraceHandle`\\ s —
-tiny picklable path records.  Loading a handle memory-maps the columns
-(``np.load(mmap_mode="r")``), so replaying processes share the page
-cache instead of private heap copies, and the OS can evict cold trace
-pages under pressure.
+content-addressed directory: a pool worker spills its recording, and
+the parent finds the entry by the same key.  Loading an entry
+memory-maps the columns (``np.load(mmap_mode="r")``), so replaying
+processes share the page cache instead of private heap copies, and the
+OS can evict cold trace pages under pressure.  :func:`acquire_trace` is
+the one rule by which the experiments Runner, profile jobs and serving
+get a trace: a store hit, else a fresh recording, profiled first when a
+profile is wanted, then spilled with its span index and mapped back.
 
 The mapped columns are read-only and never remapped, which also makes
 them safe for *concurrent* readers: pool workers and serving workers
@@ -39,20 +42,17 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from repro.callloop.serialization import node_from_dict, node_to_dict
 from repro.callloop.spans import EdgeOpens, index_trace
+from repro.engine import tracing
+from repro.engine.machine import Machine
 from repro.engine.tracing import Trace
 from repro.ir.program import Program, ProgramInput
 from repro.telemetry import get_telemetry
-
-#: traces with at least this many rows are spilled to disk by the
-#: runner; smaller ones stay in memory (the handle machinery would cost
-#: more than the copy)
-TRACE_SPILL_ROWS = 1 << 16
 
 #: bump to invalidate every spilled trace after a format change
 TRACE_SCHEMA_VERSION = 2
@@ -86,11 +86,11 @@ def _write(directory: str, trace: Trace) -> None:
         json.dump(doc, f)
 
 
-def _read(path: Path, mmap: bool) -> Trace:
-    """The trace of the entry at *path*; ``ValueError`` or ``OSError``
-    when a file is missing, truncated or disagrees with the columns."""
-    mode = "r" if mmap else None
-    trace = Trace(*(np.load(path / f"{name}.npy", mmap_mode=mode) for name in _COLUMNS))
+def _read(path: Path) -> Trace:
+    """The trace of the entry at *path*, its columns and span index
+    memory-mapped; ``ValueError`` or ``OSError`` when a file is missing,
+    truncated or disagrees with the columns."""
+    trace = Trace(*(np.load(path / f"{name}.npy", mmap_mode="r") for name in _COLUMNS))
     try:
         doc = json.loads((path / _INDEX).read_text())
         if doc["rows"] != len(trace):
@@ -102,7 +102,7 @@ def _read(path: Path, mmap: bool) -> Trace:
             trace.opens = str(doc["declined"])
             return trace
         rows, ts, runs, resets = (
-            np.load(path / f"open_{name}.npy", mmap_mode=mode) for name in _OPEN_ARRAYS
+            np.load(path / f"open_{name}.npy", mmap_mode="r") for name in _OPEN_ARRAYS
         )
         n = len(rows)
         if len(ts) != n or runs.ndim != 2 or runs.shape[1] != 2:
@@ -134,20 +134,17 @@ def default_trace_dir() -> Path:
 
 @dataclass(frozen=True)
 class TraceHandle:
-    """A picklable pointer to a spilled trace.
-
-    Crossing a process boundary costs a short path string instead of the
-    trace itself; the receiver calls :meth:`load` (or
-    :meth:`TraceStore.load`) to memory-map the columns back.
+    """A pointer to a spilled trace, as :meth:`TraceStore.store` returns
+    it: the entry's path and row count, a short picklable record;
+    :meth:`load` memory-maps the columns back.
     """
 
     path: str
     rows: int
 
-    def load(self, mmap: bool = True) -> Trace:
-        """Materialize the trace this handle points to, span index
-        included."""
-        trace = _read(Path(self.path), mmap)
+    def load(self) -> Trace:
+        """Map the trace this handle points to, span index included."""
+        trace = _read(Path(self.path))
         if len(trace) != self.rows:
             raise ValueError(
                 f"spilled trace at {self.path} has {len(trace)} rows, "
@@ -259,7 +256,7 @@ class TraceStore:
             tm.counter("runner.trace.spill_rows", len(trace))
         return TraceHandle(str(path), len(trace))
 
-    def load(self, key: str, mmap: bool = True) -> Optional[Trace]:
+    def load(self, key: str) -> Optional[Trace]:
         """The spilled trace for *key*, span index included, or None on a
         miss.
 
@@ -271,7 +268,7 @@ class TraceStore:
         if not path.is_dir():
             return None
         try:
-            trace = _read(path, mmap)
+            trace = _read(path)
         except (ValueError, OSError):
             shutil.rmtree(path, ignore_errors=True)
             return None
@@ -296,3 +293,44 @@ class TraceStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceStore({str(self.root)!r}: {self.spills} spills, {self.loads} loads)"
+
+
+def acquire_trace(
+    spec: str,
+    which: str,
+    program: Program,
+    program_input: ProgramInput,
+    store: Optional[TraceStore] = None,
+    *,
+    variant: str = "base",
+    profiler=None,
+    load: Optional[Callable[[str], Optional[Trace]]] = None,
+) -> Trace:
+    """The recorded run of *program* (*spec*'s *variant* binary) on
+    *program_input* (its input *which*), profiled into *profiler* when
+    one is given.
+
+    A trace-store hit is the stored trace, its span index included.
+    Otherwise the run is recorded; a profile of the fresh recording runs
+    before it spills, so the profile's span-builder pass also builds the
+    index the entry stores, and the trace returned is the entry mapped
+    back from the store.  *load* reads the store's entry for a key
+    (default :meth:`TraceStore.load`); a caller that keeps mapped
+    entries across calls passes its own.
+    """
+    trace = None
+    if store is not None:
+        key = store.trace_key(spec, which, program_input, variant)
+        trace = (load or store.load)(key)
+    fresh = trace is None
+    if fresh:
+        # looked up at call time, so a replaced
+        # ``repro.engine.tracing.record_trace`` sees every recording
+        trace = tracing.record_trace(Machine(program, program_input))
+    if profiler is not None:
+        profiler.profile_trace(trace)
+    if fresh and store is not None:
+        # keep the mapped copy: its pages are shared with every other
+        # reader of the entry, and the OS can drop them under pressure
+        trace = store.store(key, trace, program).load()
+    return trace

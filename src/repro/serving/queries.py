@@ -215,30 +215,22 @@ def _acquire_graph(query: Query, program, program_input, cache, trace_store, kep
 def _acquire_trace(
     query: Query, program, program_input, trace_store, kept, profiler=None
 ):
-    """The recorded trace for *query*, via the trace store when possible,
-    profiled into *profiler* when one is given.
-
-    A fresh recording is spilled with its span index.  The profile's
-    builder pass attaches the index, so a graph-cache miss profiles the
-    recording before spilling it; otherwise the store builds the index.
-    The store is read through *kept* (a :class:`WorkerState`): a trace it
-    mapped earlier from an unchanged entry is reused.
+    """The recorded trace for *query*, profiled into *profiler* when one
+    is given (:func:`~repro.runner.traces.acquire_trace`).  The store is
+    read through *kept* (a :class:`WorkerState`): a trace it mapped
+    earlier from an unchanged entry is reused.
     """
-    from repro.engine.machine import Machine
-    from repro.engine.tracing import record_trace
+    from repro.runner.traces import acquire_trace
 
-    trace = None
-    if trace_store is not None:
-        tkey = trace_store.trace_key(query.workload, query.which, program_input)
-        trace = kept.load("trace", trace_store, tkey, trace_store.load)
-    fresh = trace is None
-    if fresh:
-        trace = record_trace(Machine(program, program_input))
-    if profiler is not None:
-        profiler.profile_trace(trace)
-    if fresh and trace_store is not None:
-        trace = trace_store.store(tkey, trace, program).load()
-    return trace
+    return acquire_trace(
+        query.workload,
+        query.which,
+        program,
+        program_input,
+        trace_store,
+        profiler=profiler,
+        load=lambda key: kept.load("trace", trace_store, key, trace_store.load),
+    )
 
 
 def _select(query: Query, graph):

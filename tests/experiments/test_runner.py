@@ -8,8 +8,13 @@ runtime modest; the full pipelines over all workloads run under
 import numpy as np
 import pytest
 
+from repro.callloop.serialization import graph_to_dict
+from repro.callloop.spans import EdgeOpens, SpanBuilder
 from repro.experiments.runner import MARKER_VARIANTS, Runner
-from repro.ir.linker import ALPHA_O0
+from repro.ir.linker import ALPHA_O0, ALPHA_PEAK
+from repro.runner import ProfileCache, ProfileJob, TraceStore, run_profile_job
+from repro.serving import Query, compute_payload
+from repro.workloads import get_workload
 
 SPEC = "vortex/one"
 
@@ -20,7 +25,11 @@ def runner():
 
 
 def test_program_cached(runner):
-    assert runner.program(SPEC) is runner.program(SPEC)
+    base = runner.program(SPEC)
+    assert runner.program(SPEC) is base
+    # linking a variant links the memoized base and leaves it memoized
+    runner.program(SPEC, ALPHA_PEAK)
+    assert runner.program(SPEC) is base
 
 
 def test_trace_cached_and_partition_consistent(runner):
@@ -92,14 +101,29 @@ def test_partitions_conserve_totals(runner):
     assert fixed.cycles.sum() == pytest.approx(vli.cycles.sum())
 
 
-def test_cold_graph_spills_the_profiles_index(tmp_path, monkeypatch):
-    """A graph-cache miss profiles the fresh recording before spilling
-    it: one span-builder pass profiles and indexes it.  A later profile
-    of the spilled trace, which has its index, collects none."""
-    from repro.callloop.serialization import graph_to_dict
-    from repro.callloop.spans import EdgeOpens, SpanBuilder
-    from repro.runner.cache import ProfileCache
+def _runner_graph(cache, store):
+    return graph_to_dict(Runner(cache=cache, trace_store=store).graph(SPEC))
 
+
+def _profile_job(cache, store):
+    return run_profile_job(ProfileJob(SPEC, "ref", trace_root=str(store.root))).graph_data
+
+
+def _served_profile(cache, store):
+    return compute_payload(Query(kind="profile", workload=SPEC), cache, store)
+
+
+@pytest.mark.parametrize(
+    "acquire",
+    [_runner_graph, _profile_job, _served_profile],
+    ids=["runner", "profile_job", "serving"],
+)
+def test_cold_graph_spills_the_profiles_index(tmp_path, monkeypatch, acquire):
+    """A graph-cache miss profiles the fresh recording before spilling
+    it: one span-builder pass profiles and indexes it, and the spilled
+    entry maps back with the index.  A later profile of the spilled
+    trace, which has its index, collects none.  The same for the Runner,
+    a profile job and a served query."""
     indexed = []
     build = SpanBuilder.build
 
@@ -109,15 +133,15 @@ def test_cold_graph_spills_the_profiles_index(tmp_path, monkeypatch):
 
     monkeypatch.setattr(SpanBuilder, "build", counted)
     cache = ProfileCache(tmp_path / "profiles")
-    cold = Runner(cache=cache)
-    graph = cold.graph(SPEC)
+    store = TraceStore(tmp_path / "traces")
+    cold = acquire(cache, store)
     assert indexed == [True]
-    spilled = cold.trace(SPEC)
+    key = store.trace_key(SPEC, "ref", get_workload(SPEC).input_for("ref"))
+    spilled = store.load(key)
     assert isinstance(spilled.kinds, np.memmap)
     assert isinstance(spilled.opens, EdgeOpens)
 
     cache.clear()
     indexed.clear()
-    again = Runner(cache=cache).graph(SPEC)  # a trace-store hit
+    assert acquire(cache, store) == cold  # a trace-store hit
     assert indexed == [False]
-    assert graph_to_dict(again) == graph_to_dict(graph)

@@ -30,7 +30,7 @@ def test_cold_run_misses_and_stores(tmp_path):
     assert cache.stores == 1
     key = cache.graph_key(SPEC, "ref", runner.input_for(SPEC, "ref"))
     assert cache.path_for(key).exists()
-    assert runner.log.events[0].source == "profiled"
+    assert runner.acquisitions[0][2] == "profiled"
     assert graph.total_instructions > 0
 
 
@@ -44,8 +44,7 @@ def test_warm_run_hits_with_identical_graph(tmp_path):
     assert warm_cache.hits == 1
     assert warm_cache.misses == 0
     assert graph_doc(loaded) == graph_doc(original)
-    assert warm.log.events[0].source == "cache"
-    assert warm.log.profiling_skipped()
+    assert [a[2] for a in warm.acquisitions] == ["cache"]
 
 
 def test_memoized_graph_not_reloaded(tmp_path):
@@ -131,7 +130,7 @@ def test_corrupted_entry_falls_back_to_reprofile(tmp_path):
     assert cache.invalid == 1
     assert cache.hits == 0
     assert cache.misses == 1
-    assert runner.log.events[0].source == "profiled"
+    assert runner.acquisitions[0][2] == "profiled"
     assert graph_doc(graph) == graph_doc(original)
     # the bad file was replaced by the fresh profile
     assert cache.stores == 1

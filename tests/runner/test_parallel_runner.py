@@ -28,7 +28,7 @@ def test_parallel_prefetch_equals_serial_graphs():
     assert profiled == len(SPECS)
     for pair in SPECS:
         assert graph_doc(parallel.graph(*pair)) == serial_docs[pair]
-    assert {e.source for e in parallel.log.events} == {"worker"}
+    assert {a[2] for a in parallel.acquisitions} == {"worker"}
 
 
 def test_prefetch_skips_memoized_and_cached(tmp_path):
@@ -39,7 +39,7 @@ def test_prefetch_skips_memoized_and_cached(tmp_path):
     fresh = Runner(cache=ProfileCache(tmp_path))
     assert fresh.prefetch_graphs([SPECS[0]]) == 0  # served from disk
     assert fresh.cache.hits == 1
-    assert fresh.log.events[0].source == "cache"
+    assert fresh.acquisitions[0][2] == "cache"
 
 
 def test_prefetch_deduplicates_pairs():
@@ -51,13 +51,13 @@ def test_warm_cache_figure_experiment_skips_profiling(tmp_path):
     """The acceptance check: a warm re-run of fig3 is all cache hits."""
     cold = Runner(cache=ProfileCache(tmp_path))
     cold_table = fig3.run(cold).render()
-    assert not cold.log.profiling_skipped()
+    assert "profiled" in {a[2] for a in cold.acquisitions}
     assert cold.cache.stores >= 1
 
     warm = Runner(cache=ProfileCache(tmp_path))
     warm_table = fig3.run(warm).render()
     assert warm_table == cold_table  # byte-identical figure output
-    assert warm.log.profiling_skipped()  # zero profiler passes
+    assert {a[2] for a in warm.acquisitions} == {"cache"}  # zero profiler passes
     assert warm.cache.hits >= 1
     assert warm.cache.misses == 0
 
@@ -74,5 +74,5 @@ def test_run_summary_lists_every_acquisition():
     assert "vortex" in rendered
     assert "tomcatv" in rendered
     assert f"total ({len(SPECS)})" in rendered
-    assert runner.log.cache_misses == len(SPECS)
-    assert runner.log.profile_seconds > 0
+    assert [a[2] for a in runner.acquisitions] == ["profiled"] * len(SPECS)
+    assert sum(a[3] for a in runner.acquisitions) > 0

@@ -1,9 +1,23 @@
-"""The RunLog deprecation shim: same API/output, telemetry underneath."""
+"""The Runner's run summary: the table the retired RunLog shim rendered,
+byte for byte, from the Runner's own list of acquisitions; telemetry
+gets the acquisitions only when a session is active."""
 
 import pytest
 
-from repro.runner.summary import CACHE_HIT, PROFILED, WORKER, RunLog
+from repro.experiments.runner import CACHE_HIT, PROFILED, WORKER, Runner
 from repro.telemetry import install_telemetry, telemetry_session
+
+#: the summary of the ``log`` fixture, as the RunLog shim rendered it
+SUMMARY = """\
+Run summary: call-loop profile acquisitions
+--------------------------------------------------
+workload   input  source                   seconds
+--------------------------------------------------
+gzip       ref    profiled                 1.250
+gcc        166    cache                    0.002
+vortex     ref    worker                   0.750
+total (3)         1 cache hits / 2 misses  2.002
+--------------------------------------------------"""
 
 
 @pytest.fixture(autouse=True)
@@ -15,45 +29,38 @@ def _no_global_session():
 
 @pytest.fixture
 def log():
-    rl = RunLog()
-    rl.record("gzip", "ref", PROFILED, 1.25)
-    rl.record("gcc", "166", CACHE_HIT, 0.002)
-    rl.record("vortex", "ref", WORKER, 0.75)
-    return rl
+    runner = Runner()
+    runner.acquisitions.extend(
+        [
+            ("gzip", "ref", PROFILED, 1.25),
+            ("gcc", "166", CACHE_HIT, 0.002),
+            ("vortex", "ref", WORKER, 0.75),
+        ]
+    )
+    return runner
 
 
-def test_events_property_compat(log):
-    events = log.events
-    assert [e.spec for e in events] == ["gzip", "gcc", "vortex"]
-    assert events[0].source == PROFILED
-    assert events[0].seconds == pytest.approx(1.25)
-    assert events[1].which == "166"
+def _totals(runner):
+    return runner.run_summary().rows[-1]
 
 
 def test_counters_compat(log):
-    assert log.cache_hits == 1
-    assert log.cache_misses == 2  # profiled + worker
-    assert log.profile_seconds == pytest.approx(2.002)
-    assert not log.profiling_skipped()
+    """Profiled and worker acquisitions are both misses; the seconds
+    add up over every acquisition."""
+    assert _totals(log) == ["total (3)", "", "1 cache hits / 2 misses", "2.002"]
 
 
 def test_profiling_skipped_all_cache():
-    log = RunLog()
-    log.record("gzip", "ref", CACHE_HIT, 0.001)
-    assert log.profiling_skipped()
-    assert not RunLog().profiling_skipped()  # empty log: nothing skipped
+    runner = Runner()
+    runner.acquisitions.append(("gzip", "ref", CACHE_HIT, 0.0))
+    assert _totals(runner)[2] == "1 cache hits / 0 misses"
+    # nothing acquired: no hits either
+    assert _totals(Runner()) == ["total (0)", "", "0 cache hits / 0 misses", "0.000"]
 
 
 def test_summary_table_format_stable(log):
-    """The exact pre-shim table layout: title, columns, totals row."""
-    text = log.summary_table().render()
-    lines = text.splitlines()
-    assert lines[0] == "Run summary: call-loop profile acquisitions"
-    assert lines[2].split() == ["workload", "input", "source", "seconds"]
-    assert "gzip" in text and "profiled" in text and "1.250" in text
-    assert "total (3)" in text
-    assert "1 cache hits / 2 misses" in text
-    assert "2.002" in text
+    """The exact table layout: title, columns, rows and totals row."""
+    assert log.run_summary().render() == SUMMARY
 
 
 def test_summary_table_cache_stats():
@@ -61,27 +68,29 @@ def test_summary_table_cache_stats():
         stores = 2
         invalid = 1
 
-    log = RunLog()
-    log.record("gzip", "ref", PROFILED, 0.5)
-    text = log.summary_table(cache=FakeCache()).render()
+    runner = Runner()
+    runner.cache = FakeCache()
+    runner.acquisitions.append(("gzip", "ref", PROFILED, 0.5))
+    text = runner.run_summary().render()
     assert "2 stored" in text
     assert "1 corrupt discarded" in text
 
 
 def test_records_render_with_global_telemetry_disabled(log):
     """Summaries must not depend on the global --telemetry switch."""
-    assert "gzip" in log.summary_table().render()
+    assert "gzip" in log.run_summary().render()
 
 
 def test_records_forward_to_active_session():
+    """An acquisition lands in the active session as a runner.acquire
+    span and counters, with the seconds the summary shows."""
     with telemetry_session() as tm:
-        log = RunLog()
-        log.record("gzip", "ref", PROFILED, 1.0)
+        runner = Runner()
+        runner.graph("vortex/one")
+    ((_, _, _, seconds),) = runner.acquisitions
     spans = [s for s in tm.spans if s.name == "runner.acquire"]
     assert len(spans) == 1
-    assert spans[0].attrs == {"spec": "gzip", "which": "ref", "source": PROFILED}
-    assert spans[0].seconds == pytest.approx(1.0)
+    assert spans[0].attrs == {"spec": "vortex", "which": "ref", "source": PROFILED}
+    assert spans[0].seconds == pytest.approx(seconds)
     assert tm.metrics.counters["runner.acquire.profiled"] == 1
-    assert tm.metrics.counters["runner.acquire.seconds"] == pytest.approx(1.0)
-    # the log's own accounting is unchanged by forwarding
-    assert log.cache_misses == 1
+    assert tm.metrics.counters["runner.acquire.seconds"] == pytest.approx(seconds)

@@ -6,14 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.callloop.spans import index_trace
+from repro.callloop.spans import EdgeOpens, index_trace
 from repro.engine import Machine, Trace, record_trace
-from repro.runner.traces import (
-    TRACE_SPILL_ROWS,
-    TraceHandle,
-    TraceStore,
-    default_trace_dir,
-)
+from repro.runner.traces import TraceHandle, TraceStore, default_trace_dir
 
 
 @pytest.fixture
@@ -73,11 +68,10 @@ def test_handle_load(store, toy_program, toy_trace, toy_input):
     key = store.trace_key("toy", "ref", toy_input)
     handle = store.store(key, toy_trace, toy_program)
     loaded = handle.load()
-    assert np.array_equal(loaded.kinds, toy_trace.kinds)
-    materialized = handle.load(mmap=False)
-    assert not isinstance(materialized.kinds, np.memmap)
-    assert np.array_equal(materialized.c, toy_trace.c)
-    assert_same_index(materialized.opens, toy_trace.opens)
+    for name in ("kinds", "a", "b", "c"):
+        assert isinstance(getattr(loaded, name), np.memmap)
+        assert np.array_equal(getattr(loaded, name), getattr(toy_trace, name))
+    assert_same_index(loaded.opens, toy_trace.opens)
 
 
 def test_handle_is_picklable(store, toy_program, toy_trace, toy_input):
@@ -173,22 +167,25 @@ def test_default_trace_dir_env(monkeypatch, tmp_path):
     assert default_trace_dir() == tmp_path / "custom"
 
 
-def test_profile_job_handoff(tmp_path):
-    """A job with a trace_root spills its recording and hands back a
-    loadable handle instead of pickling the trace."""
+def test_profile_job_handoff(tmp_path, monkeypatch):
+    """A job with a trace_root spills its recording, span index
+    included, into the store, where the parent maps it by key instead of
+    having the trace pickled back; a second run of the job reads the
+    entry and records nothing."""
+    from repro.engine import tracing
     from repro.runner.jobs import ProfileJob, run_profile_job
+    from repro.workloads import get_workload
 
-    job = ProfileJob("mcf", "train", trace_root=str(tmp_path / "traces"))
+    store = TraceStore(tmp_path / "traces")
+    job = ProfileJob("mcf", "train", trace_root=str(store.root))
     result = run_profile_job(job)
-    assert result.trace_handle is not None
-    trace = result.trace_handle.load()
-    assert len(trace) == result.trace_handle.rows
+    key = store.trace_key("mcf", "train", get_workload("mcf").input_for("train"))
+    trace = store.load(key)
+    assert isinstance(trace.kinds, np.memmap)
+    assert isinstance(trace.opens, EdgeOpens)
     # a second run of the same job hits the spilled entry
+    monkeypatch.setattr(
+        tracing, "record_trace", lambda source: pytest.fail("recorded again")
+    )
     result2 = run_profile_job(job)
-    assert result2.trace_handle.path == result.trace_handle.path
     assert result2.graph_data == result.graph_data
-
-
-def test_spill_threshold_constant():
-    # the runner spills at a bound that keeps small traces in memory
-    assert TRACE_SPILL_ROWS >= 1 << 12

@@ -40,4 +40,4 @@ def test_explicit_max_workers_not_clamped(monkeypatch):
     runner = Runner(jobs=2)
     profiled = runner.prefetch_graphs([("vortex/one", "ref"), ("tomcatv/ref", "ref")])
     assert profiled == 2
-    assert {e.source for e in runner.log.events} == {"worker"}
+    assert {a[2] for a in runner.acquisitions} == {"worker"}

@@ -14,6 +14,15 @@ def test_version():
     assert repro.__version__
 
 
+def test_quickstart_pipeline_records_once():
+    """The pipeline profiles and splits one recording of the run."""
+    from repro.telemetry import telemetry_session
+
+    with telemetry_session() as tm:
+        repro.quickstart_pipeline("vortex")
+    assert [s.name for s in tm.spans].count("engine.record_trace") == 1
+
+
 def test_quickstart_pipeline():
     markers, intervals = repro.quickstart_pipeline("vortex")
     assert len(markers) >= 1

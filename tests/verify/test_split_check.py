@@ -111,8 +111,8 @@ def test_diff_split_detects_a_broken_stored_index(monkeypatch):
 
     real = traces._read
 
-    def shifted(path, mmap):
-        got = real(path, mmap)
+    def shifted(path):
+        got = real(path)
         got.opens.rows = got.opens.rows + 1  # every open one row late
         return got
 
