@@ -63,18 +63,18 @@ bench-simpoint:
 	$(PYTHON) -m pytest benchmarks -q -k bench_simpoint
 
 # differential-oracle verification: golden corpus + streaming equivalence
-# + short fuzz smoke (~CI budget)
+# + split equivalence + short fuzz smoke (~CI budget)
 verify:
 	$(PYTHON) -m repro verify --seed $(FUZZ_SEED) --iters 50
 
 # the long seeded fuzz loop (nightly-style; corpus passes skipped —
-# diff_streaming still rides every fuzz iteration)
+# diff_streaming and diff_split still ride every fuzz iteration)
 verify-fuzz:
-	$(PYTHON) -m repro verify --skip-golden --skip-streaming --seed $(FUZZ_SEED) --iters $(FUZZ_ITERS)
+	$(PYTHON) -m repro verify --skip-golden --skip-streaming --skip-split --seed $(FUZZ_SEED) --iters $(FUZZ_ITERS)
 
 # just the streaming-vs-batch equivalence pass over the workload corpus
 verify-stream:
-	$(PYTHON) -m repro verify --skip-golden --iters 0
+	$(PYTHON) -m repro verify --skip-golden --skip-split --iters 0
 
 # ratify intentional algorithm changes by regenerating tests/golden/
 refresh-golden:

@@ -15,7 +15,7 @@ from conftest import save_table
 from repro.callloop import SelectionParams, select_markers
 from repro.experiments import selection_time
 from repro.experiments.runner import Runner
-from repro.runner import ProfileCache
+from repro.runner import ProfileCache, TraceStore
 from repro.util.tables import Table
 
 
@@ -48,7 +48,10 @@ def test_bench_profile_modes(results_dir, tmp_path):
         return time.perf_counter() - start, profiled
 
     serial_s, serial_n = timed(Runner(), 1)
-    parallel_s, parallel_n = timed(Runner(), 2)
+    # the pool workers spill their recordings into a trace store; without
+    # one the prefetch profiles in this process
+    pooled = Runner(trace_store=TraceStore(tmp_path / "traces"))
+    parallel_s, parallel_n = timed(pooled, 2)
     cold = Runner(cache=ProfileCache(cache_dir))
     cold.prefetch_graphs(pairs, jobs=1)
     warm = Runner(cache=ProfileCache(cache_dir))

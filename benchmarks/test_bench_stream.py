@@ -3,11 +3,11 @@
 ``make bench-stream`` checks the two claims that make streaming viable
 (see docs/STREAMING.md):
 
-* **per-event cost** — feeding packed rows through the
-  ``IncrementalWalker`` (and the full ``StreamingPhaseMonitor`` with a
-  bounded window + drift detection on top) costs a fraction of the
-  scalar batch walk of the same trace, because chunks replay through
-  the batch walker's bulk row loop;
+* **per-event cost** — feeding packed rows through
+  ``ContextWalker.feed_rows`` (and the full ``StreamingPhaseMonitor``
+  with a bounded window + drift detection on top) costs a fraction of
+  the scalar batch walk of the same trace, because chunks replay
+  through the walker's bulk row loop;
 * **bounded memory** — with a bounded window, memory is flat over a
   stream many times the window length: the window never holds more
   than ``window_slots`` slot maps, and traced allocations stop growing
@@ -32,11 +32,7 @@ from perfbench.common import fingerprint
 from repro.callloop.graph import NodeTable
 from repro.callloop.walker import ContextHandler, ContextWalker
 from repro.engine import Machine, record_trace
-from repro.streaming import (
-    IncrementalWalker,
-    StreamingConfig,
-    StreamingPhaseMonitor,
-)
+from repro.streaming import StreamingConfig, StreamingPhaseMonitor
 from repro.workloads import get_workload
 
 RESULTS = Path(__file__).parent / "results"
@@ -44,9 +40,10 @@ RESULTS = Path(__file__).parent / "results"
 WORKLOAD = "gzip"
 CHUNK_ROWS = 4096
 
-# ceilings on the cost relative to the scalar batch walk (measured
-# 0.18-0.25x for the bare walker, 0.32-0.50x for the full monitor over
-# three runs on a 2-CPU Xeon VM, Python 3.11; 3-4x headroom for CI noise)
+# ceilings on the cost relative to the scalar batch walk (the committed
+# BENCH_stream_per_event.json reads 0.29x for the bare walker and 0.45x
+# for the full monitor, on a 2-CPU Xeon VM, Python 3.11.7; 3x headroom
+# for CI noise)
 WALKER_MAX_RATIO = 1.0
 MONITOR_MAX_RATIO = 1.5
 
@@ -94,7 +91,8 @@ def test_bench_stream_per_event_overhead(results_dir):
         ContextWalker(program, NodeTable(program)).walk_scalar(trace, _Null())
 
     def incremental():
-        walker = IncrementalWalker(program, NodeTable(program), handler=_Null())
+        walker = ContextWalker(program, NodeTable(program))
+        walker.start(_Null())
         for chunk in trace.iter_chunks(CHUNK_ROWS):
             walker.feed_rows(*chunk)
         walker.finish()

@@ -18,6 +18,7 @@ This is what ``make bench-telemetry`` runs.  Two checks:
 """
 
 import json
+import tempfile
 import time
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from conftest import save_table
 
 from repro.experiments import fig7
 from repro.experiments.runner import Runner
+from repro.runner import TraceStore
 from repro.telemetry import (
     MetricsSampler,
     analyze_critical_path,
@@ -45,11 +47,14 @@ MAX_OVERHEAD = 0.10
 
 
 def _run_once() -> float:
-    start = time.perf_counter()
-    runner = Runner(jobs=2)
-    runner.prefetch_graphs(PAIRS)
-    fig7.run(runner, specs=SPECS)
-    return time.perf_counter() - start
+    # a fresh trace store per run, so the pool workers have somewhere to
+    # spill their recordings and nothing is reused between runs
+    with tempfile.TemporaryDirectory() as root:
+        start = time.perf_counter()
+        runner = Runner(jobs=2, trace_store=TraceStore(root))
+        runner.prefetch_graphs(PAIRS)
+        fig7.run(runner, specs=SPECS)
+        return time.perf_counter() - start
 
 
 def test_bench_telemetry_overhead(results_dir):

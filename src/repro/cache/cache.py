@@ -15,18 +15,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Geometry (and replacement policy) of one cache configuration.
-
-    Only true LRU satisfies the stack inclusion property the
-    multi-associativity simulator relies on; FIFO is provided for the
-    replacement-policy ablation (and for users modeling simpler
-    hardware).
-    """
+    """Geometry of one cache configuration (replacement is true LRU, the
+    policy whose stack inclusion property the multi-associativity
+    simulator relies on)."""
 
     num_sets: int = 512
     ways: int = 2
     line_bytes: int = 64
-    policy: str = "lru"
 
     def __post_init__(self) -> None:
         if self.num_sets <= 0 or self.ways <= 0 or self.line_bytes <= 0:
@@ -35,8 +30,6 @@ class CacheConfig:
             raise ValueError("num_sets must be a power of two")
         if self.line_bytes & (self.line_bytes - 1):
             raise ValueError("line_bytes must be a power of two")
-        if self.policy not in ("lru", "fifo"):
-            raise ValueError("policy must be 'lru' or 'fifo'")
 
     @property
     def size_bytes(self) -> int:
@@ -66,15 +59,6 @@ class SetAssocCache:
         line = address >> self._line_shift
         set_index = line & self._set_mask
         ways = self._sets[set_index]
-        if self.config.policy == "fifo":
-            if line in ways:
-                self.hits += 1  # FIFO: no recency update on hit
-                return True
-            self.misses += 1
-            ways.insert(0, line)
-            if len(ways) > self.config.ways:
-                ways.pop()
-            return False
         try:
             ways.remove(line)
         except ValueError:

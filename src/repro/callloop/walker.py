@@ -10,17 +10,18 @@ each call-loop graph edge opens and closes, maintaining per-frame loop
 stacks driven purely by block addresses and statically discovered loop
 regions — the information binary instrumentation has.
 
-The walker reports edge traversals to a handler:
+The walker reports edge spans, and nothing else, to a handler:
 
 * ``on_edge_open(src, dst, t, source)`` — the edge begins a span at
   dynamic instruction count *t*;
 * ``on_edge_close(src, dst, t_open, t_close, source)`` — the span ends;
   ``t_close - t_open`` is the edge's *hierarchical instruction count*;
-* ``on_block(block_id, size, t)`` — a block executes (t is the count
-  *before* the block);
-* ``on_branch(address, target, taken)`` — a conditional branch executes.
+* ``on_edge_iterations(head, body, t_prev, ts, source)`` — optionally,
+  a run of loop back-edge arrivals in one call.
 
-Edge endpoints are integer node ids from a :class:`NodeTable`.
+Per-block and per-branch statistics (BBVs, CPI, cache and branch
+behaviour) are array passes over the trace columns, not walks.  Edge
+endpoints are integer node ids from a :class:`NodeTable`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.callloop.graph import NodeTable
 from repro.callloop.loops import StaticLoop
-from repro.engine.events import K_BLOCK, K_BRANCH, K_CALL, K_RETURN
+from repro.engine.events import K_BLOCK, K_CALL, K_RETURN
 from repro.engine.tracing import Trace
 from repro.ir.program import Program, SourceLoc
 from repro.telemetry import get_telemetry
@@ -66,7 +67,7 @@ def chunk_length(kinds, a, b, c) -> int:
 
 
 class ContextHandler:
-    """Callback interface; subclass and override what you need."""
+    """Edge-span callback interface; subclass and override what you need."""
 
     def on_edge_open(self, src: int, dst: int, t: int, source: Optional[SourceLoc]) -> None:
         pass
@@ -100,19 +101,8 @@ class ContextHandler:
         *only when the handler class overrides this method*; handlers
         that rely on per-iteration callbacks (or on ``walker.row``
         advancing per iteration) simply leave it alone.
-
-        During the callback ``walker.iter_rows`` holds the absolute
-        trace rows of the batched arrivals (int64 array aligned with
-        *ts*): the rows the per-iteration path reports through
-        ``walker.row``.
         """
         pass  # pragma: no cover - _replay_rows checks the override
-
-    def on_block(self, block_id: int, size: int, t: int) -> None:
-        pass
-
-    def on_branch(self, address: int, target: int, taken: bool) -> None:
-        pass
 
 
 class _LoopSpan:
@@ -202,10 +192,6 @@ class ContextWalker:
         self.t = 0
         #: trace row currently being processed (readable from handlers)
         self.row = -1
-        #: absolute rows of the current batched back-edge run (valid
-        #: only inside an ``on_edge_iterations`` callback, aligned with
-        #: its ``ts`` argument)
-        self.iter_rows: Optional[np.ndarray] = None
         self._frames: List[_Frame] = []
         self._active: Dict[int, int] = {}
         self.loops_by_header: Dict[int, StaticLoop] = table.loops
@@ -231,13 +217,9 @@ class ContextWalker:
     def start(self, handler: ContextHandler) -> None:
         """Begin a walk into *handler*: reset the walk state and open the
         entry procedure's edges, as if it were called from the root."""
-        cls = type(handler)
-        self._bulk_ok = cls.on_block is ContextHandler.on_block
-        self._need_branch = cls.on_branch is not ContextHandler.on_branch
         self.handler = handler
         self.t = 0
         self.row = -1
-        self.iter_rows = None
         program = self.program
         entry = program.procedures[program.entry]
         root = 0
@@ -260,14 +242,13 @@ class ContextWalker:
         ``int64`` operand columns, as a recorded ``Trace`` stores them and
         ``Trace.iter_chunks`` serves them).
 
-        A chunk of at least :data:`BULK_MIN_CHUNK_ROWS` rows whose
-        handler leaves ``on_block`` as the base no-op replays through
-        the bulk row loop: instruction counts come from one ``cumsum``
-        over the block-size column, and the shadow stack sees only the
-        *interesting* rows.  Other chunks — a handler observing blocks,
-        a short chunk, or a block address outside the program — take
-        the scalar loop.  Under telemetry each chunk counts
-        ``callloop.walk.bulk`` or ``callloop.walk.scalar.<reason>``.
+        A chunk of at least :data:`BULK_MIN_CHUNK_ROWS` rows replays
+        through the bulk row loop: instruction counts come from one
+        ``cumsum`` over the block-size column, and the shadow stack sees
+        only the *interesting* rows.  A shorter chunk, or one holding a
+        block address outside the program, takes the scalar loop.  Under
+        telemetry each chunk counts ``callloop.walk.bulk`` or
+        ``callloop.walk.scalar.<reason>``.
         Both loops fire identical callbacks at identical rows (pinned by
         the ``trace-pipeline`` and ``streaming`` verify checks).
         ``bulk=True`` runs the bulk loop on short chunks too (verify
@@ -280,16 +261,14 @@ class ContextWalker:
             raise RuntimeError(_NOT_WALKING)
         n = chunk_length(kinds, a, b, c)
         tm = get_telemetry()
-        if not self._bulk_ok:
-            reason = "on_block"
-        elif n < BULK_MIN_CHUNK_ROWS and not bulk:
+        if n < BULK_MIN_CHUNK_ROWS and not bulk:
             reason = "short_chunk"
         else:
-            selected = self._interesting_rows(kinds, b, c, self._need_branch, self.t)
+            selected = self._interesting_rows(kinds, b, c, self.t)
             if selected is not None:
                 rows, ts, total = selected
                 row0 = self.row + 1
-                self._replay_rows(kinds, a, b, c, rows, ts, row0)
+                self._replay_rows(kinds, a, b, rows, ts, row0)
                 self.t = total
                 self.row = row0 + n - 1
                 if tm.enabled:
@@ -347,7 +326,7 @@ class ContextWalker:
 
     def feed_packed(self, packed: Iterable[Tuple[int, int, int, int]]) -> None:
         """Step the state machine through packed ``(kind, a, b, c)`` rows:
-        the scalar loop, which shows every row to the handler.
+        the scalar loop, which looks at every row.
 
         The walk state is loaded into locals once per call and written
         back in a ``finally``: if the handler (or *packed*) raises, ``row``
@@ -364,8 +343,6 @@ class ContextWalker:
         proc_by_id = self._proc_by_id
         frames = self._frames
         active = self._active
-        on_block = handler.on_block
-        on_branch = handler.on_branch
         on_open = handler.on_edge_open
         on_close = handler.on_edge_close
         t = self.t
@@ -411,10 +388,7 @@ class ContextWalker:
                             ls.append(span)
                             on_open(parent_ctx, head_node, t, source)
                             on_open(head_node, body_node, t, source)
-                    on_block(a, c, t)
                     t += c
-                elif kind == K_BRANCH:
-                    on_branch(a, b, bool(c))
                 elif kind == K_CALL:
                     site_addr, callee_id = a, b
                     proc = proc_by_id[callee_id]
@@ -463,15 +437,14 @@ class ContextWalker:
         kinds: np.ndarray,
         b_col: np.ndarray,
         c_col: np.ndarray,
-        need_branch: bool,
         t_start: int,
     ) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
         """The rows of one column chunk the state machine has to see.
 
         Instruction counts come from a single ``cumsum`` over the
         block-size column starting at *t_start*.  The rows kept are the
-        control events (branches only when *need_branch*) plus the
-        blocks that can move a loop stack: headers, the first block
+        calls and returns plus the blocks that can move a loop stack:
+        headers, the first block
         after a call/return (frame or region boundary), blocks whose
         static loop chain differs from the previous block's (region
         exit/entry), and the chunk's first block, whose predecessor the
@@ -487,7 +460,6 @@ class ContextWalker:
         total = t_start + int(t_after[-1]) if len(kinds) else t_start
 
         cr_mask = (kinds == K_CALL) | (kinds == K_RETURN)
-        ctrl_mask = cr_mask | (kinds == K_BRANCH) if need_branch else cr_mask
 
         blk_rows = np.nonzero(block_mask)[0]
         if len(blk_rows):
@@ -504,10 +476,10 @@ class ContextWalker:
             cr_at = np.cumsum(cr_mask)[blk_rows]
             ch = chain_ids[pos]
             interesting[1:] |= (cr_at[1:] != cr_at[:-1]) | (ch[1:] != ch[:-1])
-            rows = np.concatenate((np.nonzero(ctrl_mask)[0], blk_rows[interesting]))
+            rows = np.concatenate((np.nonzero(cr_mask)[0], blk_rows[interesting]))
             rows.sort()
         else:
-            rows = np.nonzero(ctrl_mask)[0]
+            rows = np.nonzero(cr_mask)[0]
         return rows, t_start + (t_after[rows] - sizes[rows]), total
 
     def _replay_rows(
@@ -515,7 +487,6 @@ class ContextWalker:
         kinds: np.ndarray,
         a_col: np.ndarray,
         b_col: np.ndarray,
-        c_col: np.ndarray,
         rows: np.ndarray,
         rt_arr: np.ndarray,
         row0: int,
@@ -525,9 +496,10 @@ class ContextWalker:
         The bulk row loop, run by :meth:`feed_rows` once per chunk.
         *rows*/*rt_arr* come from :meth:`_interesting_rows`; the walker's
         frames and activation counts are updated in place; *row0* is the
-        absolute row of the chunk's first row.  ``self.row`` (and, inside
-        an ``on_edge_iterations`` callback, ``self.iter_rows``) report
-        absolute rows exactly as the scalar loop would.  Consecutive
+        absolute row of the chunk's first row.  ``self.row`` reports
+        absolute rows exactly as the scalar loop would, and if the
+        handler raises, ``t`` is left, as the scalar loop leaves it, at
+        the count before the row being processed.  Consecutive
         back-edge arrivals of one loop span are absorbed in one tight
         loop — or, for a handler overriding ``on_edge_iterations``, one
         callback per run of at least :data:`BATCH_MIN_RUN`.
@@ -541,20 +513,17 @@ class ContextWalker:
         loop_body_ids = self.table.loop_body
         loops_by_header = self.loops_by_header
         proc_by_id = self._proc_by_id
-        on_branch = handler.on_branch
         on_open = handler.on_edge_open
         on_close = handler.on_edge_close
 
         rk = kinds[rows].tolist()
         ra = a_col[rows].tolist()
         rb = b_col[rows].tolist()
-        rc = c_col[rows].tolist()
         rt = rt_arr.tolist()
         rlist = (rows + row0).tolist() if row0 else rows.tolist()
 
         m = len(rlist)
         run_end = None
-        rows_abs = None
         if (
             type(handler).on_edge_iterations
             is not ContextHandler.on_edge_iterations
@@ -570,108 +539,107 @@ class ContextWalker:
             idx = np.arange(m)
             ends = np.where(np.append(~same, True), idx, m)
             run_end = np.minimum.accumulate(ends[::-1])[::-1].tolist()
-            rows_abs = rows + row0 if row0 else rows
 
+        t = self.t
         j = 0
-        while j < m:
-            kind = rk[j]
-            t = rt[j]
-            self.row = rlist[j]
-            if kind == K_BLOCK:
-                addr = rb[j]
-                frame = frames[-1]
-                ls = frame.loop_stack
-                while ls:
-                    span = ls[-1]
-                    if span.header <= addr <= span.latch:
-                        break
-                    ls.pop()
-                    on_close(span.head_node, span.body_node, span.iter_open_t, t, span.source)
-                    on_close(span.parent_ctx, span.head_node, span.head_open_t, t, span.source)
-                loop = loops_by_header.get(addr)
-                if loop is not None:
-                    if ls and ls[-1].header == addr:
-                        # Back-edge arrival.  Consecutive interesting rows
-                        # with this same header address are guaranteed
-                        # further back-edges of the same span (any exit or
-                        # re-entry needs an intervening interesting row),
-                        # so absorb the whole iteration run in one tight
-                        # loop instead of re-dispatching per row — or, for
-                        # a handler with a batch hook, in one callback.
+        try:
+            while j < m:
+                kind = rk[j]
+                t = rt[j]
+                self.row = rlist[j]
+                if kind == K_BLOCK:
+                    addr = rb[j]
+                    frame = frames[-1]
+                    ls = frame.loop_stack
+                    while ls:
                         span = ls[-1]
-                        head_node = span.head_node
-                        body_node = span.body_node
-                        source = span.source
-                        e = run_end[j] if run_end is not None else j
-                        if e - j + 1 >= BATCH_MIN_RUN:
-                            self.iter_rows = rows_abs[j : e + 1]
-                            handler.on_edge_iterations(
+                        if span.header <= addr <= span.latch:
+                            break
+                        ls.pop()
+                        on_close(span.head_node, span.body_node, span.iter_open_t, t, span.source)
+                        on_close(span.parent_ctx, span.head_node, span.head_open_t, t, span.source)
+                    loop = loops_by_header.get(addr)
+                    if loop is not None:
+                        if ls and ls[-1].header == addr:
+                            # Back-edge arrival.  Consecutive interesting
+                            # rows with this same header address are
+                            # guaranteed further back-edges of the same
+                            # span (any exit or re-entry needs an
+                            # intervening interesting row), so absorb the
+                            # whole iteration run in one tight loop instead
+                            # of re-dispatching per row — or, for a handler
+                            # with a batch hook, in one callback.
+                            span = ls[-1]
+                            head_node = span.head_node
+                            body_node = span.body_node
+                            source = span.source
+                            e = run_end[j] if run_end is not None else j
+                            if e - j + 1 >= BATCH_MIN_RUN:
+                                handler.on_edge_iterations(
+                                    head_node,
+                                    body_node,
+                                    span.iter_open_t,
+                                    rt_arr[j : e + 1],
+                                    source,
+                                )
+                                span.iter_open_t = rt[e]
+                                j = e
+                                self.row = rlist[e]
+                            else:
+                                prev_t = span.iter_open_t
+                                while True:
+                                    on_close(head_node, body_node, prev_t, t, source)
+                                    on_open(head_node, body_node, t, source)
+                                    prev_t = t
+                                    jn = j + 1
+                                    if jn >= m or rk[jn] != K_BLOCK or rb[jn] != addr:
+                                        break
+                                    j = jn
+                                    t = rt[jn]
+                                    self.row = rlist[jn]
+                                span.iter_open_t = prev_t
+                        else:
+                            parent_ctx = ls[-1].body_node if ls else frame.body_node
+                            head_node = loop_head_ids[addr]
+                            body_node = loop_body_ids[addr]
+                            source = self._loop_source.get(addr)
+                            span = _LoopSpan(
+                                addr,
+                                loop.latch_branch_address,
                                 head_node,
                                 body_node,
-                                span.iter_open_t,
-                                rt_arr[j : e + 1],
+                                parent_ctx,
+                                t,
                                 source,
                             )
-                            self.iter_rows = None
-                            span.iter_open_t = rt[e]
-                            j = e
-                            self.row = rlist[e]
-                        else:
-                            prev_t = span.iter_open_t
-                            while True:
-                                on_close(head_node, body_node, prev_t, t, source)
-                                on_open(head_node, body_node, t, source)
-                                prev_t = t
-                                jn = j + 1
-                                if jn >= m or rk[jn] != K_BLOCK or rb[jn] != addr:
-                                    break
-                                j = jn
-                                t = rt[jn]
-                                self.row = rlist[jn]
-                            span.iter_open_t = prev_t
-                    else:
-                        parent_ctx = ls[-1].body_node if ls else frame.body_node
-                        head_node = loop_head_ids[addr]
-                        body_node = loop_body_ids[addr]
-                        source = self._loop_source.get(addr)
-                        span = _LoopSpan(
-                            addr,
-                            loop.latch_branch_address,
-                            head_node,
-                            body_node,
-                            parent_ctx,
-                            t,
-                            source,
-                        )
-                        ls.append(span)
+                            ls.append(span)
+                            on_open(parent_ctx, head_node, t, source)
+                            on_open(head_node, body_node, t, source)
+                elif kind == K_CALL:
+                    site_addr, callee_id = ra[j], rb[j]
+                    proc = proc_by_id[callee_id]
+                    frame = frames[-1]
+                    ls = frame.loop_stack
+                    parent_ctx = ls[-1].body_node if ls else frame.body_node
+                    outermost = active.get(callee_id, 0) == 0
+                    active[callee_id] = active.get(callee_id, 0) + 1
+                    source = self._site_source.get(site_addr)
+                    head_node = proc_head[proc.name]
+                    body_node = proc_body[proc.name]
+                    new_frame = _Frame(
+                        callee_id, head_node, body_node, t, outermost, parent_ctx, source
+                    )
+                    if outermost:
                         on_open(parent_ctx, head_node, t, source)
-                        on_open(head_node, body_node, t, source)
-                # handler.on_block is the base no-op (bulk eligibility)
-            elif kind == K_BRANCH:
-                on_branch(ra[j], rb[j], bool(rc[j]))
-            elif kind == K_CALL:
-                site_addr, callee_id = ra[j], rb[j]
-                proc = proc_by_id[callee_id]
-                frame = frames[-1]
-                ls = frame.loop_stack
-                parent_ctx = ls[-1].body_node if ls else frame.body_node
-                outermost = active.get(callee_id, 0) == 0
-                active[callee_id] = active.get(callee_id, 0) + 1
-                source = self._site_source.get(site_addr)
-                head_node = proc_head[proc.name]
-                body_node = proc_body[proc.name]
-                new_frame = _Frame(
-                    callee_id, head_node, body_node, t, outermost, parent_ctx, source
-                )
-                if outermost:
-                    on_open(parent_ctx, head_node, t, source)
-                on_open(head_node, body_node, t, source)
-                frames.append(new_frame)
-            else:  # K_RETURN
-                frame = frames.pop()
-                self._close_frame(frame, t, on_close)
-                active[frame.proc_id] -= 1
-            j += 1
+                    on_open(head_node, body_node, t, source)
+                    frames.append(new_frame)
+                else:  # K_RETURN
+                    frame = frames.pop()
+                    self._close_frame(frame, t, on_close)
+                    active[frame.proc_id] -= 1
+                j += 1
+        finally:
+            self.t = t
 
     @staticmethod
     def _close_frame(frame: _Frame, t: int, on_close) -> None:

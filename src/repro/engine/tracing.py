@@ -172,25 +172,6 @@ class Trace:
                 self.c[start:stop],
             )
 
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Persist the trace to a compressed ``.npz`` file.
-
-        Profiling is the expensive step of the pipeline; saved traces let
-        analyses run offline (the profile-once / analyze-many workflow of
-        the paper's ATOM tooling).
-        """
-        np.savez_compressed(
-            path, kinds=self.kinds, a=self.a, b=self.b, c=self.c
-        )
-
-    @classmethod
-    def load(cls, path) -> "Trace":
-        """Load a trace saved with :meth:`save`."""
-        with np.load(path) as data:
-            return cls(data["kinds"], data["a"], data["b"], data["c"])
-
 
 def record_trace(source) -> Trace:
     """Record a run into a :class:`Trace`.

@@ -230,11 +230,14 @@ class Runner:
 
         Warm-cache and already-memoized graphs are served immediately;
         only the remainder is profiled: over ``jobs`` worker processes
-        when there are several, else in this process, as :meth:`graph`
-        profiles.  Returns the number of graphs that were actually
-        profiled.  Worker-profiled graphs round-trip through the exact
-        JSON serialization, and their traces stay in the trace store,
-        so downstream results are identical to the serial path's.
+        when there are several and a trace store to spill their
+        recordings into, else in this process, as :meth:`graph`
+        profiles (a storeless worker's recording would be lost, and
+        this process would record the trace again for its split).
+        Returns the number of graphs that were actually profiled.
+        Worker-profiled graphs round-trip through the exact JSON
+        serialization, and their traces stay in the trace store, so
+        downstream results are identical to the serial path's.
         """
         jobs = self.jobs if jobs is None else jobs
         tm = get_telemetry()
@@ -247,13 +250,11 @@ class Runner:
                 if not self._load_graph(spec, which):
                     misses[key] = (spec, which)
             span.set("profiled", len(misses))
-            if jobs <= 1 or len(misses) <= 1:
+            if jobs <= 1 or len(misses) <= 1 or self.trace_store is None:
                 for spec, which in misses.values():
                     self._profile_graph(spec, which)
                 return len(misses)
-            trace_root = (
-                str(self.trace_store.root) if self.trace_store is not None else None
-            )
+            trace_root = str(self.trace_store.root)
             results = run_profile_jobs(
                 [
                     ProfileJob(spec, which, trace_root=trace_root)

@@ -2,11 +2,10 @@
 
 The batch pipeline records a complete trace, profiles it, selects
 markers, and only then can a monitor apply them.  This package collapses
-that into a single online pass with bounded memory (ROADMAP item 1):
+that into a single online pass with bounded memory, pushing packed rows
+through the batch shadow-stack walker
+(:class:`~repro.callloop.walker.ContextWalker`) one chunk at a time:
 
-* :class:`IncrementalWalker` — the batch shadow-stack walker, started
-  at construction; packed rows in, edge-span callbacks out, O(1) per
-  event.
 * :class:`StreamingWindow` — a bounded sliding window of per-slot exact
   edge moments; associativity makes any windowed merge bit-consistent.
 * :class:`DriftDetector` — per-marker-edge CoV drift against the
@@ -26,12 +25,10 @@ from repro.streaming.monitor import (
     StreamingPhaseMonitor,
     stream_trace,
 )
-from repro.streaming.walker import IncrementalWalker
 from repro.streaming.window import StreamingWindow
 
 __all__ = [
     "DriftDetector",
-    "IncrementalWalker",
     "Reselection",
     "StreamingConfig",
     "StreamingPhaseMonitor",

@@ -1,16 +1,18 @@
 """Online phase detection with bounded memory and rolling re-selection.
 
-This is ROADMAP item 1 made concrete: the paper selects markers offline
-from a complete trace, but its killer application is *runtime*
-reconfiguration (Section 5.3), which means phase detection has to run
-against a live stream — bounded memory, O(1) amortized per-event cost,
-and markers that adapt when behavior drifts.
+The paper selects markers offline from a complete trace, but its killer
+application is *runtime* reconfiguration (Section 5.3), which means
+phase detection has to run against a live stream — bounded memory,
+O(1) amortized per-event cost, and markers that adapt when behavior
+drifts.
 
 :class:`StreamingPhaseMonitor` composes the pieces:
 
-* an :class:`~repro.streaming.walker.IncrementalWalker` consumes packed
-  rows chunk by chunk (the same columns a recorded ``Trace`` stores)
-  through the batch walker's bulk row loop;
+* the batch :class:`~repro.callloop.walker.ContextWalker`, started once
+  with the monitor as its handler, consumes packed rows chunk by chunk
+  (the same columns a recorded ``Trace`` stores), each chunk through
+  its bulk row loop or, when short, its scalar loop, and reports edge
+  spans only;
 * every closed edge span folds into a :class:`~repro.streaming.window.
   StreamingWindow` slot of exact integer moments — a back-edge run on
   an edge no marker watches folds in as one batch; slots seal every
@@ -48,13 +50,12 @@ import numpy as np
 from repro.callloop.graph import CallLoopGraph, NodeTable
 from repro.callloop.markers import MarkerSet, MarkerTracker
 from repro.callloop.selection import SelectionParams, SelectionResult, select_markers
-from repro.callloop.walker import ContextHandler, chunk_length
+from repro.callloop.walker import ContextHandler, ContextWalker, chunk_length
 from repro.engine.events import K_BLOCK
 from repro.engine.tracing import DEFAULT_CHUNK_ROWS, Trace
 from repro.ir.program import Program, SourceLoc
 from repro.runtime.monitor import PhaseChange, PhaseLog, PhaseLogView
 from repro.streaming.drift import DriftDetector
-from repro.streaming.walker import IncrementalWalker
 from repro.streaming.window import StreamingWindow
 from repro.telemetry import get_telemetry
 
@@ -174,8 +175,9 @@ class StreamingPhaseMonitor(ContextHandler, PhaseLogView):
         self._next_slot_t = self.config.slot_instructions
         tm = get_telemetry()
         self._tm = tm if tm.enabled else None
-        # last: construction fires the entry-edge opens into this handler
-        self._walker = IncrementalWalker(program, self.table, handler=self)
+        # last: starting the walk fires the entry-edge opens into this handler
+        self._walker = ContextWalker(program, self.table)
+        self._walker.start(self)
 
     # -- ContextHandler -------------------------------------------------------
 

@@ -4,8 +4,7 @@ The end-of-run snapshot answers "how much work happened"; the sampler
 answers "how did it *unfold*": a daemon thread wakes at a configurable
 interval, copies the active session's counters and gauges, and appends
 the sample to a bounded ring buffer — bounded memory no matter how long
-the run, the property the future ``repro serve`` loadgen scenario needs
-(ROADMAP item 1).  Sampling is read-only and lock-free: counter bumps
+the run, which a long ``repro serve`` session needs.  Sampling is read-only and lock-free: counter bumps
 are single dict operations under the GIL, and the copy retries on the
 rare resize race instead of taking a lock on the hot write path.
 

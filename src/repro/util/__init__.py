@@ -1,17 +1,13 @@
-"""Shared utilities: ascii table rendering, JSON helpers, stderr output."""
+"""Shared utilities: ascii table rendering and stderr output."""
 
 import sys
 
 from repro.util.tables import Table, format_float, format_int
-from repro.util.serialization import to_jsonable, dump_json, load_json
 
 __all__ = [
     "Table",
     "format_float",
     "format_int",
-    "to_jsonable",
-    "dump_json",
-    "load_json",
     "diag",
 ]
 

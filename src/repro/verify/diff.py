@@ -18,7 +18,7 @@ check               fast path vs its one reference
                     :func:`oracle_walk` — columns, callback sequences, and
                     row positions compared **bit-for-bit**
 ``streaming``       :func:`diff_streaming`: the incremental streaming path
-                    (chunked ``IncrementalWalker`` feed, windowed moment
+                    (chunked ``ContextWalker.feed_rows``, windowed moment
                     merge, online phase monitor) vs ``walk_scalar``, the
                     batch profiler, selection, and ``PhaseMonitor``, and
                     chunked vs row-at-a-time monitor feeds — callbacks,
@@ -84,7 +84,7 @@ from repro.callloop.depth import estimate_max_depth, processing_order
 from repro.callloop.graph import CallLoopGraph, NodeTable
 from repro.callloop.markers import MarkerSet, marker_firings, marker_firings_scalar
 from repro.callloop.profiler import CallLoopProfiler
-from repro.callloop.walker import ContextHandler, ContextWalker
+from repro.callloop.walker import BULK_MIN_CHUNK_ROWS, ContextHandler, ContextWalker
 from repro.callloop.selection import SelectionParams, select_markers
 from repro.engine.machine import Machine
 from repro.engine.memory import MemorySystem
@@ -473,12 +473,10 @@ def diff_kmeans(points, weights=None) -> List[Mismatch]:
 class _SpanLog(ContextHandler):
     """Records every edge callback, tagged with the walker's row cursor.
 
-    Overrides only the edge callbacks, never ``on_block`` — so it stays
-    eligible for the bulk replay mode, exactly like the profiler's and
-    splitter's handlers.  The row cursor is captured because interval
-    splitting keys off ``walker.row`` at ``on_edge_open`` time; a bulk
-    walker that fired the right callbacks at the wrong rows would
-    corrupt VLI boundaries.
+    The row cursor is captured because the walk collector of marker
+    firings keys off ``walker.row`` at ``on_edge_open`` time; a bulk
+    loop that fired the right callbacks at the wrong rows would corrupt
+    VLI boundaries.
     """
 
     def __init__(self, walker: ContextWalker):
@@ -492,17 +490,6 @@ class _SpanLog(ContextHandler):
         self.log.append(
             ("close", src, dst, t_open, t_close, str(source), self.walker.row)
         )
-
-
-class _BranchSpanLog(_SpanLog):
-    """A :class:`_SpanLog` that also observes branches.
-
-    The override lives on the *class* because that is what the walker's
-    bulk dispatch inspects to decide whether branch rows are needed.
-    """
-
-    def on_branch(self, address, target, taken):
-        self.log.append(("branch", address, target, taken, self.walker.row))
 
 
 def diff_trace_pipeline(
@@ -524,11 +511,10 @@ def diff_trace_pipeline(
       ``compare_record`` is false (the caller truncated the event stream
       in a way only the object path supports, e.g. a call-depth cap).
     * replay — the bulk row loop (``walk(..., bulk=True)``) vs the scalar
-      loop (``walk_scalar``) over *trace*, for
-      both an edges-only handler and a branch-observing handler; the
-      callback sequences, reported row positions, instruction totals,
-      and final row cursors must be identical.
-    * reference walk — the scalar loop's edges-only walk vs
+      loop (``walk_scalar``) over *trace*; the callback sequences,
+      reported row positions, instruction totals, and final row cursors
+      must be identical.
+    * reference walk — the scalar loop's walk vs
       :func:`oracle_walk`, with node ids mapped to nodes through the
       :class:`NodeTable`: opens as ``(src, dst, t, source, row)``,
       closes as ``(src, dst, t_open, t_close, source)``, and totals.
@@ -560,31 +546,27 @@ def diff_trace_pipeline(
                     )
 
     table = NodeTable(program)
-    scalar_runs = {}
-    for label, make in (("edges", _SpanLog), ("edges+branches", _BranchSpanLog)):
-        scalar_walker = ContextWalker(program, table)
-        scalar_log = make(scalar_walker)
-        scalar_total = scalar_walker.walk_scalar(trace, scalar_log)
-        scalar_runs[label] = (scalar_total, scalar_log.log)
-        bulk_walker = ContextWalker(program, table)
-        bulk_log = make(bulk_walker)
-        bulk_total = bulk_walker.walk(trace, bulk_log, bulk=True)
-        _diff_walks(
-            out, "trace", f"walk({label})",
-            (bulk_total, bulk_walker.row, bulk_log.log),
-            (scalar_total, scalar_walker.row, scalar_log.log),
-        )
+    scalar_walker = ContextWalker(program, table)
+    scalar_log = _SpanLog(scalar_walker)
+    scalar_total = scalar_walker.walk_scalar(trace, scalar_log)
+    bulk_walker = ContextWalker(program, table)
+    bulk_log = _SpanLog(bulk_walker)
+    bulk_total = bulk_walker.walk(trace, bulk_log, bulk=True)
+    _diff_walks(
+        out, "trace", "walk(edges)",
+        (bulk_total, bulk_walker.row, bulk_log.log),
+        (scalar_total, scalar_walker.row, scalar_log.log),
+    )
 
     # The scalar loop against the independent naive walk, which names
     # nodes directly, hands each open (not each close) its trace row,
     # and keeps no row cursor to compare.
-    scalar_total, scalar_log = scalar_runs["edges"]
     node = table.node
     got_log = [
         ("open", node(src), node(dst), *rest)
         if kind == "open"
         else ("close", node(src), node(dst), *rest[:-1])
-        for kind, src, dst, *rest in scalar_log
+        for kind, src, dst, *rest in scalar_log.log
     ]
     want_log: List[tuple] = []
     want_total = oracle_walk(
@@ -665,30 +647,6 @@ def _first_dict_divergence(got: Dict[str, Any], want: Dict[str, Any]) -> str:
     return f"extra keys {extra!r}" if extra else "unknown divergence"
 
 
-class _StreamLog(ContextHandler):
-    """Records edge and branch callbacks without a row cursor.
-
-    Overrides ``on_block``, so the incremental walker feeds it through
-    the scalar loop.  The walker fires its entry opens at
-    construction time (before any handler could know a row cursor), so
-    streaming parity compares the callback *sequence* plus the final
-    cursor and total, mirroring the streaming package's own contract.
-    """
-
-    def __init__(self):
-        self.log: List[tuple] = []
-        self.blocks = 0
-
-    def on_edge_open(self, src, dst, t, source):
-        self.log.append(("open", src, dst, t, str(source)))
-
-    def on_edge_close(self, src, dst, t_open, t_close, source):
-        self.log.append(("close", src, dst, t_open, t_close, str(source)))
-
-    def on_block(self, block_id, size, t):
-        self.blocks += 1
-
-
 def _diff_walks(
     out: List[Mismatch],
     kind: str,
@@ -737,11 +695,12 @@ def diff_streaming(
     Four layers, all exact (the streaming implementation re-orders the
     identical integer work, so no tolerance applies):
 
-    * walker — :class:`~repro.streaming.IncrementalWalker` fed the trace
-      in *chunk_rows* pieces must reproduce ``walk_scalar``'s callback
-      sequence, instruction total, and final row cursor, both for a
-      block-observing handler (the scalar loop) and for an edge-only one
-      (the bulk loop on full chunks, row cursor included);
+    * walker — a :class:`~repro.callloop.walker.ContextWalker` fed the
+      trace through ``feed_rows`` in *chunk_rows* pieces (the bulk loop
+      on full chunks of at least ``BULK_MIN_CHUNK_ROWS``) and in pieces
+      under ``BULK_MIN_CHUNK_ROWS`` (the scalar loop) must reproduce
+      ``walk_scalar``'s callback sequence, row cursor at every callback,
+      instruction total, and final row cursor;
     * profile + selection — an unbounded-window, drift-disabled
       :class:`~repro.streaming.StreamingPhaseMonitor` must fold its
       window to the exact serialized batch graph, and selecting on that
@@ -760,54 +719,30 @@ def diff_streaming(
     """
     from repro.callloop.serialization import graph_to_dict, marker_set_to_dict
     from repro.runtime import PhaseMonitor
-    from repro.streaming import (
-        IncrementalWalker,
-        StreamingConfig,
-        StreamingPhaseMonitor,
-        stream_trace,
-    )
+    from repro.streaming import StreamingConfig, StreamingPhaseMonitor, stream_trace
 
     params = params or SelectionParams()
     out: List[Mismatch] = []
     table = NodeTable(program)
 
     batch_walker = ContextWalker(program, table)
-    batch_log = _StreamLog()
+    batch_log = _SpanLog(batch_walker)
     batch_total = batch_walker.walk_scalar(trace, batch_log)
-
-    inc_log = _StreamLog()
-    inc = IncrementalWalker(program, table, handler=inc_log)
-    for chunk in trace.iter_chunks(chunk_rows):
-        inc.feed_rows(*chunk)
-    inc_total = inc.finish()
-
-    _diff_walks(
-        out, "streaming", "walker",
-        (inc_total, inc.row, inc_log.log),
-        (batch_total, batch_walker.row, batch_log.log),
-    )
-    if inc_log.blocks != batch_log.blocks:
-        out.append(
-            Mismatch("streaming", "block callbacks", inc_log.blocks, batch_log.blocks)
+    for label, rows in (
+        ("walker(edges)", chunk_rows),
+        ("walker(edges, short chunks)", min(chunk_rows, BULK_MIN_CHUNK_ROWS - 1)),
+    ):
+        walker = ContextWalker(program, table)
+        log = _SpanLog(walker)
+        walker.start(log)
+        for chunk in trace.iter_chunks(rows):
+            walker.feed_rows(*chunk)
+        total = walker.finish()
+        _diff_walks(
+            out, "streaming", label,
+            (total, walker.row, log.log),
+            (batch_total, batch_walker.row, batch_log.log),
         )
-
-    edge_walker = ContextWalker(program, table)
-    # The incremental walker fires its entry opens while it is being
-    # constructed; until then the log reads the fresh batch walker's
-    # cursor (-1), which is what that walker reports for its own.
-    edge_got = _SpanLog(edge_walker)
-    inc = IncrementalWalker(program, table, handler=edge_got)
-    edge_got.walker = inc
-    for chunk in trace.iter_chunks(chunk_rows):
-        inc.feed_rows(*chunk)
-    inc_total = inc.finish()
-    edge_want = _SpanLog(edge_walker)
-    edge_total = edge_walker.walk_scalar(trace, edge_want)
-    _diff_walks(
-        out, "streaming", "walker(edges)",
-        (inc_total, inc.row, edge_got.log),
-        (edge_total, edge_walker.row, edge_want.log),
-    )
 
     batch_graph = (
         sequential

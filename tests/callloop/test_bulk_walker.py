@@ -11,7 +11,7 @@ from repro.engine.tracing import Trace
 
 
 class EdgeLog(ContextHandler):
-    """Edge callbacks only — bulk-eligible, like the profiler's handler."""
+    """Every edge callback, tagged with the walker's row cursor."""
 
     def __init__(self, walker):
         self.walker = walker
@@ -26,21 +26,7 @@ class EdgeLog(ContextHandler):
         )
 
 
-class EdgeBranchLog(EdgeLog):
-    """Additionally observes branches (still bulk-eligible)."""
-
-    def on_branch(self, address, target, taken):
-        self.log.append(("branch", address, target, taken, self.walker.row))
-
-
-class BlockLog(EdgeLog):
-    """Overrides on_block — must force the scalar path."""
-
-    def on_block(self, block_id, size, t):
-        self.log.append(("block", block_id, size, t, self.walker.row))
-
-
-def both_walks(program, trace, handler_cls):
+def both_walks(program, trace, handler_cls=EdgeLog):
     table = NodeTable(program)
     scalar_walker = ContextWalker(program, table)
     scalar_log = handler_cls(scalar_walker)
@@ -51,7 +37,7 @@ def both_walks(program, trace, handler_cls):
     return (scalar_total, scalar_log, scalar_walker), (bulk_total, bulk_log, bulk_walker)
 
 
-@pytest.mark.parametrize("handler_cls", [EdgeLog, EdgeBranchLog])
+@pytest.mark.parametrize("handler_cls", [EdgeLog])
 @pytest.mark.parametrize(
     "fixture", ["toy_program", "recursive_program", "loop_only_program"]
 )
@@ -70,9 +56,7 @@ def test_bulk_matches_scalar_on_truncated_trace(toy_program, toy_input):
     """A cap-truncated trace (open frames unwound at trace end) replays
     identically through both paths."""
     trace = record_trace(Machine(toy_program, toy_input, max_instructions=3000))
-    (s_total, s_log, _), (b_total, b_log, _) = both_walks(
-        toy_program, trace, EdgeLog
-    )
+    (s_total, s_log, _), (b_total, b_log, _) = both_walks(toy_program, trace)
     assert b_total == s_total
     assert b_log.log == s_log.log
 
@@ -89,18 +73,6 @@ def test_empty_trace_bulk(toy_program):
     assert log.log == log2.log  # entry open/close pairs still fire
 
 
-def test_block_handler_forces_scalar(toy_program, toy_input):
-    """A handler that observes blocks never takes the bulk path: every
-    single block row must reach on_block, even with bulk forced."""
-    trace = record_trace(Machine(toy_program, toy_input))
-    table = NodeTable(toy_program)
-    walker = ContextWalker(toy_program, table)
-    log = BlockLog(walker)
-    walker.walk(trace, log, bulk=True)
-    blocks = [e for e in log.log if e[0] == "block"]
-    assert len(blocks) == trace.num_block_events
-
-
 def test_unknown_address_falls_back_to_scalar(toy_program, toy_input):
     """Rows referencing addresses outside the program replay through the
     scalar fallback rather than crashing or diverging."""
@@ -110,9 +82,7 @@ def test_unknown_address_falls_back_to_scalar(toy_program, toy_input):
     )
     rows = np.nonzero(bogus.kinds == K_BLOCK)[0]
     bogus.b[rows[len(rows) // 2]] = 0x7FFF_FFFF  # no such block address
-    (s_total, s_log, _), (b_total, b_log, _) = both_walks(
-        toy_program, bogus, EdgeLog
-    )
+    (s_total, s_log, _), (b_total, b_log, _) = both_walks(toy_program, bogus)
     assert b_total == s_total
     assert b_log.log == s_log.log
 
@@ -148,16 +118,10 @@ def test_scalar_fallbacks_are_counted_with_their_reason(toy_program, toy_input):
     n = BULK_MIN_CHUNK_ROWS - 1
     short = Trace(trace.kinds[:n], trace.a[:n], trace.b[:n], trace.c[:n])
     table = NodeTable(toy_program)
-    walks = [
-        (trace, EdgeLog),
-        (short, EdgeLog),
-        (trace, BlockLog),
-        (bogus, EdgeLog),
-    ]
     with telemetry_session() as tm:
-        for walked, handler_cls in walks:
+        for walked in (trace, short, bogus):
             walker = ContextWalker(toy_program, table)
-            walker.walk(walked, handler_cls(walker))
+            walker.walk(walked, EdgeLog(walker))
     paths = {
         k: v
         for k, v in tm.metrics.counters.items()
@@ -166,6 +130,5 @@ def test_scalar_fallbacks_are_counted_with_their_reason(toy_program, toy_input):
     assert paths == {
         "callloop.walk.bulk": 1,
         "callloop.walk.scalar.short_chunk": 1,
-        "callloop.walk.scalar.on_block": 1,
         "callloop.walk.scalar.unknown_address": 1,
     }

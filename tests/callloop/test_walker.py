@@ -17,7 +17,6 @@ class SpanRecorder(ContextHandler):
     def __init__(self):
         self.open_spans = defaultdict(list)  # (src,dst) -> [t_open]
         self.closed = []  # (src, dst, t_open, t_close)
-        self.blocks = []
 
     def on_edge_open(self, src, dst, t, source):
         self.open_spans[(src, dst)].append(t)
@@ -29,9 +28,6 @@ class SpanRecorder(ContextHandler):
         assert expected == t_open, "spans must close LIFO per edge"
         assert t_close >= t_open
         self.closed.append((src, dst, t_open, t_close))
-
-    def on_block(self, block_id, size, t):
-        self.blocks.append((block_id, size, t))
 
 
 def walk(program, inp):
@@ -57,12 +53,6 @@ def test_root_edge_spans_whole_run(toy_program, toy_input):
     head_main = table.proc_head["main"]
     spans = [s for s in rec.closed if s[0] == 0 and s[1] == head_main]
     assert spans == [(0, head_main, 0, total)]
-
-
-def test_block_t_monotone(toy_program, toy_input):
-    _, _, rec, _ = walk(toy_program, toy_input)
-    ts = [t for (_, _, t) in rec.blocks]
-    assert ts == sorted(ts)
 
 
 def test_loop_iterations_counted(loop_only_program):

@@ -10,7 +10,8 @@ import json
 from repro.callloop.serialization import graph_to_dict
 from repro.experiments import fig3
 from repro.experiments.runner import Runner
-from repro.runner import ProfileCache
+from repro.runner import ProfileCache, TraceStore
+from repro.telemetry import telemetry_session
 
 SPECS = [("vortex/one", "ref"), ("tomcatv/ref", "ref")]
 
@@ -19,16 +20,29 @@ def graph_doc(graph) -> str:
     return json.dumps(graph_to_dict(graph), sort_keys=True)
 
 
-def test_parallel_prefetch_equals_serial_graphs():
+def test_parallel_prefetch_equals_serial_graphs(tmp_path):
     serial = Runner()
     serial_docs = {pair: graph_doc(serial.graph(*pair)) for pair in SPECS}
 
-    parallel = Runner(jobs=2)
+    parallel = Runner(jobs=2, trace_store=TraceStore(tmp_path))
     profiled = parallel.prefetch_graphs(SPECS)
     assert profiled == len(SPECS)
     for pair in SPECS:
         assert graph_doc(parallel.graph(*pair)) == serial_docs[pair]
     assert {a[2] for a in parallel.acquisitions} == {"worker"}
+
+
+def test_storeless_prefetch_profiles_in_process_and_records_once():
+    """With no trace store a pool worker's recording would be lost, so
+    a storeless prefetch profiles its misses here, and each pair's trace
+    is the recording its profile made: two pairs, two recordings."""
+    with telemetry_session() as tm:
+        runner = Runner(jobs=2)
+        assert runner.prefetch_graphs(SPECS) == len(SPECS)
+        for spec, which in SPECS:
+            runner.trace(spec, which)
+    assert [a[2] for a in runner.acquisitions] == ["profiled"] * len(SPECS)
+    assert sum(s.name == "engine.record_trace" for s in tm.spans) == len(SPECS)
 
 
 def test_prefetch_skips_memoized_and_cached(tmp_path):

@@ -29,15 +29,16 @@ def test_available_cpus_falls_back_to_cpu_count(monkeypatch):
     assert available_cpus() == 1
 
 
-def test_explicit_max_workers_not_clamped(monkeypatch):
+def test_explicit_max_workers_not_clamped(monkeypatch, tmp_path):
     """Only the default is affinity-aware; an explicit worker count is
     honored even when it exceeds the available CPUs."""
     from repro.experiments.runner import Runner
+    from repro.runner import TraceStore
 
     monkeypatch.setattr(
         os, "sched_getaffinity", lambda pid: {0}, raising=False
     )
-    runner = Runner(jobs=2)
+    runner = Runner(jobs=2, trace_store=TraceStore(tmp_path))
     profiled = runner.prefetch_graphs([("vortex/one", "ref"), ("tomcatv/ref", "ref")])
     assert profiled == 2
     assert {a[2] for a in runner.acquisitions} == {"worker"}

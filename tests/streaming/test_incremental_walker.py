@@ -1,4 +1,5 @@
-"""IncrementalWalker vs the batch walker: callback-for-callback parity."""
+"""A walk pushed in chunks vs the whole-trace scalar walk: callback-for-
+callback parity, through the bulk row loop and the scalar loop."""
 
 import numpy as np
 import pytest
@@ -9,18 +10,14 @@ from repro.engine.events import K_BLOCK
 from repro.engine.machine import Machine
 from repro.engine.tracing import record_trace
 from repro.ir.program import ProgramInput
-from repro.streaming import IncrementalWalker
 from repro.telemetry import telemetry_session
 
 
 class _Log(ContextHandler):
-    """Records every edge callback (and the block count) verbatim.
-
-    Overrides ``on_block``, so chunk feeds take the scalar loop."""
+    """Records every edge callback verbatim, without the row cursor."""
 
     def __init__(self):
         self.events = []
-        self.blocks = 0
 
     def on_edge_open(self, src, dst, t, source):
         self.events.append(("open", src, dst, t, str(source)))
@@ -28,41 +25,26 @@ class _Log(ContextHandler):
     def on_edge_close(self, src, dst, t_open, t_close, source):
         self.events.append(("close", src, dst, t_open, t_close, str(source)))
 
-    def on_block(self, block_id, size, t):
-        self.blocks += 1
-
-    def on_branch(self, address, target, taken):
-        self.events.append(("branch", address, target, taken))
-
 
 class _EdgeLog(ContextHandler):
-    """Edge callbacks only, tagged with the walker's row cursor.
-
-    Leaves ``on_block`` alone, so chunk feeds take the bulk row loop.
-    ``cursor`` is attached once the walker exists: an incremental
-    walker fires its entry opens while it is being constructed, where
-    the cursor reads -1 — as a fresh batch walker's does.
-    """
+    """Edge callbacks, tagged with the row cursor of the walker that
+    :func:`_walker` attaches as ``cursor``."""
 
     def __init__(self):
         self.events = []
-        self.cursor = None
-
-    def _row(self):
-        return -1 if self.cursor is None else self.cursor.row
 
     def on_edge_open(self, src, dst, t, source):
-        self.events.append(("open", src, dst, t, str(source), self._row()))
+        self.events.append(("open", src, dst, t, str(source), self.cursor.row))
 
     def on_edge_close(self, src, dst, t_open, t_close, source):
         self.events.append(
-            ("close", src, dst, t_open, t_close, str(source), self._row())
+            ("close", src, dst, t_open, t_close, str(source), self.cursor.row)
         )
 
 
-class _RunLog(_EdgeLog):
-    """An :class:`_EdgeLog` that takes back-edge runs in batches and
-    expands them at the rows ``iter_rows`` reports."""
+class _RunLog(_Log):
+    """A :class:`_Log` that takes back-edge runs in batches and expands
+    them into the per-iteration closes and opens."""
 
     def __init__(self):
         super().__init__()
@@ -70,11 +52,9 @@ class _RunLog(_EdgeLog):
 
     def on_edge_iterations(self, head, body, t_prev, ts, source):
         self.batches += 1
-        rows = self.cursor.iter_rows
-        assert len(rows) == len(ts)
-        for t, row in zip(ts.tolist(), rows.tolist()):
-            self.events.append(("close", head, body, t_prev, t, str(source), row))
-            self.events.append(("open", head, body, t, str(source), row))
+        for t in ts.tolist():
+            self.on_edge_close(head, body, t_prev, t, source)
+            self.on_edge_open(head, body, t, source)
             t_prev = t
 
 
@@ -82,20 +62,25 @@ def _record(program, seed=7):
     return record_trace(Machine(program, ProgramInput("test", {}, seed=seed)))
 
 
+def _walker(program, handler):
+    """A walker started into *handler*, attached first as its cursor."""
+    walker = ContextWalker(program, NodeTable(program))
+    handler.cursor = walker
+    walker.start(handler)
+    return walker
+
+
 def _batch_log(program, trace, handler_cls=_Log):
-    table = NodeTable(program)
     log = handler_cls()
-    walker = ContextWalker(program, table)
+    walker = ContextWalker(program, NodeTable(program))
     log.cursor = walker
     total = walker.walk_scalar(trace, log)
     return log, total, walker.row
 
 
 def _stream_log(program, trace, chunk_rows, handler_cls=_Log):
-    table = NodeTable(program)
     log = handler_cls()
-    walker = IncrementalWalker(program, table, handler=log)
-    log.cursor = walker
+    walker = _walker(program, log)
     for chunk in trace.iter_chunks(chunk_rows):
         walker.feed_rows(*chunk)
     total = walker.finish()
@@ -106,7 +91,7 @@ def _stream_log(program, trace, chunk_rows, handler_cls=_Log):
     "chunk_rows, handler_cls",
     [
         pytest.param(n, cls, id=f"{n}{suffix}")
-        for cls, suffix in ((_Log, ""), (_EdgeLog, "-edges"), (_RunLog, "-runs"))
+        for cls, suffix in ((_EdgeLog, "-edges"), (_RunLog, "-runs"))
         for n in sorted(
             {1, 7, 64, BULK_MIN_CHUNK_ROWS - 1, BULK_MIN_CHUNK_ROWS, 257, 1 << 20}
         )
@@ -118,8 +103,9 @@ def _stream_log(program, trace, chunk_rows, handler_cls=_Log):
 def test_chunked_feed_matches_batch_walk(request, fixture, chunk_rows, handler_cls):
     """Any chunking of the stream produces the scalar batch walk's exact
     callback sequence, total, and final row cursor — through the scalar
-    loop (a block observer or a short chunk) and the bulk row loop
-    alike, with the row cursor exact at every callback."""
+    loop (short chunks) and the bulk row loop alike, with the row cursor
+    exact at every callback, and batched back-edge runs expanding to
+    the per-iteration callbacks."""
     program = request.getfixturevalue(fixture)
     trace = _record(program)
     batch, batch_total, batch_row = _batch_log(program, trace, handler_cls)
@@ -127,7 +113,6 @@ def test_chunked_feed_matches_batch_walk(request, fixture, chunk_rows, handler_c
         program, trace, chunk_rows, handler_cls
     )
     assert stream.events == batch.events
-    assert getattr(stream, "blocks", None) == getattr(batch, "blocks", None)
     assert stream_total == batch_total == trace.total_instructions
     assert stream_row == batch_row == len(trace.kinds)
 
@@ -141,7 +126,7 @@ def test_bulk_feed_batches_back_edge_runs(loop_only_program):
 
 def _counters(program, handler, chunks):
     with telemetry_session() as tm:
-        walker = IncrementalWalker(program, handler=handler)
+        walker = _walker(program, handler)
         for chunk in chunks:
             walker.feed_rows(*chunk)
         walker.finish()
@@ -160,9 +145,6 @@ def test_feed_counters_name_the_path_each_chunk_took(toy_program):
         "callloop.walk.bulk": len(chunks) - 1,
         "callloop.walk.scalar.short_chunk": 1,
     }
-    assert _counters(toy_program, _Log(), chunks) == {
-        "callloop.walk.scalar.on_block": len(chunks),
-    }
     kinds, a, b, c = (col.copy() for col in chunks[0])
     b[np.nonzero(kinds == K_BLOCK)[0][-1]] = 0x7FFF_FFFF  # no such block
     got = _counters(toy_program, _EdgeLog(), [(kinds, a, b, c)])
@@ -177,14 +159,12 @@ def test_unknown_address_chunk_falls_back_to_scalar(toy_program):
     blocks = np.nonzero(kinds == K_BLOCK)[0]
     b[blocks[len(blocks) // 2]] = 0x7FFF_FFFF
     scalar = _EdgeLog()
-    walker = IncrementalWalker(toy_program, handler=scalar)
-    scalar.cursor = walker
+    walker = _walker(toy_program, scalar)
     for row in zip(kinds.tolist(), a.tolist(), b.tolist(), c.tolist()):
         walker.feed(*row)
     scalar_total = walker.finish()
     bulk = _EdgeLog()
-    walker = IncrementalWalker(toy_program, handler=bulk)
-    bulk.cursor = walker
+    walker = _walker(toy_program, bulk)
     for start in range(0, len(kinds), 1000):
         stop = start + 1000
         walker.feed_rows(kinds[start:stop], a[start:stop], b[start:stop], c[start:stop])
@@ -199,58 +179,60 @@ def test_unequal_columns_rejected_before_any_state_change(toy_program, short):
     trace = _record(toy_program)
     cols = {name: getattr(trace, name)[:10] for name in ("kinds", "a", "b", "c")}
     cols[short] = cols[short][:6]
-    for handler in (_Log(), _EdgeLog()):
-        walker = IncrementalWalker(toy_program, handler=handler)
-        before = list(handler.events)
-        with pytest.raises(ValueError, match="equal lengths"):
-            walker.feed_rows(cols["kinds"], cols["a"], cols["b"], cols["c"])
-        assert (walker.row, walker.t, walker.depth) == (-1, 0, 1)
-        assert handler.events == before
+    handler = _EdgeLog()
+    walker = _walker(toy_program, handler)
+    before = list(handler.events)
+    with pytest.raises(ValueError, match="equal lengths"):
+        walker.feed_rows(cols["kinds"], cols["a"], cols["b"], cols["c"])
+    assert (walker.row, walker.t, walker.depth) == (-1, 0, 1)
+    assert handler.events == before
 
 
-class _Bomb(_Log):
-    """A block observer that raises at the *fuse*-th block callback."""
+class _Bomb(ContextHandler):
+    """Raises at the *fuse*-th edge open."""
 
     def __init__(self, fuse):
-        super().__init__()
         self.fuse = fuse
 
-    def on_block(self, block_id, size, t):
-        super().on_block(block_id, size, t)
-        if self.blocks == self.fuse:
+    def on_edge_open(self, src, dst, t, source):
+        self.fuse -= 1
+        if self.fuse == 0:
             raise RuntimeError("handler failed")
 
 
 def test_handler_raising_mid_chunk_leaves_cursor_at_last_row(toy_program):
-    """The scalar loop keeps ``t`` in a local; a handler raising mid-chunk
-    still leaves ``walker.row`` at the row it was processing and
-    ``walker.t`` at the count before that row."""
+    """Both loops keep ``t`` in a local; a handler raising mid-chunk
+    leaves ``walker.row`` at the row being processed and ``walker.t`` at
+    the count before that row (the count the failing open carries),
+    whether the chunk took the bulk loop (one whole-trace chunk) or the
+    scalar loop (short chunks)."""
     trace = _record(toy_program)
-    fuse = trace.num_block_events // 2
-    block_rows = np.nonzero(trace.kinds == K_BLOCK)[0]
-    row = int(block_rows[fuse - 1])
-    walker = IncrementalWalker(toy_program, handler=_Bomb(fuse))
-    with pytest.raises(RuntimeError, match="handler failed"):
-        for chunk in trace.iter_chunks(1000):
-            walker.feed_rows(*chunk)
-    assert walker.row == row
-    assert walker.t == int(trace.c[block_rows[: fuse - 1]].sum())
+    fuse = 500
+    ref, _, _ = _batch_log(toy_program, trace, _EdgeLog)
+    _, _, _, t, _, row = [e for e in ref.events if e[0] == "open"][fuse - 1]
+    assert t > 0 and BULK_MIN_CHUNK_ROWS < row < len(trace) - BULK_MIN_CHUNK_ROWS
+    for chunk_rows in (len(trace), 64):
+        walker = _walker(toy_program, _Bomb(fuse))
+        with pytest.raises(RuntimeError, match="handler failed"):
+            for chunk in trace.iter_chunks(chunk_rows):
+                walker.feed_rows(*chunk)
+        assert (walker.row, walker.t) == (row, t)
 
 
 def test_scalar_feed_matches_chunked(toy_program):
     trace = _record(toy_program)
     chunked, chunked_total, _ = _stream_log(toy_program, trace, 64)
     log = _Log()
-    walker = IncrementalWalker(toy_program, handler=log)
+    walker = _walker(toy_program, log)
     for kind, a, b, c in trace.iter_packed():
         walker.feed(kind, a, b, c)
     assert walker.finish() == chunked_total
     assert log.events == chunked.events
 
 
-def test_entry_edges_open_at_construction(toy_program):
+def test_entry_edges_open_at_start(toy_program):
     log = _Log()
-    IncrementalWalker(toy_program, handler=log)
+    _walker(toy_program, log)
     # root -> main.head and main.head -> main.body, both at t=0
     assert [e[:2] for e in log.events[:2]] == [("open", 0), ("open", 1)]
     assert all(e[3] == 0 for e in log.events[:2])
@@ -258,7 +240,7 @@ def test_entry_edges_open_at_construction(toy_program):
 
 def test_finished_walker_rejects_feeds(toy_program):
     trace = _record(toy_program)
-    walker = IncrementalWalker(toy_program, handler=_Log())
+    walker = _walker(toy_program, _Log())
     for chunk in trace.iter_chunks(4096):
         walker.feed_rows(*chunk)
     walker.finish()
@@ -276,7 +258,7 @@ def test_finish_unwinds_open_frames(toy_program):
     trace = _record(toy_program)
     cut = len(trace.kinds) // 2
     log = _Log()
-    walker = IncrementalWalker(toy_program, handler=log)
+    walker = _walker(toy_program, log)
     walker.feed_rows(trace.kinds[:cut], trace.a[:cut], trace.b[:cut], trace.c[:cut])
     walker.finish()
     opens = [e[1:3] for e in log.events if e[0] == "open"]
@@ -287,7 +269,7 @@ def test_finish_unwinds_open_frames(toy_program):
 
 def test_depth_tracks_call_stack(recursive_program):
     trace = _record(recursive_program)
-    walker = IncrementalWalker(recursive_program, handler=_Log())
+    walker = _walker(recursive_program, _Log())
     max_depth = 0
     for kind, a, b, c in trace.iter_packed():
         walker.feed(kind, a, b, c)

@@ -8,6 +8,7 @@ linkage throughout — not disconnected per-worker fragments.
 import pytest
 
 from repro.experiments.runner import Runner
+from repro.runner import TraceStore
 from repro.telemetry import (
     analyze_critical_path,
     read_jsonl,
@@ -27,7 +28,8 @@ SPECS = [
 def stitched_trace(tmp_path_factory):
     """One jobs=4 prefetch, exported as JSONL."""
     with telemetry_session() as tm:
-        runner = Runner(jobs=4)
+        store = TraceStore(tmp_path_factory.mktemp("traces"))
+        runner = Runner(jobs=4, trace_store=store)
         profiled = runner.prefetch_graphs(SPECS)
         assert profiled == len(SPECS)
         path = write_jsonl(

@@ -56,15 +56,15 @@ def test_diff_streaming_detects_tampered_trace(toy_program, toy_trace):
 def test_diff_streaming_detects_broken_bulk_feed(toy_program, toy_trace, monkeypatch):
     """A bulk chunk loop that restarts the instruction count at every
     chunk (the batch walk, starting at 0, cannot notice) is caught by
-    the edge-only walker layer and the chunked-monitor layer; the
-    block-observing walker layer, which steps row by row, still
-    matches."""
+    the walker layer fed full chunks and by the chunked-monitor layer;
+    the walker layer fed short chunks, which take the scalar loop,
+    still matches."""
     from repro.callloop.walker import ContextWalker
 
     select = ContextWalker._interesting_rows
 
-    def restart_count(self, kinds, b_col, c_col, need_branch, t_start):
-        return select(self, kinds, b_col, c_col, need_branch, 0)
+    def restart_count(self, kinds, b_col, c_col, t_start):
+        return select(self, kinds, b_col, c_col, 0)
 
     monkeypatch.setattr(ContextWalker, "_interesting_rows", restart_count)
     mismatches = diff_streaming(toy_program, toy_trace)
@@ -73,7 +73,7 @@ def test_diff_streaming_detects_broken_bulk_feed(toy_program, toy_trace, monkeyp
     keys = [m.key for m in mismatches]
     assert any(k.startswith("walker(edges)") for k in keys)
     assert any(k.startswith("chunked monitor") for k in keys)
-    assert not any(k.startswith("walker ") for k in keys)
+    assert not any(k.startswith("walker(edges, short chunks)") for k in keys)
 
 
 def test_verify_program_runs_streaming_check(toy_program, toy_input):
