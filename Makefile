@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-e2e bench-split bench-telemetry bench-serve bench-stream bench-simpoint clean-cache verify verify-fuzz verify-stream refresh-golden
+.PHONY: test bench bench-smoke bench-e2e bench-split bench-telemetry bench-serve bench-stream bench-simpoint clean-cache verify verify-fuzz refresh-golden
 
 # seeded fuzz iterations for the long loop (override: make verify-fuzz FUZZ_ITERS=5000)
 FUZZ_ITERS ?= 1000
@@ -49,8 +49,9 @@ bench-telemetry:
 bench-serve:
 	$(PYTHON) -m pytest benchmarks -q -k serve
 
-# streaming-feed overhead + bounded-memory gates; refreshes
-# benchmarks/results/BENCH_stream_*.json
+# streaming-feed overhead + bounded-memory gates against the committed
+# benchmarks/results/BENCH_stream_*.json; a passing run is written to
+# benchmarks/results/BENCH_stream_run.json (gitignored), never over them
 bench-stream:
 	$(PYTHON) -m pytest benchmarks -q -k bench_stream
 
@@ -62,19 +63,16 @@ bench-stream:
 bench-simpoint:
 	$(PYTHON) -m pytest benchmarks -q -k bench_simpoint
 
-# differential-oracle verification: golden corpus + streaming equivalence
-# + split equivalence + short fuzz smoke (~CI budget)
+# differential-oracle verification: the corpus pass (golden, streaming
+# and split checks on every workload's train run) + short fuzz smoke
+# (~CI budget); `repro verify --iters 0` runs the corpus pass alone
 verify:
 	$(PYTHON) -m repro verify --seed $(FUZZ_SEED) --iters 50
 
-# the long seeded fuzz loop (nightly-style; corpus passes skipped —
+# the long seeded fuzz loop (nightly-style; corpus pass skipped —
 # diff_streaming and diff_split still ride every fuzz iteration)
 verify-fuzz:
-	$(PYTHON) -m repro verify --skip-golden --skip-streaming --skip-split --seed $(FUZZ_SEED) --iters $(FUZZ_ITERS)
-
-# just the streaming-vs-batch equivalence pass over the workload corpus
-verify-stream:
-	$(PYTHON) -m repro verify --skip-golden --skip-split --iters 0
+	$(PYTHON) -m repro verify --skip-corpus --seed $(FUZZ_SEED) --iters $(FUZZ_ITERS)
 
 # ratify intentional algorithm changes by regenerating tests/golden/
 refresh-golden:

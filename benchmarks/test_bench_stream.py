@@ -14,11 +14,14 @@
   once the window is full, while the unbounded configuration keeps
   accumulating.
 
-The measured numbers land in ``benchmarks/results/BENCH_stream_*.json``;
-the committed per-event baseline doubles as a regression floor
-(throughput must stay within 2x), mirroring the e2e smoke gate.  Each
-side's time is the best of ``REPEATS`` passes, in the gate and in the
-baseline it writes.
+The committed ``benchmarks/results/BENCH_stream_per_event.json`` is the
+per-event baseline and doubles as a regression floor (throughput must
+stay within 2x), mirroring the e2e smoke gate; the committed
+``BENCH_stream_memory.json`` records the memory check.  Each test
+writes a passing run under its own key of ``BENCH_stream_run.json``
+(not committed), never over those files, so no run moves the next
+run's floor.  Each side's time is the best of ``REPEATS`` passes, in
+the gate and in the run it writes.
 """
 
 import json
@@ -36,6 +39,10 @@ from repro.streaming import StreamingConfig, StreamingPhaseMonitor
 from repro.workloads import get_workload
 
 RESULTS = Path(__file__).parent / "results"
+
+#: where passing runs go (gitignored): the committed BENCH_stream_*.json
+#: stay the baselines
+RUN_FILE = "BENCH_stream_run.json"
 
 WORKLOAD = "gzip"
 CHUNK_ROWS = 4096
@@ -56,6 +63,14 @@ def _train_trace():
     workload = get_workload(WORKLOAD)
     program = workload.build()
     return program, record_trace(Machine(program, workload.train_input))
+
+
+def _record_run(results_dir, name, run):
+    """Keep a passing run under *name* in :data:`RUN_FILE`."""
+    path = results_dir / RUN_FILE
+    runs = json.loads(path.read_text()) if path.exists() else {}
+    runs[name] = run
+    path.write_text(json.dumps(runs, indent=2) + "\n")
 
 
 def _vm_rss_kib():
@@ -138,29 +153,26 @@ def test_bench_stream_per_event_overhead(results_dir):
             f"streaming throughput regressed: {throughput:.0f} rows/s vs "
             f"committed baseline {baseline:.0f} (floor: half the baseline)"
         )
-    # only a passing run becomes the next run's baseline
-    (results_dir / "BENCH_stream_per_event.json").write_text(
-        json.dumps(
-            {
-                "benchmark": (
-                    "streaming per-event overhead vs scalar batch walk "
-                    f"({WORKLOAD} train trace)"
-                ),
-                "rows": rows,
-                "total_instructions": trace.total_instructions,
-                "chunk_rows": CHUNK_ROWS,
-                "batch_walk_s": batch_s,
-                "incremental_walker_s": walker_s,
-                "streaming_monitor_s": monitor_s,
-                "walker_ratio": walker_ratio,
-                "monitor_ratio": monitor_ratio,
-                "monitor_rows_per_s": throughput,
-                "fingerprint": fingerprint(0),
-                "unit": f"seconds (best of {REPEATS} passes)",
-            },
-            indent=2,
-        )
-        + "\n"
+    _record_run(
+        results_dir,
+        "per_event",
+        {
+            "benchmark": (
+                "streaming per-event overhead vs scalar batch walk "
+                f"({WORKLOAD} train trace)"
+            ),
+            "rows": rows,
+            "total_instructions": trace.total_instructions,
+            "chunk_rows": CHUNK_ROWS,
+            "batch_walk_s": batch_s,
+            "incremental_walker_s": walker_s,
+            "streaming_monitor_s": monitor_s,
+            "walker_ratio": walker_ratio,
+            "monitor_ratio": monitor_ratio,
+            "monitor_rows_per_s": throughput,
+            "fingerprint": fingerprint(0),
+            "unit": f"seconds (best of {REPEATS} passes)",
+        },
     )
 
 
@@ -222,32 +234,6 @@ def test_bench_stream_bounded_memory(results_dir):
     early_kib = max(traced[:half]) / 1024
     late_kib = max(traced[half:]) / 1024
     growth_kib = late_kib - early_kib
-    rss_kib = _vm_rss_kib()
-
-    (results_dir / "BENCH_stream_memory.json").write_text(
-        json.dumps(
-            {
-                "benchmark": (
-                    "streaming bounded-memory check "
-                    f"({WORKLOAD} train trace, window {window_slots} x "
-                    f"{slot_instructions} instructions)"
-                ),
-                "stream_over_window_factor": stream_factor,
-                "slots_sealed": bounded.slots_sealed,
-                "slots_evicted": bounded.window.evicted_slots,
-                "max_window_entries_bounded": max(entries),
-                "max_window_entries_unbounded": max(unbounded_entries),
-                "traced_early_peak_kib": early_kib,
-                "traced_late_peak_kib": late_kib,
-                "traced_growth_kib": growth_kib,
-                "vm_rss_kib": rss_kib,
-                "fingerprint": fingerprint(0),
-                "unit": "KiB (tracemalloc traced allocations)",
-            },
-            indent=2,
-        )
-        + "\n"
-    )
     print(
         f"\nstream memory: {stream_factor:.1f}x window, "
         f"{bounded.window.evicted_slots} slots evicted, traced "
@@ -257,4 +243,26 @@ def test_bench_stream_bounded_memory(results_dir):
     assert growth_kib <= 64, (
         f"traced memory grew {growth_kib:.0f} KiB over the second half of "
         "the stream — the bounded window should hold it flat"
+    )
+    _record_run(
+        results_dir,
+        "memory",
+        {
+            "benchmark": (
+                "streaming bounded-memory check "
+                f"({WORKLOAD} train trace, window {window_slots} x "
+                f"{slot_instructions} instructions)"
+            ),
+            "stream_over_window_factor": stream_factor,
+            "slots_sealed": bounded.slots_sealed,
+            "slots_evicted": bounded.window.evicted_slots,
+            "max_window_entries_bounded": max(entries),
+            "max_window_entries_unbounded": max(unbounded_entries),
+            "traced_early_peak_kib": early_kib,
+            "traced_late_peak_kib": late_kib,
+            "traced_growth_kib": growth_kib,
+            "vm_rss_kib": _vm_rss_kib(),
+            "fingerprint": fingerprint(0),
+            "unit": "KiB (tracemalloc traced allocations)",
+        },
     )

@@ -22,7 +22,11 @@ from repro.callloop.loops import StaticLoop, discover_loops
 from repro.callloop.profiler import CallLoopProfiler, build_call_loop_graph
 from repro.callloop.markers import MarkerSet, PhaseMarker
 from repro.callloop.selection import SelectionParams, select_markers
-from repro.callloop.limits import LimitParams, select_markers_with_limit
+from repro.callloop.limits import (
+    LimitParams,
+    select_markers_with_limit,
+    select_with_options,
+)
 from repro.callloop.stats import RunningStats
 from repro.callloop.crossbinary import map_markers, marker_trace
 from repro.callloop.serialization import (
@@ -48,6 +52,7 @@ __all__ = [
     "select_markers",
     "LimitParams",
     "select_markers_with_limit",
+    "select_with_options",
     "RunningStats",
     "map_markers",
     "marker_trace",

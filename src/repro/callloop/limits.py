@@ -34,6 +34,7 @@ from repro.callloop.selection import (
     _cov_threshold,
     collect_candidates,
     cov_threshold_stats,
+    select_markers,
 )
 
 
@@ -226,6 +227,28 @@ def select_markers_with_limit(
         candidates=candidates,
         cov_base=cov_base,
         cov_spread=cov_spread,
+    )
+
+
+def select_with_options(
+    graph: CallLoopGraph,
+    ilower: float,
+    max_limit: float = 0,
+    procedures_only: bool = False,
+) -> SelectionResult:
+    """The selection the ``ilower`` / ``max_limit`` / ``procedures_only``
+    options name: :func:`select_markers_with_limit` when *max_limit* is
+    set, else :func:`select_markers`; *procedures_only* reaches pass 1
+    either way."""
+    if max_limit:
+        return select_markers_with_limit(
+            graph,
+            LimitParams(
+                ilower=ilower, max_limit=max_limit, procedures_only=procedures_only
+            ),
+        )
+    return select_markers(
+        graph, SelectionParams(ilower=ilower, procedures_only=procedures_only)
     )
 
 

@@ -28,11 +28,12 @@ Commands (full reference with examples: ``docs/CLI.md``)
     timings and cache hit/miss counters is printed to stderr, keeping
     stdout byte-identical across serial, parallel, and cached runs.
 ``verify``
-    Differential-oracle verification: check the golden regression
-    corpus under ``tests/golden/`` and run ``--iters`` seeded fuzz
-    iterations comparing the optimized pipeline against the naive
-    oracles (``--refresh-golden`` regenerates the corpus; failing fuzz
-    programs are shrunk and written to ``tests/verify/repros/``).
+    Differential-oracle verification: one corpus pass over every
+    workload's ``train`` run (the golden regression corpus under
+    ``tests/golden/``, streaming and split equivalence) and ``--iters``
+    seeded fuzz iterations comparing the optimized pipeline against the
+    naive oracles (``--refresh-golden`` regenerates the corpus; failing
+    fuzz programs are shrunk and written to ``tests/verify/repros/``).
 ``stats [PATH]``
     Render the stage-by-stage span/counter tables from a telemetry
     JSONL trace (default: the last ``--telemetry`` run).
@@ -89,13 +90,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _select(args: argparse.Namespace):
     """Profile the workload and select markers; also returns the profiled
     recording, which carries its span index."""
-    from repro.callloop import (
-        CallLoopProfiler,
-        LimitParams,
-        SelectionParams,
-        select_markers,
-        select_markers_with_limit,
-    )
+    from repro.callloop import CallLoopProfiler, select_with_options
     from repro.engine import Machine, record_trace
     from repro.workloads import get_workload
 
@@ -106,17 +101,9 @@ def _select(args: argparse.Namespace):
     )
     trace = record_trace(Machine(program, profile_input))
     graph = CallLoopProfiler(program).profile_trace(trace)
-    if args.max_limit:
-        result = select_markers_with_limit(
-            graph, LimitParams(ilower=args.ilower, max_limit=args.max_limit)
-        )
-    else:
-        result = select_markers(
-            graph,
-            SelectionParams(
-                ilower=args.ilower, procedures_only=args.procedures_only
-            ),
-        )
+    result = select_with_options(
+        graph, args.ilower, args.max_limit, args.procedures_only
+    )
     return workload, program, graph, result.markers, trace
 
 
@@ -325,7 +312,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify.fuzz import run_fuzz
     from repro.verify.golden import (
-        check_golden_corpus,
+        check_corpus,
         default_golden_dir,
         write_golden_corpus,
     )
@@ -337,24 +324,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.refresh_golden:
         written = write_golden_corpus(golden_dir, workloads)
         print(f"golden corpus: wrote {len(written)} file(s) to {golden_dir}")
-    elif not args.skip_golden:
-        result = check_golden_corpus(golden_dir, workloads)
-        print(result.describe())
-        failed = failed or not result.ok
-
-    if not args.refresh_golden and not args.skip_streaming:
-        from repro.verify.streaming import check_streaming_corpus
-
-        streaming = check_streaming_corpus(workloads)
-        print(streaming.describe())
-        failed = failed or not streaming.ok
-
-    if not args.refresh_golden and not args.skip_split:
-        from repro.verify.split import check_split_corpus
-
-        split = check_split_corpus(workloads)
-        print(split.describe())
-        failed = failed or not split.ok
+    elif not args.skip_corpus:
+        corpus = check_corpus(golden_dir, workloads)
+        print(corpus.describe())
+        failed = not corpus.ok
 
     if args.iters > 0:
         report = run_fuzz(
@@ -753,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify",
-        help="differential-oracle checks: golden corpus + seeded fuzzing",
+        help="differential-oracle checks: corpus pass + seeded fuzzing",
         parents=[tel],
     )
     p_verify.add_argument(
@@ -768,16 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="instruction cap per fuzzed run (default 20000)",
     )
     p_verify.add_argument(
-        "--skip-golden", action="store_true",
-        help="skip the golden-corpus check",
-    )
-    p_verify.add_argument(
-        "--skip-streaming", action="store_true",
-        help="skip the streaming-vs-batch equivalence pass",
-    )
-    p_verify.add_argument(
-        "--skip-split", action="store_true",
-        help="skip the split equivalence pass",
+        "--skip-corpus", action="store_true",
+        help="skip the corpus pass (golden, streaming and split checks "
+        "on every workload's train run)",
     )
     p_verify.add_argument(
         "--refresh-golden", action="store_true",
@@ -794,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--workload", action="append", metavar="NAME",
-        help="restrict the golden check/refresh to NAME (repeatable)",
+        help="restrict the corpus pass/golden refresh to NAME (repeatable)",
     )
     p_verify.add_argument(
         "-v", "--verbose", action="store_true",

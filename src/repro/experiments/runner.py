@@ -41,14 +41,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.callloop import (
-    CallLoopProfiler,
-    LimitParams,
-    MarkerSet,
-    SelectionParams,
-    select_markers,
-    select_markers_with_limit,
-)
+from repro.callloop import CallLoopProfiler, MarkerSet, select_with_options
 from repro.callloop.graph import CallLoopGraph
 from repro.engine.memory import MemorySystem
 from repro.engine.tracing import Trace
@@ -304,20 +297,12 @@ class Runner:
             ):
                 cfg = self.config
                 which = "train" if variant.endswith("cross") else "ref"
-                graph = self.graph(spec, which)
-                if variant == "limit":
-                    result = select_markers_with_limit(
-                        graph, LimitParams(ilower=cfg.ilower, max_limit=cfg.max_limit)
-                    )
-                else:
-                    result = select_markers(
-                        graph,
-                        SelectionParams(
-                            ilower=cfg.ilower,
-                            procedures_only=variant.startswith("procs"),
-                        ),
-                    )
-                self._markers[key] = result.markers
+                self._markers[key] = select_with_options(
+                    self.graph(spec, which),
+                    cfg.ilower,
+                    cfg.max_limit if variant == "limit" else 0,
+                    procedures_only=variant.startswith("procs"),
+                ).markers
         return self._markers[key]
 
     # -- intervals with metrics --------------------------------------------------

@@ -233,26 +233,6 @@ def _acquire_trace(
     )
 
 
-def _select(query: Query, graph):
-    from repro.callloop import (
-        LimitParams,
-        SelectionParams,
-        select_markers,
-        select_markers_with_limit,
-    )
-
-    if query.max_limit:
-        return select_markers_with_limit(
-            graph, LimitParams(ilower=query.ilower, max_limit=query.max_limit)
-        ).markers
-    return select_markers(
-        graph,
-        SelectionParams(
-            ilower=query.ilower, procedures_only=query.procedures_only
-        ),
-    ).markers
-
-
 def compute_result(
     query: Query, cache=None, trace_store=None, *, kept=None
 ) -> Tuple[Dict[str, Any], str]:
@@ -266,6 +246,7 @@ def compute_result(
     :class:`WorkerState` (:func:`run_query_job` passes it); without one
     the call builds its own, so nothing outlives it.
     """
+    from repro.callloop import select_with_options
     from repro.callloop.serialization import graph_to_dict, marker_set_to_dict
     from repro.workloads import get_workload
 
@@ -286,7 +267,9 @@ def compute_result(
     if query.kind == "profile":
         doc["graph"] = graph_to_dict(graph)
         return doc, source
-    markers = _select(query, graph)
+    markers = select_with_options(
+        graph, query.ilower, query.max_limit, query.procedures_only
+    ).markers
     if query.kind == "markers":
         doc["markers"] = marker_set_to_dict(markers)
         return doc, source

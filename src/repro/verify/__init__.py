@@ -19,26 +19,18 @@ the algorithms themselves:
   producing adversarial shapes (deep mutual recursion, zero-iteration
   loops, 100+-way call fan-out, degenerate procedures), with automatic
   shrinking of failing programs to minimal reproducers;
-* :mod:`repro.verify.golden` — the committed golden regression corpus
-  under ``tests/golden/`` (serialized graphs + expected marker
-  selections for every bundled workload);
-* :mod:`repro.verify.streaming` — the streaming-vs-batch equivalence
-  pass: every workload's ``train`` trace is run through the incremental
-  streaming path and must reproduce the batch walker callbacks, graph,
-  selection, and phase changes bit for bit (the same
-  :func:`~repro.verify.diff.diff_streaming` check also rides every fuzz
-  iteration);
-* :mod:`repro.verify.split` — the split equivalence pass: every
-  workload's ``train`` trace is split from its span index, built in the
-  call and reloaded from a trace-store spill, and both must reproduce
-  the scalar per-event splitter's intervals bit for bit (the same
-  :func:`~repro.verify.diff.diff_split` check also rides every fuzz
+* :mod:`repro.verify.golden` — the corpus pass: every bundled
+  workload's ``train`` run, recorded and profiled once, checked against
+  its committed golden document under ``tests/golden/`` (serialized
+  graph + expected marker selections), by the streaming-vs-batch
+  equivalence check, and by the split equivalence check on its plain
+  and max-limit marker sets (both of which also ride every fuzz
   iteration).
 
-Entry points: ``repro verify`` (CLI), ``make verify`` (golden corpus +
-fuzz smoke), ``make verify-fuzz FUZZ_ITERS=N`` (long fuzz loop).  The
-oracle contract and triage procedure are documented in
-``docs/VERIFICATION.md``.
+Entry points: ``repro verify`` (CLI), ``make verify`` (corpus pass +
+fuzz smoke), ``make verify-fuzz FUZZ_ITERS=N`` (long fuzz loop, no
+corpus pass).  The oracle contract and triage procedure are documented
+in ``docs/VERIFICATION.md``.
 """
 
 from repro.verify.diff import (
@@ -63,18 +55,11 @@ from repro.verify.fuzz import (
 )
 from repro.verify.golden import (
     GOLDEN_FORMAT_VERSION,
-    check_golden_corpus,
+    check_corpus,
     compute_golden_entry,
     default_golden_dir,
+    diff_golden,
     write_golden_corpus,
-)
-from repro.verify.split import (
-    SplitCheckResult,
-    check_split_corpus,
-)
-from repro.verify.streaming import (
-    StreamingCheckResult,
-    check_streaming_corpus,
 )
 from repro.verify.oracles import (
     OracleGraph,
@@ -98,10 +83,6 @@ __all__ = [
     "diff_streaming",
     "diff_trace_pipeline",
     "verify_program",
-    "SplitCheckResult",
-    "check_split_corpus",
-    "StreamingCheckResult",
-    "check_streaming_corpus",
     "FuzzFailure",
     "FuzzReport",
     "build_program",
@@ -109,9 +90,10 @@ __all__ = [
     "run_fuzz",
     "shrink_spec",
     "GOLDEN_FORMAT_VERSION",
-    "check_golden_corpus",
+    "check_corpus",
     "compute_golden_entry",
     "default_golden_dir",
+    "diff_golden",
     "write_golden_corpus",
     "OracleGraph",
     "oracle_call_loop_graph",

@@ -78,7 +78,7 @@ logic bug).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.callloop.depth import estimate_max_depth, processing_order
 from repro.callloop.graph import CallLoopGraph, NodeTable
@@ -636,15 +636,36 @@ def diff_split(
     return out
 
 
-def _first_dict_divergence(got: Dict[str, Any], want: Dict[str, Any]) -> str:
-    """A short human pointer at where two graph dicts first disagree."""
-    for key in want:
-        if key not in got:
-            return f"missing key {key!r}"
-        if got[key] != want[key]:
-            return f"key {key!r} differs"
-    extra = [key for key in got if key not in want]
-    return f"extra keys {extra!r}" if extra else "unknown divergence"
+def document_diffs(
+    got: Any, want: Any, limit: int = 8
+) -> List[Tuple[str, Any, Any]]:
+    """``(path, got, want)`` at the first *limit* places two JSON
+    documents differ, keys in sorted order: a key one side lacks reads
+    ``"absent"`` there, and lists of different lengths differ in their
+    ``length``."""
+    out: List[Tuple[str, Any, Any]] = []
+
+    def walk(g: Any, w: Any, path: str) -> None:
+        if len(out) >= limit:
+            return
+        if isinstance(g, dict) and isinstance(w, dict):
+            for key in sorted(set(g) | set(w)):
+                if key in g and key in w:
+                    walk(g[key], w[key], f"{path}.{key}")
+                elif len(out) < limit:
+                    out.append(
+                        (f"{path}.{key}", g.get(key, "absent"), w.get(key, "absent"))
+                    )
+        elif isinstance(g, list) and isinstance(w, list) and len(g) != len(w):
+            out.append((f"{path} length", len(g), len(w)))
+        elif isinstance(g, list) and isinstance(w, list):
+            for i, (a, b) in enumerate(zip(g, w)):
+                walk(a, b, f"{path}[{i}]")
+        elif g != w:
+            out.append((path, g, w))
+
+    walk(got, want, "$")
+    return out
 
 
 def _diff_walks(
@@ -725,6 +746,12 @@ def diff_streaming(
     out: List[Mismatch] = []
     table = NodeTable(program)
 
+    def compare_documents(label: str, got, want, reference: str) -> None:
+        for where, _, _ in document_diffs(got, want, limit=1):
+            out.append(
+                Mismatch("streaming", label, "differs", reference, f"first at {where}")
+            )
+
     batch_walker = ContextWalker(program, table)
     batch_log = _SpanLog(batch_walker)
     batch_total = batch_walker.walk_scalar(trace, batch_log)
@@ -760,24 +787,18 @@ def diff_streaming(
         chunk_rows=chunk_rows,
     )
 
-    got_graph = graph_to_dict(monitor.window_graph())
-    want_graph = graph_to_dict(batch_graph)
-    if got_graph != want_graph:
-        out.append(
-            Mismatch(
-                "streaming", "window graph", "differs", "batch",
-                _first_dict_divergence(got_graph, want_graph),
-            )
-        )
-    got_markers = marker_set_to_dict(monitor.select_now().markers)
-    want_markers = marker_set_to_dict(selection.markers)
-    if got_markers != want_markers:
-        out.append(
-            Mismatch(
-                "streaming", "selection", "differs", "batch",
-                _first_dict_divergence(got_markers, want_markers),
-            )
-        )
+    compare_documents(
+        "window graph",
+        graph_to_dict(monitor.window_graph()),
+        graph_to_dict(batch_graph),
+        "batch",
+    )
+    compare_documents(
+        "selection",
+        marker_set_to_dict(monitor.select_now().markers),
+        marker_set_to_dict(selection.markers),
+        "batch",
+    )
 
     batch_monitor = PhaseMonitor(program, selection.markers)
     batch_monitor.run(trace)
@@ -826,16 +847,12 @@ def diff_streaming(
                 "(sealed, evicted, drift events)",
             )
         )
-    got_graph = graph_to_dict(chunked.window_graph())
-    want_graph = graph_to_dict(rowwise.window_graph())
-    if got_graph != want_graph:
-        out.append(
-            Mismatch(
-                "streaming", "chunked monitor window graph", "differs",
-                "row-at-a-time feed",
-                _first_dict_divergence(got_graph, want_graph),
-            )
-        )
+    compare_documents(
+        "chunked monitor window graph",
+        graph_to_dict(chunked.window_graph()),
+        graph_to_dict(rowwise.window_graph()),
+        "row-at-a-time feed",
+    )
     return out
 
 

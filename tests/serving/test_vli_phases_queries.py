@@ -74,7 +74,7 @@ def test_vli_payload_document_shape(serving_dirs):
     )
 
 
-def test_run_query_job_sharded_matches_inline_compute(serving_dirs):
+def test_run_query_job_matches_inline_compute(serving_dirs):
     """A ``vli`` query run as a worker job returns the inline payload."""
     cache_dir, trace_root = serving_dirs
     query = Query(kind="vli", workload=WORKLOAD)

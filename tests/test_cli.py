@@ -101,6 +101,43 @@ def test_procedures_only(capsys):
     assert main(["markers", "vortex", "--procedures-only"]) == 0
 
 
+def test_procedures_only_reaches_the_limit_selection(tmp_path, capsys):
+    """--procedures-only under --max-limit selects what
+    select_markers_with_limit does with procedures_only set, in the
+    CLI and in a query alike."""
+    from repro.callloop import (
+        LimitParams,
+        build_call_loop_graph,
+        select_markers_with_limit,
+    )
+    from repro.callloop.serialization import marker_set_to_dict
+    from repro.serving.queries import Query, compute_result
+    from repro.workloads import get_workload
+
+    workload = get_workload("gzip")
+    graph = build_call_loop_graph(workload.build(), [workload.ref_input])
+    want, plain = (
+        marker_set_to_dict(
+            select_markers_with_limit(
+                graph, LimitParams(10_000, 200_000, procedures_only=procs)
+            ).markers
+        )
+        for procs in (True, False)
+    )
+    assert want != plain
+
+    doc, _ = compute_result(
+        Query(kind="markers", workload="gzip", max_limit=200_000, procedures_only=True)
+    )
+    assert doc["markers"] == want
+    out_file = tmp_path / "markers.json"
+    assert main(
+        ["markers", "gzip", "--max-limit", "200000", "--procedures-only",
+         "-o", str(out_file)]
+    ) == 0
+    assert json.loads(out_file.read_text()) == want
+
+
 def test_graph_export(tmp_path, capsys):
     out_file = tmp_path / "g.dot"
     assert main(["graph", "vortex", "-o", str(out_file), "--highlight-markers"]) == 0
@@ -247,26 +284,29 @@ def test_stats_missing_series_fails(tmp_path, capsys):
 
 
 def test_verify_fuzz_only(capsys):
-    assert main(
-        ["verify", "--skip-golden", "--skip-streaming",
-         "--seed", "3", "--iters", "3"]
-    ) == 0
+    assert main(["verify", "--skip-corpus", "--seed", "3", "--iters", "3"]) == 0
     out = capsys.readouterr().out
     assert "3/3 programs checked, 0 failure(s)" in out
-
-
-def test_verify_streaming_pass(capsys):
-    assert main(
-        ["verify", "--skip-golden", "--iters", "0", "--workload", "gzip"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "streaming equivalence: 1 workload(s) match batch" in out
+    assert "corpus" not in out
 
 
 def test_verify_golden_check_against_committed_corpus(capsys):
+    """The corpus pass: golden, streaming and split checks on gzip."""
     assert main(["verify", "--iters", "0", "--workload", "gzip"]) == 0
     out = capsys.readouterr().out
-    assert "golden corpus: 1 workload(s) match" in out
+    assert out.strip() == (
+        "1 corpus workload(s): OK (golden, streaming, split (1 via span index))"
+    )
+
+
+def test_verify_fails_on_missing_golden_file(tmp_path, capsys):
+    code = main(
+        ["verify", "--iters", "0", "--golden-dir", str(tmp_path),
+         "--workload", "gzip"]
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "[golden] gzip: optimized='recomputed' oracle='missing'" in out
 
 
 def test_verify_refresh_golden(tmp_path, capsys):
@@ -295,7 +335,9 @@ def test_verify_fails_on_stale_corpus(tmp_path, capsys):
          "--workload", "mcf"]
     )
     assert code == 1
-    assert "STALE" in capsys.readouterr().out
+    assert "[golden] mcf $.graph.variant: optimized='base' oracle='x'" in (
+        capsys.readouterr().out
+    )
 
 
 def test_unknown_command_rejected():

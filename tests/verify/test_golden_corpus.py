@@ -1,14 +1,15 @@
-"""The committed golden corpus matches a from-scratch recompute."""
+"""The committed golden corpus matches a from-scratch recompute, and
+the corpus pass checks each workload from one recording."""
 
 import json
-from pathlib import Path
+from collections import Counter
 
-import pytest
-
+from repro.telemetry import telemetry_session
 from repro.verify.golden import (
-    check_golden_corpus,
+    check_corpus,
     compute_golden_entry,
     default_golden_dir,
+    diff_golden,
     write_golden_corpus,
 )
 from repro.workloads import all_workloads
@@ -28,10 +29,11 @@ def test_corpus_covers_every_bundled_workload():
 
 def test_committed_corpus_matches_recompute():
     """The regression check itself: profiling + depth + selection today
-    must equal the committed documents exactly."""
-    result = check_golden_corpus()
-    assert result.ok, result.describe()
-    assert len(result.checked) == len(list(all_workloads()))
+    must equal the committed documents exactly (documents only: the
+    corpus pass's streaming and split checks are tested below)."""
+    for workload in all_workloads():
+        mismatches = diff_golden(workload.name, compute_golden_entry(workload.name))
+        assert mismatches == [], [m.describe() for m in mismatches]
 
 
 def test_entry_is_deterministic():
@@ -39,10 +41,11 @@ def test_entry_is_deterministic():
 
 
 def test_missing_entry_reported(tmp_path):
-    result = check_golden_corpus(tmp_path, workloads=["gzip"])
-    assert not result.ok
-    assert result.missing == ["gzip"]
-    assert "MISSING" in result.describe()
+    mismatches = diff_golden("gzip", compute_golden_entry("gzip"), tmp_path)
+    assert [(m.kind, m.key, m.oracle) for m in mismatches] == [
+        ("golden", "gzip", "missing")
+    ]
+    assert "--refresh-golden" in mismatches[0].describe()
 
 
 def test_stale_entry_reported_with_detail(tmp_path):
@@ -51,10 +54,26 @@ def test_stale_entry_reported_with_detail(tmp_path):
     doc = json.loads(path.read_text())
     doc["graph"]["total_instructions"] += 1
     path.write_text(json.dumps(doc))
-    result = check_golden_corpus(tmp_path, workloads=["gzip"])
-    assert result.stale == ["gzip"]
-    details = "\n".join(result.details["gzip"])
-    assert "total_instructions" in details
+    mismatches = diff_golden("gzip", compute_golden_entry("gzip"), tmp_path)
+    assert [m.key for m in mismatches] == ["gzip $.graph.total_instructions"]
+    (stale,) = mismatches
+    assert stale.kind == "golden"
+    assert stale.oracle == stale.optimized + 1
+
+
+def test_corpus_pass_records_and_profiles_once():
+    """One recording and one profile per workload serve all three
+    checks, and the split is answered from the span index."""
+    with telemetry_session() as tm:
+        report = check_corpus(workloads=["gzip"])
+    assert report.ok, report.describe()
+    assert report.checks_run == ["golden", "streaming", "split (1 via span index)"]
+    assert report.describe() == (
+        "1 corpus workload(s): OK (golden, streaming, split (1 via span index))"
+    )
+    spans = Counter(s.name for s in tm.spans)
+    assert spans["engine.record_trace"] == 1
+    assert spans["callloop.profile_trace"] == 1
 
 
 def test_refresh_writes_loadable_graphs(tmp_path):

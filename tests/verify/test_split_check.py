@@ -11,7 +11,7 @@ from repro.callloop import markers as marker_module
 from repro.intervals.vli import split_at_markers_prescan
 from repro.ir import ProgramBuilder
 from repro.ir.program import ProgramInput
-from repro.verify import check_split_corpus, diff_split
+from repro.verify import check_corpus, diff_split
 
 
 @pytest.fixture
@@ -123,18 +123,11 @@ def test_diff_split_detects_a_broken_stored_index(monkeypatch):
     assert "reloaded firing rows" in {m.key for m in mismatches}
 
 
-def test_check_split_corpus_clean():
-    result = check_split_corpus(["gzip"])
-    assert result.ok, result.describe()
-    assert result.checked == ["gzip"]
-    assert result.indexed == ["gzip"]
-    assert "1 workload(s) match" in result.describe()
-    assert "(1 via span index)" in result.describe()
-
-
-def test_check_split_corpus_reports_divergence(drop_last_prescan_firing):
-    result = check_split_corpus(["gzip"])
-    assert not result.ok
-    assert result.failed == ["gzip"]
-    assert result.details["gzip"]
-    assert "DIVERGED gzip" in result.describe()
+def test_corpus_pass_reports_split_divergence(drop_last_prescan_firing):
+    report = check_corpus(workloads=["gzip"])
+    assert not report.ok
+    split = [m for m in report.mismatches if m.kind == "split"]
+    assert split
+    labels = {m.key.split(":")[0] for m in split}
+    assert labels == {"gzip plain set", "gzip limit set"}
+    assert "[split] gzip plain set: bare firing rows" in report.describe(limit=100)

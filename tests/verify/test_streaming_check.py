@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.machine import Machine
 from repro.engine.tracing import record_trace
-from repro.verify import check_streaming_corpus, diff_streaming, verify_program
+from repro.verify import check_corpus, diff_streaming, verify_program
 from repro.workloads import get_workload
 
 
@@ -53,12 +53,10 @@ def test_diff_streaming_detects_tampered_trace(toy_program, toy_trace):
     assert any("total" in m.key or "callback" in m.key for m in mismatches)
 
 
-def test_diff_streaming_detects_broken_bulk_feed(toy_program, toy_trace, monkeypatch):
-    """A bulk chunk loop that restarts the instruction count at every
-    chunk (the batch walk, starting at 0, cannot notice) is caught by
-    the walker layer fed full chunks and by the chunked-monitor layer;
-    the walker layer fed short chunks, which take the scalar loop,
-    still matches."""
+@pytest.fixture
+def broken_bulk_feed(monkeypatch):
+    """Break the bulk chunk loop: it restarts the instruction count at
+    every chunk (the batch walk, starting at 0, cannot notice)."""
     from repro.callloop.walker import ContextWalker
 
     select = ContextWalker._interesting_rows
@@ -67,6 +65,14 @@ def test_diff_streaming_detects_broken_bulk_feed(toy_program, toy_trace, monkeyp
         return select(self, kinds, b_col, c_col, 0)
 
     monkeypatch.setattr(ContextWalker, "_interesting_rows", restart_count)
+
+
+def test_diff_streaming_detects_broken_bulk_feed(
+    toy_program, toy_trace, broken_bulk_feed
+):
+    """The broken bulk feed is caught by the walker layer fed full
+    chunks and by the chunked-monitor layer; the walker layer fed short
+    chunks, which take the scalar loop, still matches."""
     mismatches = diff_streaming(toy_program, toy_trace)
     assert mismatches
     assert all(m.kind == "streaming" for m in mismatches)
@@ -82,27 +88,14 @@ def test_verify_program_runs_streaming_check(toy_program, toy_input):
     assert report.ok, report.describe()
 
 
-def test_check_streaming_corpus_on_workload():
-    result = check_streaming_corpus(workloads=["gzip"])
-    assert result.ok, result.describe()
-    assert result.checked == ["gzip"]
-    assert "match batch" in result.describe()
-
-
-def test_check_streaming_corpus_reports_divergence(monkeypatch):
-    """A planted walker bug shows up as a named, detailed failure."""
-    from repro.verify import streaming as streaming_check
-    from repro.verify.diff import Mismatch
-
-    def fake_diff(program, trace, params=None, **kwargs):
-        return [Mismatch("streaming", "walker total", 1, 2)]
-
-    monkeypatch.setattr(streaming_check, "diff_streaming", fake_diff)
-    result = streaming_check.check_streaming_corpus(workloads=["gzip"])
-    assert not result.ok
-    assert result.failed == ["gzip"]
-    text = result.describe()
-    assert "DIVERGED gzip" in text and "walker total" in text
+def test_corpus_pass_reports_streaming_divergence(broken_bulk_feed):
+    """The broken bulk feed, planted under the corpus pass, shows up as
+    named ``streaming`` mismatches of the workload."""
+    report = check_corpus(workloads=["gzip"])
+    assert not report.ok
+    assert {m.kind for m in report.mismatches} == {"streaming"}
+    assert all(m.key.startswith("gzip ") for m in report.mismatches)
+    assert "[streaming] gzip walker(edges)" in report.describe()
 
 
 def test_workload_matches_batch_end_to_end():
