@@ -123,6 +123,15 @@ def test_diff_split_detects_a_broken_stored_index(monkeypatch):
     assert "reloaded firing rows" in {m.key for m in mismatches}
 
 
+def test_check_split_corpus_clean():
+    """The corpus pass splits gzip's plain and limit sets with no
+    mismatch, both answered from the span index."""
+    report = check_corpus(workloads=["gzip"])
+    assert report.ok, report.describe()
+    assert "split (1 via span index)" in report.checks_run
+    assert not [m for m in report.mismatches if m.kind == "split"]
+
+
 def test_corpus_pass_reports_split_divergence(drop_last_prescan_firing):
     report = check_corpus(workloads=["gzip"])
     assert not report.ok

@@ -88,6 +88,15 @@ def test_verify_program_runs_streaming_check(toy_program, toy_input):
     assert report.ok, report.describe()
 
 
+def test_check_streaming_corpus_on_workload():
+    """The corpus pass finds gzip's streaming walks equal to the batch
+    walk."""
+    report = check_corpus(workloads=["gzip"])
+    assert report.ok, report.describe()
+    assert "streaming" in report.checks_run
+    assert not [m for m in report.mismatches if m.kind == "streaming"]
+
+
 def test_corpus_pass_reports_streaming_divergence(broken_bulk_feed):
     """The broken bulk feed, planted under the corpus pass, shows up as
     named ``streaming`` mismatches of the workload."""
