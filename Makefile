@@ -25,15 +25,17 @@ bench-smoke:
 # end-to-end trace-pipeline speedup over the full corpus: every run's
 # trace, intervals and BBVs checked against perfbench/refs/pipeline.json,
 # then timed against the committed BENCH_e2e_legacy.json (never re-run);
-# refreshes benchmarks/results/BENCH_e2e_fast.json only
+# a passing run is written to benchmarks/results/BENCH_e2e_run.json
+# (gitignored), never over the committed BENCH_e2e_fast.json baseline
 bench-e2e:
 	$(PYTHON) -m pytest benchmarks -q -k e2e
 
 # split-stage speedup: the span-index split (the index built on a bare
 # copy, and read from an attached one), its intervals checked against
 # perfbench/refs/pipeline.json, timed against the committed
-# BENCH_split_legacy.json (never re-run); refreshes
-# benchmarks/results/BENCH_split_fast.json only
+# BENCH_split_legacy.json (never re-run); a passing run is written to
+# benchmarks/results/BENCH_split_run.json (gitignored), never over the
+# committed BENCH_split_fast.json baseline
 bench-split:
 	$(PYTHON) -m pytest benchmarks -q -k bench_split
 

@@ -20,8 +20,10 @@ measured pass of the pre-pipeline implementations (``Machine.run``
 recording, the scalar walk folded by the profiler's moment handler, the
 scalar splitter, ``np.add.at`` BBVs), and the speedup is taken against
 it; the headline claim is a >= 3x end-to-end speedup.  A passing run
-refreshes ``BENCH_e2e_fast.json`` only: corpus totals per stage, plus
-each workload's seconds per stage (``per_workload[w]["stage_seconds"]``).
+is written to ``BENCH_e2e_run.json`` (not committed): corpus totals per
+stage, plus each workload's seconds per stage
+(``per_workload[w]["stage_seconds"]``).  The committed baseline,
+``BENCH_e2e_fast.json``, changes only when such a run is copied over it.
 
 Two cheap guards ride in ``make bench-smoke``, both against the
 committed ``BENCH_e2e_fast.json``:
@@ -141,8 +143,8 @@ def test_bench_e2e_pipeline_speedup(results_dir):
         + ", ".join(f"{s} {legacy_stages[s] / fast[s]:.1f}x" for s in STAGES)
     )
     assert speedup >= 3.0
-    # only a passing run becomes the next run's baseline
-    (results_dir / "BENCH_e2e_fast.json").write_text(
+    # a passing run is kept beside the committed baseline, never over it
+    (results_dir / "BENCH_e2e_run.json").write_text(
         json.dumps(
             {
                 "benchmark": (
@@ -237,7 +239,7 @@ def test_bench_smoke_profile_throughput_regression():
         # baseline's profile of a fresh recording does
         times = []
         for _ in range(3):
-            bare = Trace(trace.kinds, trace.a, trace.b, trace.c)
+            bare = Trace(trace.ids, trace.table)
             start = time.perf_counter()
             CallLoopProfiler(program).profile_trace(bare)
             times.append(time.perf_counter() - start)

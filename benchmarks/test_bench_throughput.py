@@ -31,7 +31,7 @@ def test_bench_profiler_throughput(benchmark, prepared):
 
     def profile():
         # a bare copy each round, so every round builds the span index
-        bare = Trace(trace.kinds, trace.a, trace.b, trace.c)
+        bare = Trace(trace.ids, trace.table)
         return CallLoopProfiler(program).profile_trace(bare)
 
     graph = benchmark(profile)

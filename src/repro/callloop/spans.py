@@ -333,15 +333,29 @@ class SpanBuilder:
         *index*, also the header rows' opens as lists of per-chunk
         arrays: their trace rows, the instructions before them and the
         loops they head.  A block's facts depend only on its address, so
-        an id past the table is clipped and the address check decides:
-        ``None`` when a block row's address is not its block's.  Chunks
-        keep the temporaries small and cache-resident; only the narrow
-        per-block columns span the trace.
+        they are looked up once per row of the trace's table (a block id
+        past the program's is clipped and the address check decides) and
+        gathered by row id: ``None`` when a block row's address is not
+        its block's.  Chunks keep the temporaries small and
+        cache-resident; only the narrow per-block columns span the
+        trace.
         """
-        kinds = trace.kinds
-        a_col, b_col, c_col = trace.a, trace.b, trace.c
-        n = len(kinds)
+        all_ids, table = trace.ids, trace.table
+        n = len(all_ids)
         block_address, block_chain, block_loop = self.chains.by_block()
+        # per table row: kind, size, and a block row's chain, loop and
+        # whether its address is wrong (every block row, in a program
+        # without blocks)
+        kinds = table[:, 0].astype(np.int8)
+        sizes = table[:, 3]
+        wrong = kinds == K_BLOCK
+        chains = loops = np.zeros(len(table), dtype=block_chain.dtype)
+        if len(block_address):
+            bid = table[:, 1]
+            wrong &= block_address.take(bid, mode="clip") != table[:, 2]
+            chains = block_chain.take(bid, mode="clip")
+            loops = block_loop.take(bid, mode="clip")
+        check = bool(wrong.any())
         # sized for every row; only the pages block rows fill are touched
         ch = np.empty(n, dtype=block_chain.dtype)
         hd = np.empty(n, dtype=block_loop.dtype)
@@ -358,19 +372,18 @@ class SpanBuilder:
         nb = 0
         for r0 in range(0, n, _SCAN_CHUNK_ROWS):
             r1 = min(r0 + _SCAN_CHUNK_ROWS, n)
-            kc = kinds[r0:r1]
+            ids = all_ids[r0:r1].astype(np.intp)
+            kc = kinds.take(ids)
             rows = np.flatnonzero(kc == K_BLOCK)
             k = len(rows)
             if k:
-                if not len(block_address):
+                ids = ids.take(rows)
+                if check and wrong.take(ids).any():
                     return None
-                ids = a_col[r0:r1][rows]
-                known = block_address.take(ids, mode="clip")
-                if (known != b_col[r0:r1][rows]).any():
-                    return None
-                block_chain.take(ids, mode="clip", out=ch[nb : nb + k])
-                block_loop.take(ids, mode="clip", out=hd[nb : nb + k])
-                np.cumsum(c_col[r0:r1][rows], out=t0[nb + 1 : nb + k + 1])
+                # ids are in the table (the kinds take checked them)
+                chains.take(ids, mode="clip", out=ch[nb : nb + k])
+                loops.take(ids, mode="clip", out=hd[nb : nb + k])
+                np.cumsum(sizes.take(ids), out=t0[nb + 1 : nb + k + 1])
                 t0[nb + 1 : nb + k + 1] += t0[nb]
                 np.greater_equal(hd[nb : nb + k], 0, out=hm[nb : nb + k])
                 if index:
@@ -400,7 +413,6 @@ class SpanBuilder:
         """``(edge map, total instructions, edge opens)`` of *trace*, or
         the reason the trace cannot be profiled from spans.  Without
         *index* the edge opens are ``None`` and not collected."""
-        kinds, a_col, b_col = trace.kinds, trace.a, trace.b
         chains = self.chains
         n_ch = len(chains.chains)
         n_loops = len(chains.headers)
@@ -414,7 +426,8 @@ class SpanBuilder:
 
         # -- CALL/RETURN rows: pairing, depths, outermost activations
         n_cr = len(cr)
-        is_call = kinds[cr] == K_CALL
+        cr_rows = trace.table.take(trace.ids[cr], axis=0)  # (kind, a, b, c)
+        is_call = cr_rows[:, 0] == K_CALL
         step = np.where(is_call, 1, -1)
         depth_after = 1 + np.cumsum(step)
         if n_cr and int(depth_after.min()) < 1:
@@ -428,7 +441,7 @@ class SpanBuilder:
         match = np.full(n_cr, -1, dtype=np.int64)
         match[order[at]] = order[at - 1]
         match[order[at - 1]] = order[at]
-        callee = np.where(is_call, b_col[cr], 0)
+        callee = np.where(is_call, cr_rows[:, 2], 0)
         called = callee[is_call]
         if len(called) and (
             int(called.min()) < 0
@@ -639,7 +652,7 @@ class SpanBuilder:
             site_keys,
             np.asarray([4 * e_mark[0], 4 * e_mark[0] + 1], dtype=np.int64),
         ]
-        site = a_col[cr[call_idx[out]]]
+        site = cr_rows[call_idx[out], 1]
 
         # -- exact moments of the other edges, then every edge in
         # first-close order
@@ -660,7 +673,7 @@ class SpanBuilder:
             call_t = t_bound[call_idx]
             opens = self._opens(
                 nn,
-                len(kinds),
+                len(trace),
                 total,
                 found,
                 entered,

@@ -239,8 +239,8 @@ class ContextWalker:
 
     def feed_rows(self, kinds, a, b, c, bulk: bool = False) -> None:
         """Process one packed-row column chunk (``int8`` kinds + three
-        ``int64`` operand columns, as a recorded ``Trace`` stores them and
-        ``Trace.iter_chunks`` serves them).
+        ``int64`` operand columns, as a recorded ``Trace`` derives them
+        and ``Trace.iter_chunks`` serves them).
 
         A chunk of at least :data:`BULK_MIN_CHUNK_ROWS` rows replays
         through the bulk row loop: instruction counts come from one

@@ -78,6 +78,8 @@ class Machine:
         self.instructions_executed = 0
         #: loop entries of the last record(), by recorder path
         self.loop_entries: Dict[str, int] = {}
+        #: its per-iteration entries, by the reason the loop took that path
+        self.per_iteration: Dict[str, int] = {}
         self._rng: Optional[np.random.Generator] = None
         self._recorder = None
 
@@ -99,7 +101,7 @@ class Machine:
                 raise self._limit_error()
 
     def record(self):
-        """Run and record straight into a columnar Trace (the fast path).
+        """Run and record straight into a row-id Trace (the fast path).
 
         Compiles the program once per machine into row-id templates
         (:mod:`repro.engine.recorder`).  The trace and
@@ -117,6 +119,7 @@ class Machine:
             make_rng(self.input.seed, "control", self.input.name)
         )
         self.loop_entries = self._recorder.loop_entries
+        self.per_iteration = self._recorder.per_iteration
         if crossed and self.strict:
             raise self._limit_error()
         return trace

@@ -5,9 +5,9 @@ block, a taken or exiting back-edge, an arm's branch, a call, a return),
 so a run is a sequence of *row ids*.  The recorder compiles each
 statement list once per machine into maximal straight-line *runs* of
 ids (calls into procedures that draw no randomness are inlined),
-records ids only, and builds the :class:`~repro.engine.tracing.Trace`
-columns with one ``take`` per column.  A loop entry takes one of three
-paths:
+records ids only, and returns them as the
+:class:`~repro.engine.tracing.Trace` with its static row table.  A loop
+entry takes one of three paths:
 
 * **tiled** — a straight-line body: the iteration template repeated
   ``trips`` times;
@@ -18,7 +18,12 @@ paths:
   gathered with one ``repeat`` + ``take``;
 * **per-iteration** — any other body, interpreted over its compiled
   ops; a single-branch body emits a straight-line arm's whole iteration
-  at once and interprets only arms that draw more randomness.
+  at once and interprets only arms that draw more randomness.  Why a
+  loop takes this path is fixed at compile time, one of
+  :data:`PER_ITERATION_REASONS`: its body holds a loop, a call into a
+  procedure that draws randomness, or a second ``if``/``switch`` (the
+  first such statement decides), or its one branch has an arm that
+  draws.
 
 Randomness is drawn in ``Machine.run``'s order, and the instruction cap
 stops at the same block: on crossing, the recorder emits the rows
@@ -36,7 +41,7 @@ import numpy as np
 
 from repro.engine.events import K_BLOCK, K_BRANCH, K_CALL, K_RETURN
 from repro.engine.machine import _FORWARD_BRANCH_SPAN
-from repro.engine.tracing import Trace
+from repro.engine.tracing import Trace, id_dtype
 from repro.ir.program import BlockStmt, CallStmt, IfStmt, LoopStmt, SwitchStmt
 
 # op tags; an op is a tuple whose first element is its tag
@@ -45,10 +50,20 @@ _RUN, _BRANCH, _CALL, _LOOP, _TILE, _DRAWN, _BRANCHY = range(7)
 #: loop-entry paths, the keys of :attr:`Recorder.loop_entries`
 LOOP_PATHS = ("tiled", "drawn", "per_iteration")
 
+#: why a loop is interpreted per iteration, the keys of
+#: :attr:`Recorder.per_iteration`: its body holds a loop, a call into a
+#: procedure that draws, or a second if/switch; or an arm of its one
+#: branch draws
+PER_ITERATION_REASONS = ("nested_loop", "drawing_call", "second_branch", "drawing_arm")
+
+#: the recorded id stream's element type; the trace narrows it to
+#: int16 when the table allows
+_ID_TYPECODE, _ID_DTYPE = "i", np.int32
+
 
 def _ids(*rows: int) -> array:
-    """A row-id sequence (int64, so the column takes index it directly)."""
-    return array("q", rows)
+    """A row-id sequence."""
+    return array(_ID_TYPECODE, rows)
 
 
 class _CapCrossed(Exception):
@@ -73,15 +88,15 @@ class Recorder:
         self.rng = rng
         self.out = _ids()
         self.loop_entries = dict.fromkeys(LOOP_PATHS, 0)
+        self.per_iteration = dict.fromkeys(PER_ITERATION_REASONS, 0)
         try:
             executed, crossed = self._exec(self.entry, 0), False
         except _CapCrossed as stop:
             executed, crossed = stop.args[0], True
-        ids = np.frombuffer(self.out, dtype=np.int64)
+        table = np.array(list(self.rows), dtype=np.int64).reshape(-1, 4)
+        ids = np.frombuffer(self.out, dtype=_ID_DTYPE).astype(id_dtype(len(table)))
         self.out = None
-        table = np.array(list(self.rows), dtype=np.int64).reshape(-1, 4).T.copy()
-        kinds = table[0].astype(np.int8)
-        return Trace(kinds.take(ids), *(col.take(ids) for col in table[1:])), executed, crossed
+        return Trace(ids, table), executed, crossed
 
     # -- compiling ---------------------------------------------------------
 
@@ -212,7 +227,13 @@ class Recorder:
             elif branch is None and isinstance(s, (IfStmt, SwitchStmt)):
                 branch = s
             else:
-                return (_LOOP, stmt.trips, self._compile(stmt.body, first, last), exit_row)
+                reason = (
+                    "nested_loop" if isinstance(s, LoopStmt)
+                    else "drawing_call" if isinstance(s, CallStmt)
+                    else "second_branch"
+                )
+                body = self._compile(stmt.body, first, last)
+                return (_LOOP, stmt.trips, body, exit_row, reason)
         # a body without a branch is straight-line and tiled above
         cond, cdf, arms = self._branch(branch)
         pre = first + pre + _ids(cond)
@@ -223,7 +244,7 @@ class Recorder:
             lens = np.array([len(t) for t in tmpls], dtype=np.int64)
             return (
                 _DRAWN, stmt.trips, np.array(cdf), tmpls,
-                np.concatenate([np.frombuffer(t, dtype=np.int64) for t in tmpls]),
+                np.concatenate([np.frombuffer(t, dtype=_ID_DTYPE) for t in tmpls]),
                 lens.cumsum() - lens, lens,
                 np.array([self._instr(t) for t in tmpls], dtype=np.int64), exit_row,
             )
@@ -265,6 +286,7 @@ class Recorder:
                 n = self._exec(op[1], n)
             elif tag == _LOOP:
                 self.loop_entries["per_iteration"] += 1
+                self.per_iteration[op[4]] += 1
                 trips = op[1].sample(self.params, self.rng)
                 for _ in range(trips):
                     n = self._exec(op[2], n)
@@ -321,6 +343,7 @@ class Recorder:
     def _branchy(self, op: tuple, n: int) -> int:
         _, trips_model, cdf, arms, exit_row = op
         self.loop_entries["per_iteration"] += 1
+        self.per_iteration["drawing_arm"] += 1
         out, cap, rng = self.out, self.cap, self.rng
         random = rng.random
         trips = trips_model.sample(self.params, rng)

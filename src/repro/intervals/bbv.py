@@ -25,40 +25,42 @@ def collect_bbvs(
 ) -> np.ndarray:
     """Compute (and attach) the size-weighted BBV matrix of *interval_set*.
 
-    The block rows stream through in ``BBV_CHUNK_ROWS`` chunks; each
-    chunk's ``bincount`` covers only the intervals the chunk spans.
-    Rows outside ``[row_bounds[0], row_bounds[-1])`` belong to no
-    interval and are skipped (clipping them into the first or last
-    interval would inflate its BBV).  The float64 sums are of int64
-    block sizes, exact below 2**53, so the matrix equals
-    ``np.add.at(bbvs, (interval, block), size)`` whatever the chunking.
+    The trace's row ids stream through in ``BBV_CHUNK_ROWS`` chunks;
+    each chunk's ``bincount`` counts (interval, row id) pairs over the
+    intervals the chunk spans.  Each block row of the trace's table then
+    adds its count times its size to its block's column, so a table
+    with two rows for one block sums both.  Rows outside
+    ``[row_bounds[0], row_bounds[-1])`` belong to no interval and are
+    skipped (clipping them into the first or last interval would
+    inflate its BBV).  The float64 sums are of integers below 2**53, so
+    exact, and the matrix equals ``np.add.at(bbvs, (interval, block),
+    size)`` over the block rows whatever the chunking.
     """
     n = len(interval_set)
-    bbvs = np.zeros((n, num_blocks), dtype=np.float64)
-    interval_set.bbvs = bbvs
-    if n == 0:
-        return bbvs
     bounds = interval_set.row_bounds
-    out = bbvs.reshape(n * num_blocks)
-    kinds, ids, sizes = trace.kinds, trace.a, trace.c
+    ids, table = trace.ids, trace.table
+    m = len(table)
+    counts = np.zeros(n * m, dtype=np.int64)
     lo = max(int(bounds[0]), 0)
-    hi = min(int(bounds[-1]), len(kinds))
+    hi = min(int(bounds[-1]), len(ids))
     for r0 in range(lo, hi, BBV_CHUNK_ROWS):
         r1 = min(r0 + BBV_CHUNK_ROWS, hi)
-        rows = np.flatnonzero(kinds[r0:r1] == K_BLOCK)
-        if not len(rows):
-            continue
-        # which interval each block row belongs to, from the chunk's first
-        idx = np.searchsorted(bounds, rows + r0, side="right") - 1
-        first = int(idx[0])
-        span = (int(idx[-1]) - first + 1) * num_blocks
-        idx -= first
-        idx *= num_blocks
-        idx += ids[r0:r1][rows]
-        out[first * num_blocks : first * num_blocks + span] += np.bincount(
-            idx, weights=sizes[r0:r1][rows], minlength=span
-        )
-    return bbvs
+        # the intervals of the chunk's first and last rows, and where
+        # each interval between them starts and stops in the chunk
+        first = int(np.searchsorted(bounds, r0, side="right")) - 1
+        last = int(np.searchsorted(bounds, r1 - 1, side="right")) - 1
+        span = (last - first + 1) * m
+        cuts = np.clip(bounds[first : last + 2], r0, r1)
+        key = np.repeat(np.arange(0, span, m), np.diff(cuts))
+        key += ids[r0:r1]
+        counts[first * m : first * m + span] += np.bincount(key, minlength=span)
+    blocks = np.flatnonzero(table[:, 0] == K_BLOCK)
+    weighted = counts.reshape(n, m)[:, blocks] * table[blocks, 3]
+    cells = np.arange(0, n * num_blocks, num_blocks)[:, None] + table[blocks, 1]
+    interval_set.bbvs = np.bincount(
+        cells.ravel(), weights=weighted.ravel(), minlength=n * num_blocks
+    ).reshape(n, num_blocks)
+    return interval_set.bbvs
 
 
 def normalize_bbvs(bbvs: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ firings, not the length of the trace.  The split takes the firings from
 the trace's span index (:class:`~repro.callloop.spans.EdgeOpens`,
 ``trace.opens``), then collapses and finalizes them.  The profile's
 builder pass attaches the index, the trace store spills it with the
-columns, and a split of a trace without one builds it once.
+row ids, and a split of a trace without one builds it once.
 
 :func:`split_at_markers_scalar` collapses and finalizes the walk
 collector's firings instead — the reference the ``split`` verify check

@@ -1,20 +1,20 @@
-"""Shared-memory trace handoff: spilled columnar traces + mmap loads.
+"""Shared-memory trace handoff: spilled row-id traces + mmap loads.
 
-A recorded :class:`~repro.engine.tracing.Trace` of a long run is tens of
-megabytes of columnar data.  Pickling it across a process pool copies
-every byte through the pipe twice; holding many of them in the runner's
-memo keeps the whole suite's traces resident.  The trace store fixes
-both by spilling each column to its own ``.npy`` file under a
+A recorded :class:`~repro.engine.tracing.Trace` of a long run is a
+column of row ids over a small static row table.  Pickling it across a
+process pool copies every byte through the pipe twice; holding many of
+them in the runner's memo keeps the whole suite's traces resident.  The
+trace store fixes both by spilling each trace to its own
 content-addressed directory: a pool worker spills its recording, and
 the parent finds the entry by the same key.  Loading an entry
-memory-maps the columns (``np.load(mmap_mode="r")``), so replaying
-processes share the page cache instead of private heap copies, and the
-OS can evict cold trace pages under pressure.  :func:`acquire_trace` is
-the one rule by which the experiments Runner, profile jobs and serving
-get a trace: a store hit, else a fresh recording, profiled first when a
+memory-maps the ids (``np.load(mmap_mode="r")``), so replaying processes
+share the page cache instead of private heap copies, and the OS can
+evict cold trace pages under pressure.  :func:`acquire_trace` is the one
+rule by which the experiments Runner, profile jobs and serving get a
+trace: a store hit, else a fresh recording, profiled first when a
 profile is wanted, then spilled with its span index and mapped back.
 
-The mapped columns are read-only and never remapped, which also makes
+The mapped arrays are read-only and never remapped, which also makes
 them safe for *concurrent* readers: pool workers and serving workers
 replaying the same trace share one set of mapped pages without any
 copies or locks.  See ``docs/PARALLELISM.md`` for the full concurrency
@@ -23,14 +23,23 @@ model.
 Layout mirrors :class:`~repro.runner.cache.ProfileCache`: two-level
 fan-out directories keyed by a SHA-256 fingerprint, atomic writes via a
 temp directory + ``rename``, and anything corrupt counting as a miss.
-An entry holds the four columns (``kinds.npy`` .. ``c.npy``) and the
-trace's span index (:class:`~repro.callloop.spans.EdgeOpens`): its
-``open_rows.npy``, ``open_ts.npy``, ``open_runs.npy`` and
-``open_resets.npy`` arrays, mapped like the columns, and ``opens.json``
-with the row count, the instruction total and each edge's node
-identities and range of runs — or, for a trace the span builder
-declines, its reason.  So a split of a stored trace reads the marked
-edges' opens and no trace column.
+An entry holds:
+
+* ``ids.npy`` — the row ids (int16, or int32 past 32,767 table rows),
+  memory-mapped on load;
+* ``table.npy`` — the ``(rows, 4)`` int64 static row table, read whole;
+* the trace's span index (:class:`~repro.callloop.spans.EdgeOpens`): its
+  ``open_rows.npy``, ``open_ts.npy``, ``open_runs.npy`` and
+  ``open_resets.npy`` arrays, mapped like the ids;
+* ``opens.json`` with the row count, the instruction total and each
+  edge's node identities and range of runs — or, for a trace the span
+  builder declines, its reason.
+
+So an entry maps at most five ``.npy`` files.  A load checks that the
+table has four int64 columns and that every id lies in it, so a
+truncated or mismatched file is a miss, never a wrong row; past that
+check, a split of a stored trace reads the marked edges' opens and no
+row id.
 """
 
 from __future__ import annotations
@@ -55,9 +64,8 @@ from repro.ir.program import Program, ProgramInput
 from repro.telemetry import get_telemetry
 
 #: bump to invalidate every spilled trace after a format change
-TRACE_SCHEMA_VERSION = 2
+TRACE_SCHEMA_VERSION = 3
 
-_COLUMNS = ("kinds", "a", "b", "c")
 _OPEN_ARRAYS = ("rows", "ts", "runs", "resets")
 _INDEX = "opens.json"
 
@@ -65,9 +73,9 @@ _INDEX = "opens.json"
 def _write(directory: str, trace: Trace) -> None:
     """Every file of *trace*'s entry, into *directory*."""
     opens = trace.opens
-    for name in _COLUMNS:
-        # np.save writes uncompressed .npy — mmap-able on load
-        np.save(os.path.join(directory, f"{name}.npy"), getattr(trace, name))
+    # np.save writes uncompressed .npy — mmap-able on load
+    np.save(os.path.join(directory, "ids.npy"), trace.ids)
+    np.save(os.path.join(directory, "table.npy"), trace.table)
     doc: dict = {"rows": len(trace)}
     if isinstance(opens, str):
         doc["declined"] = opens
@@ -87,16 +95,22 @@ def _write(directory: str, trace: Trace) -> None:
 
 
 def _read(path: Path) -> Trace:
-    """The trace of the entry at *path*, its columns and span index
+    """The trace of the entry at *path*, its ids and span index
     memory-mapped; ``ValueError`` or ``OSError`` when a file is missing,
-    truncated or disagrees with the columns."""
-    trace = Trace(*(np.load(path / f"{name}.npy", mmap_mode="r") for name in _COLUMNS))
+    truncated or disagrees with the others."""
+    try:
+        ids = np.load(path / "ids.npy", mmap_mode="r")
+        trace = Trace(ids, np.load(path / "table.npy"))
+    except EOFError as exc:  # an empty file
+        raise ValueError(f"empty trace file in {path}: {exc}") from exc
+    if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >= len(trace.table)):
+        raise ValueError(f"row ids of {path} fall outside its table")
     try:
         doc = json.loads((path / _INDEX).read_text())
         if doc["rows"] != len(trace):
             raise ValueError(
                 f"span index of {path} has {doc['rows']} rows, "
-                f"the columns {len(trace)}"
+                f"the ids {len(trace)}"
             )
         if "declined" in doc:
             trace.opens = str(doc["declined"])
@@ -116,7 +130,7 @@ def _read(path: Path) -> Trace:
                 raise ValueError(f"span index of {path} has a bad range of runs")
             edges[(nodes[src], nodes[dst])] = (lo, hi)
         trace.opens = EdgeOpens(edges, runs, rows, ts, resets, int(doc["total"]))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, EOFError) as exc:
         raise ValueError(f"malformed span index at {path}: {exc!r}") from exc
     return trace
 
@@ -136,7 +150,7 @@ def default_trace_dir() -> Path:
 class TraceHandle:
     """A pointer to a spilled trace, as :meth:`TraceStore.store` returns
     it: the entry's path and row count, a short picklable record;
-    :meth:`load` memory-maps the columns back.
+    :meth:`load` memory-maps the ids back.
     """
 
     path: str
@@ -225,8 +239,8 @@ class TraceStore:
 
         The entry carries the trace's span index: the one a profile
         attached, else one :func:`~repro.callloop.spans.index_trace`
-        builds and attaches.  The write is atomic: the columns and the
-        index land in a temp directory which is renamed into place, so a
+        builds and attaches.  The write is atomic: the ids, the table and
+        the index land in a temp directory which is renamed into place, so a
         crash never leaves a partial entry.  An existing entry is reused
         as-is (the store is content-addressed — same key means same
         bytes).
@@ -260,8 +274,9 @@ class TraceStore:
         """The spilled trace for *key*, span index included, or None on a
         miss.
 
-        An entry with a missing, corrupt or truncated file — a column or
-        the index — counts as a miss and is removed so the caller
+        An entry with a missing, corrupt or truncated file — the ids, the
+        table or the index — or with an id outside its table counts as a
+        miss and is removed so the caller
         re-records and re-spills.
         """
         path = self.path_for(key)

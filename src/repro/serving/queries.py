@@ -400,7 +400,7 @@ class WorkerState:
 
     The :class:`~repro.ir.program.Program` built per workload, the
     call-loop graph decoded per profile-cache entry, and the mapped trace
-    (columns and span index) loaded per trace-store entry.  Each store
+    (ids and span index) loaded per trace-store entry.  Each store
     entry is kept with the identity its store reported just before the
     load (:meth:`~repro.runner.cache.ProfileCache.identity`,
     :meth:`~repro.runner.traces.TraceStore.identity`), and reused only

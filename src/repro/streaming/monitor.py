@@ -10,7 +10,7 @@ drifts.
 
 * the batch :class:`~repro.callloop.walker.ContextWalker`, started once
   with the monitor as its handler, consumes packed rows chunk by chunk
-  (the same columns a recorded ``Trace`` stores), each chunk through
+  (the columns a recorded ``Trace`` derives), each chunk through
   its bulk row loop or, when short, its scalar loop, and reports edge
   spans only;
 * every closed edge span folds into a :class:`~repro.streaming.window.

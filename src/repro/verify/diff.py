@@ -377,7 +377,7 @@ def _capped_trace(trace: Trace, memory: MemorySystem, cap: int) -> Trace:
     rows = np.nonzero(trace.kinds == K_BLOCK)[0]
     stop = memory.executions_to_reach(trace.a[rows], cap)
     end = int(rows[stop - 1]) + 1 if stop else 0
-    return Trace(trace.kinds[:end], trace.a[:end], trace.b[:end], trace.c[:end])
+    return Trace(trace.ids[:end], trace.table)
 
 
 def diff_cache(
@@ -629,7 +629,7 @@ def diff_split(
             if got_col != want_col:
                 out.append(Mismatch("split", f"{label} {name}", got_col, want_col))
 
-    bare = Trace(trace.kinds, trace.a, trace.b, trace.c)
+    bare = Trace(trace.ids, trace.table)
     compare("bare", bare)
     with tempfile.TemporaryDirectory() as root:
         compare("reloaded", TraceStore(root).store("split", bare, program).load())

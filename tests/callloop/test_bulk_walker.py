@@ -77,11 +77,10 @@ def test_unknown_address_falls_back_to_scalar(toy_program, toy_input):
     """Rows referencing addresses outside the program replay through the
     scalar fallback rather than crashing or diverging."""
     trace = record_trace(Machine(toy_program, toy_input))
-    bogus = Trace(
-        trace.kinds.copy(), trace.a.copy(), trace.b.copy(), trace.c.copy()
-    )
-    rows = np.nonzero(bogus.kinds == K_BLOCK)[0]
-    bogus.b[rows[len(rows) // 2]] = 0x7FFF_FFFF  # no such block address
+    b = trace.b.copy()
+    rows = np.nonzero(trace.kinds == K_BLOCK)[0]
+    b[rows[len(rows) // 2]] = 0x7FFF_FFFF  # no such block address
+    bogus = Trace.from_columns(trace.kinds, trace.a, b, trace.c)
     (s_total, s_log, _), (b_total, b_log, _) = both_walks(toy_program, bogus)
     assert b_total == s_total
     assert b_log.log == s_log.log
@@ -94,7 +93,7 @@ def test_dispatch_threshold(toy_program, toy_input):
     assert len(trace) >= BULK_MIN_CHUNK_ROWS  # the fixture run is long enough
     table = NodeTable(toy_program)
     for n in (len(trace), BULK_MIN_CHUNK_ROWS - 1):
-        walked = Trace(trace.kinds[:n], trace.a[:n], trace.b[:n], trace.c[:n])
+        walked = Trace(trace.ids[:n], trace.table)
         walker = ContextWalker(toy_program, table)
         auto = EdgeLog(walker)
         total_auto = walker.walk(walked, auto)
@@ -111,12 +110,11 @@ def test_scalar_fallbacks_are_counted_with_their_reason(toy_program, toy_input):
     from repro.telemetry import telemetry_session
 
     trace = record_trace(Machine(toy_program, toy_input))
-    bogus = Trace(
-        trace.kinds.copy(), trace.a.copy(), trace.b.copy(), trace.c.copy()
-    )
-    bogus.b[np.nonzero(bogus.kinds == K_BLOCK)[0][0]] = 0x7FFF_FFFF
+    b = trace.b.copy()
+    b[np.nonzero(trace.kinds == K_BLOCK)[0][0]] = 0x7FFF_FFFF
+    bogus = Trace.from_columns(trace.kinds, trace.a, b, trace.c)
     n = BULK_MIN_CHUNK_ROWS - 1
-    short = Trace(trace.kinds[:n], trace.a[:n], trace.b[:n], trace.c[:n])
+    short = Trace(trace.ids[:n], trace.table)
     table = NodeTable(toy_program)
     with telemetry_session() as tm:
         for walked in (trace, short, bogus):

@@ -46,7 +46,7 @@ def marker_sets(graph):
 
 def assert_gather_matches_walk(program, trace, markers):
     """The gather from a fresh index equals the walk, dtypes included."""
-    bare = Trace(trace.kinds, trace.a, trace.b, trace.c)
+    bare = Trace(trace.ids, trace.table)
     got = marker_firings(program, bare, markers)
     want = marker_firings_scalar(program, trace, markers)
     for g, w in zip(got, want):
@@ -121,7 +121,7 @@ def test_an_indexed_trace_counts_spans(toy_program, toy_input):
     markers = select_markers(graph, SelectionParams(ilower=500)).markers
     _, counters = firing_counters(toy_program, trace, markers)
     assert counters == {"markers.firings.spans": 1}
-    bare = Trace(trace.kinds, trace.a, trace.b, trace.c)
+    bare = Trace(trace.ids, trace.table)
     _, counters = firing_counters(toy_program, bare, markers)
     assert counters == {"markers.firings.index_builds": 1, "markers.firings.spans": 1}
 
@@ -130,8 +130,9 @@ def test_a_declined_trace_walks_and_counts_its_reason(toy_program, toy_input):
     trace = record_trace(Machine(toy_program, toy_input))
     graph = CallLoopProfiler(toy_program).profile_trace(trace)
     markers = select_markers(graph, SelectionParams(ilower=500)).markers
-    bogus = Trace(trace.kinds, trace.a, trace.b.copy(), trace.c)
-    bogus.b[np.flatnonzero(bogus.kinds == K_BLOCK)[-1]] = 0x7FFF_FFFF
+    b = trace.b.copy()
+    b[np.flatnonzero(trace.kinds == K_BLOCK)[-1]] = 0x7FFF_FFFF
+    bogus = Trace.from_columns(trace.kinds, trace.a, b, trace.c)
     want = marker_firings_scalar(toy_program, bogus, markers)
     got, counters = firing_counters(toy_program, bogus, markers)
     assert counters == {

@@ -113,11 +113,16 @@ def record(program, seed=1):
 
 
 def rows_where(trace, keep):
-    return Trace(trace.kinds[keep], trace.a[keep], trace.b[keep], trace.c[keep])
+    return Trace(trace.ids[keep], trace.table)
 
 
-def copy(trace):
-    return Trace(trace.kinds.copy(), trace.a.copy(), trace.b.copy(), trace.c.copy())
+def with_block_row(trace, i, **values):
+    """*trace* with its *i*-th block row's columns set to *values*."""
+    cols = {name: getattr(trace, name).copy() for name in ("kinds", "a", "b", "c")}
+    row = np.flatnonzero(cols["kinds"] == K_BLOCK)[i]
+    for name, value in values.items():
+        cols[name][row] = value
+    return Trace.from_columns(**cols)
 
 
 def block_named(program, label):
@@ -263,8 +268,7 @@ def _declined(program, trace, reason):
 
 def test_declines_unknown_block_address():
     program = _nest()
-    trace = copy(record(program))
-    trace.b[np.flatnonzero(trace.kinds == K_BLOCK)[5]] = 0x7FFF_FFFF
+    trace = with_block_row(record(program), 5, b=0x7FFF_FFFF)
     _declined(program, trace, "unknown_address")
 
 
@@ -277,7 +281,7 @@ def test_declines_a_region_entered_off_its_header():
 def test_declines_a_return_without_a_call():
     program = _nest()
     trace = record(program)
-    stray = Trace(
+    stray = Trace.from_columns(
         np.append(trace.kinds, K_RETURN),
         np.append(trace.a, 0),
         np.append(trace.b, 0),
@@ -288,8 +292,7 @@ def test_declines_a_return_without_a_call():
 
 def test_declines_a_span_too_long_for_int64_moments():
     program = _nest()
-    trace = copy(record(program))
-    trace.c[np.flatnonzero(trace.kinds == K_BLOCK)[-3]] = 2**32
+    trace = with_block_row(record(program), -3, c=2**32)
     _declined(program, trace, "overflow")
 
 

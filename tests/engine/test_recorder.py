@@ -1,12 +1,14 @@
 """Every path of the row-template recorder against the ``Machine.run``
 reference: tiled, drawn and per-iteration loops, instruction-cap
-crossings, strict mode, deep recursion, and the loop-path counters."""
+crossings, strict mode, deep recursion, the loop-path counters and the
+per-iteration reasons, and the id form of the recording."""
 
 import numpy as np
 import pytest
 
 from repro.engine import Machine, record_trace
 from repro.engine.machine import ExecutionLimitExceeded
+from repro.engine.recorder import PER_ITERATION_REASONS
 from repro.engine.rng import make_rng
 from repro.engine.tracing import Trace
 from repro.ir import NormalTrips, ProgramBuilder, UniformTrips
@@ -219,3 +221,79 @@ def test_loop_path_counters_under_telemetry():
     for span in spans:
         assert span["args"]["path"] == "engine.record_trace"
         assert span["args"]["recorder"] == "rows"
+
+
+def _loop_with(body):
+    """A program whose one loop, 5 trips, holds *body*(builder)."""
+    b = ProgramBuilder("why")
+    with b.proc("main"):
+        with b.loop("L", trips=5):
+            b.code(2)
+            body(b)
+    with b.proc("draws"):
+        with b.if_(0.5):
+            b.code(1)
+    return b.build()
+
+
+def _nested_loop(b):
+    with b.loop("inner", trips=2):
+        b.code(1)
+
+
+def _drawing_call(b):
+    b.call("draws")
+
+
+def _second_branch(b):
+    with b.if_(0.5):
+        b.code(1)
+    with b.if_(0.5):
+        b.code(3)
+
+
+def _drawing_arm(b):
+    with b.if_(0.5):
+        with b.if_(0.5):
+            b.code(1)
+
+
+@pytest.mark.parametrize(
+    "reason, body",
+    [
+        ("nested_loop", _nested_loop),
+        ("drawing_call", _drawing_call),
+        ("second_branch", _second_branch),
+        ("drawing_arm", _drawing_arm),
+    ],
+)
+def test_per_iteration_reason_counted(reason, body):
+    """Each compile-time cause of the per-iteration path counts its
+    loop's entries under its own reason, and under telemetry as
+    ``engine.record.loops.per_iteration.<reason>``."""
+    _, machine = check(_loop_with(body))
+    assert machine.loop_entries["per_iteration"] == 1
+    assert machine.per_iteration == {
+        r: int(r == reason) for r in PER_ITERATION_REASONS
+    }
+    with telemetry_session() as tm:
+        record_trace(Machine(_loop_with(body), INPUT))
+    counters = tm.metrics.counters
+    assert counters[f"engine.record.loops.per_iteration.{reason}"] == 1
+    assert not any(
+        k.startswith("engine.record.loops.per_iteration.")
+        for k in counters.keys() - {f"engine.record.loops.per_iteration.{reason}"}
+    )
+
+
+def test_recording_is_ids_over_its_static_rows():
+    """The recorder returns int16 ids into a table of distinct static
+    rows, and columns rebuilt from the derived ones read the same."""
+    trace, _ = check(perlbmk_shaped())
+    assert trace.ids.dtype == np.int16
+    assert trace.table.dtype == np.int64 and trace.table.shape[1] == 4
+    assert len(np.unique(trace.table, axis=0)) == len(trace.table)
+    assert int(trace.ids.min()) >= 0 and int(trace.ids.max()) < len(trace.table)
+    columns = Trace.from_columns(trace.kinds, trace.a, trace.b, trace.c)
+    for name in ("kinds", "a", "b", "c"):
+        assert np.array_equal(getattr(columns, name), getattr(trace, name)), name

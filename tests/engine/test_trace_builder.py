@@ -1,11 +1,13 @@
 """Trace assembly in ``Machine.record``: ordering, splicing, empty and
-reused recordings, each checked against the ``Machine.run`` reference."""
+reused recordings, each checked against the ``Machine.run`` reference,
+and the one id form every trace builder produces."""
 
 import numpy as np
+import pytest
 
 from repro.engine import Machine, record_trace
 from repro.engine.events import K_BLOCK, K_BRANCH, K_CALL, K_RETURN
-from repro.engine.tracing import Trace
+from repro.engine.tracing import Trace, id_dtype
 from repro.ir import ProgramBuilder
 from repro.ir.program import ProgramInput
 
@@ -122,3 +124,79 @@ def test_tiled_loop_straddles_chunk_boundary():
             b.code(5)
     _, machine = record_and_reference(b.build(), ProgramInput("t", {}, seed=1))
     assert machine.loop_entries["tiled"] == 1
+
+
+# -- one id form from every builder -------------------------------------------
+
+
+def assert_three_builders_agree(program, inp, **kw):
+    """The recorder's trace, ``from_events`` over ``Machine.run`` and
+    ``from_columns`` over the recorder's derived columns: equal derived
+    columns, dtypes and totals."""
+    fast, _ = record_and_reference(program, inp, **kw)
+    columns = Trace.from_columns(fast.kinds, fast.a, fast.b, fast.c)
+    assert_traces_equal(columns, fast)
+    assert columns.total_instructions == fast.total_instructions
+    for trace in (fast, columns):
+        assert trace.ids.dtype == np.int16
+        assert int(trace.ids.min(initial=0)) >= 0
+        assert int(trace.ids.max(initial=-1)) < len(trace.table)
+    return fast
+
+
+def test_corpus_builders_agree():
+    from repro.workloads import all_workloads
+
+    for workload in all_workloads():
+        assert_three_builders_agree(
+            workload.build(), workload.input_for("train"), max_instructions=30_000
+        )
+
+
+def test_fuzz_builders_agree():
+    """Seeded fuzz programs, cut at the fuzz loop's instruction cap; a
+    program whose calls nest past Python's recursion limit (both
+    recorders recurse per call) is left to the fuzz loop's depth cap."""
+    from repro.verify.fuzz import DEFAULT_MAX_INSTRUCTIONS, build_program, generate_spec
+
+    compared = 0
+    for seed in range(24):
+        program, inp = build_program(generate_spec(seed))
+        try:
+            assert_three_builders_agree(
+                program, inp, max_instructions=DEFAULT_MAX_INSTRUCTIONS
+            )
+        except RecursionError:
+            continue
+        compared += 1
+    assert compared >= 20
+
+
+def test_derived_columns_are_read_only_and_not_kept(toy_program, toy_input):
+    trace = record_trace(Machine(toy_program, toy_input))
+    assert trace.kinds is not trace.kinds  # derived on each access
+    assert not vars(trace).keys() & {"kinds", "a", "b", "c"}
+    with pytest.raises(ValueError):
+        trace.c[0] = 1
+
+
+def test_table_shape_and_id_type_are_checked():
+    table = np.zeros((3, 4), dtype=np.int64)
+    with pytest.raises(ValueError):
+        Trace(np.zeros(2, dtype=np.int16), table[:, :3])
+    with pytest.raises(ValueError):
+        Trace(np.zeros(2, dtype=np.int16), table.astype(np.int32))
+    with pytest.raises(ValueError):
+        Trace(np.zeros(2, dtype=np.float64), table)
+    assert len(Trace(np.zeros(2, dtype=np.int16), table)) == 2
+
+
+def test_ids_widen_past_int16_tables():
+    assert id_dtype(32767) == np.int16 and id_dtype(32768) == np.int32
+    n = 40_000
+    wide = Trace.from_columns(
+        np.zeros(n, dtype=np.int8), np.arange(n), np.zeros(n), np.ones(n)
+    )
+    assert wide.ids.dtype == np.int32 and len(wide.table) == n
+    assert wide.a.tolist() == list(range(n))
+    assert wide.total_instructions == n

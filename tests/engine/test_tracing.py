@@ -50,7 +50,7 @@ def test_iter_packed_matches_replay(toy_program, toy_input):
 
 def test_column_mismatch_rejected():
     with pytest.raises(ValueError):
-        Trace(
+        Trace.from_columns(
             np.zeros(2, dtype=np.int8),
             np.zeros(3, dtype=np.int64),
             np.zeros(2, dtype=np.int64),

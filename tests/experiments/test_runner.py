@@ -138,7 +138,7 @@ def test_cold_graph_spills_the_profiles_index(tmp_path, monkeypatch, acquire):
     assert indexed == [True]
     key = store.trace_key(SPEC, "ref", get_workload(SPEC).input_for("ref"))
     spilled = store.load(key)
-    assert isinstance(spilled.kinds, np.memmap)
+    assert isinstance(spilled.ids, np.memmap)
     assert isinstance(spilled.opens, EdgeOpens)
 
     cache.clear()

@@ -2,10 +2,11 @@
 
 A ``repro serve`` pool worker keeps the graph it decoded and the trace
 it mapped, and reuses them while their store entries report the same
-identity.  Each test breaks one entry behind the worker's back — a trace
-column truncated in place, the trace entry deleted, the profile-cache
-JSON overwritten with garbage — and checks that the next queries still
-answer with the bytes of fresh stores, in bounded time, with no 5xx.
+identity.  Each test breaks one entry behind the worker's back — the
+trace's row ids truncated in place, the trace entry deleted, the
+profile-cache JSON overwritten with garbage — and checks that the next
+queries still answer with the bytes of fresh stores, in bounded time,
+with no 5xx.
 The server runs one pool worker in a child process, so a stale mapping
 that is read after truncation kills that worker, not the test run.
 """
@@ -47,7 +48,7 @@ def _trace_entry(trace_root):
 
 
 def _truncate_column(cache_dir, trace_root):
-    column = _trace_entry(trace_root) / "c.npy"
+    column = _trace_entry(trace_root) / "ids.npy"
     os.truncate(column, column.stat().st_size // 2)
 
 

@@ -94,3 +94,76 @@ def test_normalize_rows_sum_to_one():
     assert norm[0].sum() == pytest.approx(1.0)
     assert norm[1].sum() == 0.0  # zero rows stay zero
     assert norm[2].tolist() == [0.25, 0.75]
+
+
+# -- the id accumulation against the per-row reference ---------------------------
+
+
+def add_at_reference(interval_set, trace, num_blocks):
+    """``np.add.at`` over the block rows inside the bounds, one at a time."""
+    from repro.engine.events import K_BLOCK
+
+    bounds = interval_set.row_bounds
+    bbvs = np.zeros((len(interval_set), num_blocks))
+    rows = np.flatnonzero(trace.kinds == K_BLOCK)
+    rows = rows[(rows >= bounds[0]) & (rows < bounds[-1])]
+    interval = np.searchsorted(bounds, rows, side="right") - 1
+    np.add.at(bbvs, (interval, trace.a[rows]), trace.c[rows])
+    return bbvs
+
+
+def _mixed_trace(rng, n):
+    """Rows of every kind; block ids 0-4, each with two addresses and
+    sizes, so the table holds two rows for one block id."""
+    from repro.engine import Trace
+
+    kinds = rng.integers(0, 4, n).astype(np.int8)
+    a = rng.integers(0, 5, n)
+    b = np.where(rng.random(n) < 0.5, 0x100, 0x200) + a
+    c = np.where(kinds == 0, (b & 0x300) // 0x100 + a, rng.integers(0, 2, n))
+    return Trace.from_columns(kinds, a, b, c)
+
+
+def _interval_set(bounds):
+    from repro.intervals.base import IntervalSet
+
+    bounds = np.asarray(bounds, dtype=np.int64)
+    k = len(bounds) - 1
+    return IntervalSet(
+        "mixed", "fixed", bounds, np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    )
+
+
+@pytest.mark.parametrize("chunk_rows", [1 << 16, 7])
+def test_id_accumulation_matches_add_at(monkeypatch, chunk_rows):
+    """Two table rows for one block id, empty intervals, and rows before
+    the first bound and past the last: the matrix equals the reference
+    bit for bit, whatever the chunking."""
+    from repro.engine.events import K_BLOCK
+    from repro.intervals import bbv
+
+    monkeypatch.setattr(bbv, "BBV_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(5)
+    trace = _mixed_trace(rng, 400)
+    blocks = trace.table[trace.table[:, 0] == K_BLOCK]
+    assert len(blocks) > len(np.unique(blocks[:, 1]))  # a block with two rows
+    inner = np.sort(rng.integers(20, 380, 12))
+    for bounds in (
+        [0, 400],
+        [13, *inner, 381],  # rows outside every interval on both sides
+        [13, 50, 50, 50, 381],  # empty intervals between
+        [0, *inner, 500],  # a last bound past the trace
+    ):
+        s = _interval_set(bounds)
+        got = collect_bbvs(s, trace, 5)
+        want = add_at_reference(s, trace, 5)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), bounds
+
+
+def test_id_accumulation_matches_add_at_on_a_recording(toy_program, toy_input):
+    trace = record_trace(Machine(toy_program, toy_input))
+    full = split_fixed(trace, 700, "toy")
+    s = _interval_set(full.row_bounds[3:-2])
+    got = collect_bbvs(s, trace, toy_program.num_blocks)
+    assert got.tobytes() == add_at_reference(s, trace, toy_program.num_blocks).tobytes()

@@ -40,7 +40,7 @@ from repro.ir import ProgramBuilder
 from repro.ir.program import ProgramInput
 from repro.runner.traces import TraceStore
 from repro.telemetry import telemetry_session
-from tests.callloop.test_spans import _nest, block_named, copy, without_block
+from tests.callloop.test_spans import _nest, block_named, with_block_row, without_block
 
 
 def columns(intervals):
@@ -53,8 +53,8 @@ def columns(intervals):
 
 
 def bare(trace):
-    """The trace's columns without its span index."""
-    return Trace(trace.kinds, trace.a, trace.b, trace.c)
+    """The trace's ids and table without its span index."""
+    return Trace(trace.ids, trace.table)
 
 
 def declined(program, trace, markers):
@@ -171,7 +171,7 @@ def test_candidate_free_segment(tmp_path):
 
 def test_one_row_trace_matches_scalar(toy_program, toy_split):
     trace, markers = toy_split
-    tiny = Trace(trace.kinds[:1], trace.a[:1], trace.b[:1], trace.c[:1])
+    tiny = Trace(trace.ids[:1], trace.table)
     assert_all_arms_match(toy_program, tiny, markers)
 
 
@@ -255,8 +255,9 @@ def test_loops_in_recursive_procedures_split_from_the_index():
     assert counters == {"markers.firings.index_builds": 1, "markers.firings.spans": 1}
     assert columns(split_at_markers_prescan(program, trace, markers)) == want
 
-    bogus = Trace(trace.kinds.copy(), trace.a.copy(), trace.b.copy(), trace.c.copy())
-    bogus.b[np.nonzero(bogus.kinds == K_BLOCK)[0][-1]] = 0x7FFF_FFFF
+    b = trace.b.copy()
+    b[np.nonzero(trace.kinds == K_BLOCK)[0][-1]] = 0x7FFF_FFFF
+    bogus = Trace.from_columns(trace.kinds, trace.a, b, trace.c)
     want = columns(split_at_markers_scalar(program, bogus, markers))
     got, counters = split_counters(program, bogus, markers)
     assert columns(got) == want
@@ -353,7 +354,7 @@ def test_firings_at_t0_and_at_the_end_of_the_trace(tmp_path):
     program = _nest()
     trace = record_trace(Machine(program, ProgramInput("i", seed=1)))
     last_call = int(np.flatnonzero(trace.kinds == K_CALL)[-1])
-    cut = Trace(*(col[: last_call + 1] for col in (trace.kinds, trace.a, trace.b, trace.c)))
+    cut = Trace(trace.ids[: last_call + 1], trace.table)
     graph = CallLoopProfiler(program).profile_trace(bare(trace))
     call = edge_into(graph, NodeKind.PROC_HEAD, "f")
     markers = marker_set(
@@ -394,7 +395,7 @@ def test_prescan_empty_trace(toy_program, toy_split, tmp_path):
     """An empty trace still has the entry procedure's opens at t = 0."""
     _, markers = toy_split
     trace = record_trace(Machine(toy_program, ProgramInput("e", seed=1)).run())
-    empty = Trace(trace.kinds[:0], trace.a[:0], trace.b[:0], trace.c[:0])
+    empty = Trace(trace.ids[:0], trace.table)
     want = assert_all_arms_match(toy_program, empty, markers, tmp_path)
     assert want[:3] == ([0, 0], [0], [0])  # one empty interval
     _, counters = split_counters(toy_program, bare(empty), markers)
@@ -428,7 +429,7 @@ def test_merged_marker_on_an_edge_into_a_head_falls_back(toy_program, toy_split)
 
 
 def _stray_return(trace):
-    return Trace(
+    return Trace.from_columns(
         np.append(trace.kinds, K_RETURN),
         np.append(trace.a, 0),
         np.append(trace.b, 0),
@@ -437,15 +438,11 @@ def _stray_return(trace):
 
 
 def _unknown_address(trace):
-    trace = copy(trace)
-    trace.b[np.flatnonzero(trace.kinds == K_BLOCK)[5]] = 0x7FFF_FFFF
-    return trace
+    return with_block_row(trace, 5, b=0x7FFF_FFFF)
 
 
 def _huge_block(trace):
-    trace = copy(trace)
-    trace.c[np.flatnonzero(trace.kinds == K_BLOCK)[-3]] = 2**32
-    return trace
+    return with_block_row(trace, -3, c=2**32)
 
 
 @pytest.mark.parametrize(

@@ -35,8 +35,8 @@ def test_store_load_roundtrip(store, toy_program, toy_trace, toy_input):
     assert loaded is not None
     for name in ("kinds", "a", "b", "c"):
         assert np.array_equal(getattr(loaded, name), getattr(toy_trace, name))
-    # mmap mode: columns come back as memory maps sharing the page cache
-    assert isinstance(loaded.kinds, np.memmap)
+    # mmap mode: the ids come back as a memory map sharing the page cache
+    assert isinstance(loaded.ids, np.memmap)
     assert handle.rows == len(toy_trace)
     # the span index comes back with them, its columns mapped too
     assert_same_index(loaded.opens, toy_trace.opens)
@@ -47,7 +47,7 @@ def test_store_indexes_a_trace_without_one(store, toy_program, toy_trace, toy_in
     """A spill builds, attaches and writes the span index of a trace
     that has none."""
     key = store.trace_key("toy", "ref", toy_input)
-    bare = Trace(toy_trace.kinds, toy_trace.a, toy_trace.b, toy_trace.c)
+    bare = Trace(toy_trace.ids, toy_trace.table)
     want = index_trace(toy_program, bare)
     assert toy_trace.opens is None
     store.store(key, toy_trace, toy_program)
@@ -57,7 +57,7 @@ def test_store_indexes_a_trace_without_one(store, toy_program, toy_trace, toy_in
 
 def test_declined_trace_spills_its_reason(store, toy_program, toy_trace, toy_input):
     key = store.trace_key("toy", "ref", toy_input)
-    declined = Trace(toy_trace.kinds, toy_trace.a, toy_trace.b, toy_trace.c)
+    declined = Trace(toy_trace.ids, toy_trace.table)
     declined.opens = "off_header"
     store.store(key, declined, toy_program)
     assert store.load(key).opens == "off_header"
@@ -68,8 +68,8 @@ def test_handle_load(store, toy_program, toy_trace, toy_input):
     key = store.trace_key("toy", "ref", toy_input)
     handle = store.store(key, toy_trace, toy_program)
     loaded = handle.load()
+    assert isinstance(loaded.ids, np.memmap)
     for name in ("kinds", "a", "b", "c"):
-        assert isinstance(getattr(loaded, name), np.memmap)
         assert np.array_equal(getattr(loaded, name), getattr(toy_trace, name))
     assert_same_index(loaded.opens, toy_trace.opens)
 
@@ -90,7 +90,7 @@ def test_missing_key_is_a_miss(store):
 def test_corrupt_entry_is_a_miss(store, toy_program, toy_trace, toy_input):
     key = store.trace_key("toy", "ref", toy_input)
     store.store(key, toy_trace, toy_program)
-    (store.path_for(key) / "a.npy").write_bytes(b"not a npy file")
+    (store.path_for(key) / "table.npy").write_bytes(b"not a npy file")
     assert store.load(key) is None
     assert not store.path_for(key).exists()  # removed for re-recording
 
@@ -122,6 +122,96 @@ def test_spoiled_index_is_a_miss(store, toy_program, toy_trace, toy_input, spoil
         handle.load()
     assert store.load(key) is None
     assert not store.path_for(key).exists()  # removed for re-recording
+
+
+def _truncate(name, keep):
+    def spoil(path):
+        column = path / name
+        column.write_bytes(column.read_bytes()[: int(column.stat().st_size * keep)])
+
+    spoil.__name__ = f"truncate_{name.split('.')[0]}_{keep}"
+    return spoil
+
+
+def _resave(name, change):
+    def spoil(path):
+        np.save(path / name, change(np.load(path / name)))
+
+    spoil.__name__ = f"resave_{name.split('.')[0]}_{change.__name__}"
+    return spoil
+
+
+def past_the_table(ids):
+    ids = ids.copy()
+    ids[len(ids) // 2] = 32_000
+    return ids
+
+
+def negative(ids):
+    ids = ids.copy()
+    ids[-1] = -1
+    return ids
+
+
+def three_columns(table):
+    return table[:, :3].copy()
+
+
+def narrowed(table):
+    return table.astype(np.int32)
+
+
+def rows_dropped(table):
+    return table[: len(table) // 2]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _truncate("ids.npy", 0.5),
+        _truncate("ids.npy", 0),
+        _truncate("table.npy", 0.5),
+        _truncate("table.npy", 0),
+        _resave("ids.npy", past_the_table),
+        _resave("ids.npy", negative),
+        _resave("table.npy", three_columns),
+        _resave("table.npy", narrowed),
+        _resave("table.npy", rows_dropped),
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_spoiled_ids_or_table_is_a_miss(store, toy_program, toy_trace, toy_input, spoil):
+    """A truncated or empty ids or table file, an id outside its table,
+    or a table of the wrong shape or type: the load misses and removes
+    the entry, a handle to it raises a typed error, and the next load
+    after a re-spill gives the recording's rows."""
+    key = store.trace_key("toy", "ref", toy_input)
+    handle = store.store(key, toy_trace, toy_program)
+    spoil(store.path_for(key))
+    with pytest.raises((ValueError, OSError)):
+        handle.load()
+    assert store.load(key) is None
+    assert not store.path_for(key).exists()  # removed for re-recording
+    store.store(key, toy_trace, toy_program)
+    reloaded = store.load(key)
+    for name in ("kinds", "a", "b", "c"):
+        assert np.array_equal(getattr(reloaded, name), getattr(toy_trace, name))
+
+
+def test_entry_holds_ids_table_and_index(store, toy_program, toy_trace, toy_input):
+    key = store.trace_key("toy", "ref", toy_input)
+    store.store(key, toy_trace, toy_program)
+    names = sorted(p.name for p in store.path_for(key).iterdir())
+    assert names == [
+        "ids.npy",
+        "open_resets.npy",
+        "open_rows.npy",
+        "open_runs.npy",
+        "open_ts.npy",
+        "opens.json",
+        "table.npy",
+    ]
+    assert np.load(store.path_for(key) / "ids.npy").dtype == np.int16
 
 
 def test_store_is_idempotent(store, toy_program, toy_trace, toy_input):
@@ -181,7 +271,7 @@ def test_profile_job_handoff(tmp_path, monkeypatch):
     result = run_profile_job(job)
     key = store.trace_key("mcf", "train", get_workload("mcf").input_for("train"))
     trace = store.load(key)
-    assert isinstance(trace.kinds, np.memmap)
+    assert isinstance(trace.ids, np.memmap)
     assert isinstance(trace.opens, EdgeOpens)
     # a second run of the same job hits the spilled entry
     monkeypatch.setattr(

@@ -496,11 +496,10 @@ def test_interleaved_feed_and_feed_rows(toy_program, toy_trace):
 def test_unknown_address_chunk_takes_scalar_fallback(toy_program, toy_trace):
     from repro.telemetry import telemetry_session
 
-    bogus = Trace(
-        toy_trace.kinds.copy(), toy_trace.a.copy(), toy_trace.b.copy(), toy_trace.c.copy()
-    )
-    blocks = np.nonzero(bogus.kinds == K_BLOCK)[0]
-    bogus.b[blocks[len(blocks) // 3]] = 0x7FFF_FFFF  # no such block address
+    b = toy_trace.b.copy()
+    blocks = np.nonzero(toy_trace.kinds == K_BLOCK)[0]
+    b[blocks[len(blocks) // 3]] = 0x7FFF_FFFF  # no such block address
+    bogus = Trace.from_columns(toy_trace.kinds, toy_trace.a, b, toy_trace.c)
     with telemetry_session() as tm:
         chunked = stream_trace(toy_program, bogus, config=DRIFT_CONFIG)
     counters = tm.metrics.counters

@@ -10,7 +10,7 @@ from repro.callloop import build_call_loop_graph
 from repro.callloop.selection import SelectionParams
 from repro.engine.machine import Machine
 from repro.engine.memory import MemorySystem
-from repro.engine.tracing import record_trace
+from repro.engine.tracing import Trace, record_trace
 from repro.verify.diff import (
     DiffReport,
     Mismatch,
@@ -109,7 +109,9 @@ def test_trace_pipeline_clean(toy_program, toy_input):
 def test_trace_pipeline_detects_tampered_trace(toy_program, toy_input):
     """A trace whose columns differ from the fast recording is flagged."""
     trace = record_trace(Machine(toy_program, toy_input).run())
-    trace.c[0] += 1
+    c = trace.c.copy()
+    c[0] += 1
+    trace = Trace.from_columns(trace.kinds, trace.a, trace.b, c)
     mismatches = diff_trace_pipeline(toy_program, toy_input, trace)
     assert any(m.kind == "trace" and "column" in m.key for m in mismatches)
 

@@ -219,7 +219,7 @@ def test_check_spec_compares_the_recorder(monkeypatch):
         trace = real_record(self)
         c = trace.c.copy()
         c[-1] += 1
-        return Trace(trace.kinds, trace.a, trace.b, c)
+        return Trace.from_columns(trace.kinds, trace.a, trace.b, c)
 
     monkeypatch.setattr(Machine, "record", broken_record)
     report = fuzz_mod._check_spec(
