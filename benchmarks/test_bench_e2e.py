@@ -6,7 +6,9 @@ BBV pipeline over the 16-workload corpus (ref inputs) with the shipping
 defaults: the row-template recorder, the span-table profile (whose pass
 also builds the trace's edge-open index), the split gathered from that
 index, and the row-chunked bincount BBV accumulator.  Each workload runs
-three times and each stage reports its median.
+three times and each stage reports its median: its seconds
+(``stage_seconds``) and the process's minor page faults across it
+(``stage_minflt``, from ``ru_minflt``).
 
 Before a run's timings count, its trace columns, intervals and BBVs must
 match the class-``"0"`` digests in ``perfbench/refs/pipeline.json``
@@ -21,8 +23,8 @@ recording, the scalar walk folded by the profiler's moment handler, the
 scalar splitter, ``np.add.at`` BBVs), and the speedup is taken against
 it; the headline claim is a >= 3x end-to-end speedup.  A passing run
 is written to ``BENCH_e2e_run.json`` (not committed): corpus totals per
-stage, plus each workload's seconds per stage
-(``per_workload[w]["stage_seconds"]``).  The committed baseline,
+stage, plus each workload's seconds and minor faults per stage
+(``per_workload[w]["stage_seconds"]`` and ``["stage_minflt"]``).  The committed baseline,
 ``BENCH_e2e_fast.json``, changes only when such a run is copied over it.
 
 Two cheap guards ride in ``make bench-smoke``, both against the
@@ -39,6 +41,7 @@ committed ``BENCH_e2e_fast.json``:
 """
 
 import json
+import resource
 import statistics
 import time
 from pathlib import Path
@@ -70,32 +73,32 @@ def _reference_digests():
     }
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _pipeline(program, program_input, params):
     """One workload through the full pipeline; returns (stage seconds,
-    the outputs :func:`output_digests` checks)."""
+    stage minor faults, the outputs :func:`output_digests` checks)."""
     times = {}
+    faults = {}
 
-    start = time.perf_counter()
-    trace = record_trace(Machine(program, program_input))
-    times["record"] = time.perf_counter() - start
+    def stage(name, run):
+        flt = _minflt()
+        start = time.perf_counter()
+        got = run()
+        times[name] = time.perf_counter() - start
+        faults[name] = _minflt() - flt
+        return got
 
-    start = time.perf_counter()
-    graph = CallLoopProfiler(program).profile_trace(trace)
-    times["profile"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    markers = select_markers(graph, params).markers
-    times["select"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    intervals = split_at_markers(program, trace, markers)
-    times["split"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    bbvs = collect_bbvs(intervals, trace, program.num_blocks)
-    times["bbv"] = time.perf_counter() - start
-
-    return times, (trace, intervals, bbvs)
+    trace = stage("record", lambda: record_trace(Machine(program, program_input)))
+    graph = stage("profile", lambda: CallLoopProfiler(program).profile_trace(trace))
+    markers = stage("select", lambda: select_markers(graph, params).markers)
+    intervals = stage("split", lambda: split_at_markers(program, trace, markers))
+    bbvs = stage(
+        "bbv", lambda: collect_bbvs(intervals, trace, program.num_blocks)
+    )
+    return times, faults, (trace, intervals, bbvs)
 
 
 def test_bench_e2e_pipeline_speedup(results_dir):
@@ -103,33 +106,39 @@ def test_bench_e2e_pipeline_speedup(results_dir):
     refs = _reference_digests()
     params = selection_params()
     fast = {s: 0.0 for s in STAGES}
+    minflt = {s: 0 for s in STAGES}
     total_instructions = 0
     per_workload = {}
 
     for workload in all_workloads():
         program = workload.build()
         runs = []
+        flts = []
         for _ in range(FAST_REPEATS):
-            times, outputs = _pipeline(program, workload.ref_input, params)
+            times, faults, outputs = _pipeline(program, workload.ref_input, params)
             # identity gate: a run's timings count only if its outputs
             # match the reference digests
             assert output_digests(*outputs) == refs[workload.name], (
                 workload.spec_name
             )
             runs.append(times)
+            flts.append(faults)
         instructions = outputs[0].total_instructions
         del outputs
         # per-stage median: single passes of one workload swing by up to
         # 2x on a shared host, which the per-workload cells (and the
         # profile smoke guard reading them) cannot absorb
         ft = {s: statistics.median(run[s] for run in runs) for s in STAGES}
+        ff = {s: int(statistics.median(run[s] for run in flts)) for s in STAGES}
         for s in STAGES:
             fast[s] += ft[s]
+            minflt[s] += ff[s]
         total_instructions += instructions
         per_workload[workload.name] = {
             "seconds": sum(ft.values()),
             "instructions": instructions,
             "stage_seconds": ft,
+            "stage_minflt": ff,
         }
 
     # the committed legacy pass timed the same corpus
@@ -154,13 +163,14 @@ def test_bench_e2e_pipeline_speedup(results_dir):
                 "total_instructions": total_instructions,
                 "fingerprint": fingerprint(0),
                 "unit": (
-                    f"seconds per stage, median of {FAST_REPEATS} passes per "
-                    "workload; speedups against the committed "
-                    "BENCH_e2e_legacy.json"
+                    f"seconds and minor faults per stage, median of "
+                    f"{FAST_REPEATS} passes per workload; speedups against "
+                    "the committed BENCH_e2e_legacy.json"
                 ),
                 "pipeline": "fast",
                 "seconds": fast_s,
                 "stage_seconds": fast,
+                "stage_minflt": minflt,
                 "speedup_vs_legacy": speedup,
                 "stage_speedups": {
                     s: legacy_stages[s] / fast[s] if fast[s] else float("inf")
@@ -200,7 +210,7 @@ def test_bench_smoke_e2e_throughput_regression():
     for workload in all_workloads():
         if workload.name not in SMOKE_SPECS:
             continue
-        times, outputs = _pipeline(workload.build(), workload.ref_input, params)
+        times, _, outputs = _pipeline(workload.build(), workload.ref_input, params)
         assert output_digests(*outputs) == refs[workload.name], workload.spec_name
         instructions += outputs[0].total_instructions
         seconds += sum(times.values())

@@ -124,6 +124,8 @@ class CallLoopProfiler:
         edges, total, _ = got
         if tm.enabled:
             tm.counter("callloop.profile.spans")
+            tm.counter("callloop.profile.runs", self._spans.runs)
+            tm.counter("callloop.profile.general_rows", self._spans.general_rows)
         return self._fold(edges, total)
 
     def walk_trace(self, trace: Trace) -> CallLoopGraph:

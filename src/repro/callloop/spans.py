@@ -15,26 +15,33 @@ at a block row is the static chain of the block's address
   the end of the trace); its head edge counts only for outermost
   activations, from per-callee running counts, and its source node is
   the caller's context at the CALL.
-* **Loop events.**  Only two kinds of block row move a loop stack: rows
-  whose chain differs from the previous block row of their segment
-  (the rows between two CALL/RETURN rows), and header rows.  Each
-  distinct (previous chain, chain, header) triple maps to a short event
-  list — exits innermost first, then an entry or a back-edge — found by
-  running the walker's own stack rule on the static chains.  RETURN
-  rows and the end of the trace exit the loops of the frames they close.
-* **Spans.**  Merged by row, the block-row events, the RETURN rows'
-  exits and the end's exits form one stream in the walker's callback
-  order, with a marker where each frame's own edges close.  Events
-  group by (loop, frame depth): activations at one depth never
-  interleave, so recursion needs no special case.  After a stable sort
-  on the group, iteration spans are differences between consecutive
-  events of a group, and the k-th exit of a group pairs with its k-th
-  entry.
+* **Runs.**  One chunked pass keeps three kinds of row: header rows,
+  block rows whose chain differs from the previous block row's or that
+  head a segment (the rows between two CALL/RETURN rows), and the
+  CALL/RETURN rows.  Nearly every header row is a plain back-edge: its
+  previous block row in the segment has the same chain.  The header
+  rows, in row order, are cut into runs of one (loop, frame depth)
+  group, a loop entry starting a new run.  Inside a run each header row
+  closes the iteration the one before it opened, so those spans are
+  count differences folded per run with ``reduceat``; a run that does
+  not start with an entry closes the iteration its group's previous run
+  left open.  Activations at one depth never interleave, so recursion
+  needs no special case.
+* **Loop events.**  The other loop-moving rows — chain changes and
+  segment heads — each map their distinct (previous chain, chain,
+  header) triple to a short event list, exits innermost first, then an
+  entry or a back-edge, found by running the walker's own stack rule on
+  the static chains.  RETURN rows and the end of the trace exit the
+  loops of the frames they close.  An exit closes the last header row of
+  its activation, and the k-th exit of a group pairs with its k-th entry
+  for the edge into the loop's head.
 * **Order.**  The edge map is in first-close order, like the walk's
-  :class:`~repro.callloop.profiler._MomentBuilder`.  Each close's key
-  is its event's (or frame marker's) index in the stream, times four,
-  plus one for a head edge: a row's closes come innermost first and a
-  body edge before its head edge, as the walker calls them.
+  :class:`~repro.callloop.profiler._MomentBuilder`.  Each close's key is
+  its trace row (the end of the trace counts as row *n*) times a bound
+  on the closes of one row, plus its rank in that row: a row's exits
+  come innermost first, two to an exit (body, then head), then its
+  back-edge or its frame's body and head edges, as the walker calls
+  them.
 
 * **Opens.**  The same pass records where every edge opens — a CALL
   row opens its callee's body edge (and its head edge when outermost),
@@ -61,14 +68,11 @@ from repro.engine.events import K_BLOCK, K_BRANCH, K_CALL, K_RETURN
 from repro.engine.tracing import Trace
 from repro.ir.program import Program
 
-#: loop event kinds; a frame marker stands where a frame's own edges close
-_ENTRY, _BACK, _EXIT, _FRAME = 0, 1, 2, 3
+#: loop event kinds
+_ENTRY, _BACK, _EXIT = 0, 1, 2
 
 #: rows per chunk of the block-row scan
 _SCAN_CHUNK_ROWS = 1 << 16
-
-#: dense lookup tables up to this many slots; past it, ``np.unique``
-_DENSE_LIMIT = 1 << 22
 
 EdgeMap = Dict[Tuple[int, int], list]
 
@@ -166,40 +170,47 @@ def _small(limit: int):
     return np.int16 if limit < 2**15 else np.int32 if limit < 2**31 else np.int64
 
 
-def _compact(codes: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``(distinct codes ascending, dense id of each code)``."""
-    if size <= _DENSE_LIMIT:
-        seen = np.zeros(size, dtype=bool)
-        seen[codes] = True
-        uniq = np.flatnonzero(seen)
-        lut = np.zeros(size, dtype=_small(len(uniq)))
-        lut[uniq] = np.arange(len(uniq))
-        return uniq, lut[codes]
-    uniq, ids = np.unique(codes, return_inverse=True)
-    return uniq, ids.astype(_small(len(uniq)))
+def _group(codes: np.ndarray, limit: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, starts, distinct)`` of *codes*, each in ``0 .. limit``: a
+    stable order that puts equal codes together, ascending, where each
+    code's group starts in it, and the distinct codes."""
+    order = np.argsort(codes.astype(_small(limit)), kind="stable")
+    grouped = codes[order]
+    new = np.empty(len(grouped), dtype=bool)
+    new[:1] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return order, starts, grouped[starts]
 
 
-def _moments(vals: np.ndarray, starts: np.ndarray):
-    """Exact ``(counts, sums, sums of squares, maxima, minima)`` lists of
-    the segments of *vals* beginning at *starts*, or ``None`` when a
-    segment's int64 moments could overflow."""
-    counts = np.diff(np.r_[starts, len(vals)]).tolist()
-    hi = np.maximum.reduceat(vals, starts).tolist()
-    lo = np.minimum.reduceat(vals, starts).tolist()
+def _singles(codes: np.ndarray, vals: np.ndarray, keys: np.ndarray):
+    """One close per value, as the partial moments :func:`_fold` takes."""
+    return codes, np.ones(len(vals), dtype=np.int64), vals, vals * vals, vals, vals, keys
+
+
+def _fold(parts, limit: int):
+    """Exact per-edge ``(codes, counts, sums, sums of squares, maxima,
+    minima, first keys)`` lists of *parts*, each ``(edge codes, counts,
+    sums, sums of squares, maxima, minima, first keys)`` of some closes,
+    codes in ``0 .. limit``; ``None`` when an edge's int64 moments could
+    overflow."""
+    codes, counts, sums, sumsq, hi, lo, keys = (np.concatenate(c) for c in zip(*parts))
+    o, starts, uniq = _group(codes, limit)
+    counts = np.add.reduceat(counts[o], starts).tolist()
+    hi = np.maximum.reduceat(hi[o], starts).tolist()
+    lo = np.minimum.reduceat(lo[o], starts).tolist()
     for cnt, h, l in zip(counts, hi, lo):
         if max(h, -l) ** 2 * cnt >= 2**63:
             return None
-    sums = np.add.reduceat(vals, starts).tolist()
-    return counts, sums, np.add.reduceat(vals * vals, starts).tolist(), hi, lo
-
-
-def _merge(old: np.ndarray, new: np.ndarray, into: np.ndarray, stay: np.ndarray):
-    """*old* with *new* placed at positions *into* (*stay* marks the
-    rest)."""
-    out = np.empty(len(stay), dtype=old.dtype)
-    out[into] = new
-    out[stay] = old
-    return out
+    return (
+        uniq.tolist(),
+        counts,
+        np.add.reduceat(sums[o], starts).tolist(),
+        np.add.reduceat(sumsq[o], starts).tolist(),
+        hi,
+        lo,
+        np.minimum.reduceat(keys[o], starts).tolist(),
+    )
 
 
 def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -252,16 +263,19 @@ class SpanBuilder:
         entry = program.procedures[program.entry]
         self.entry_id = entry.proc_id
         self.entry_source = entry.source
-        # per chain id: the events that close a frame holding that chain —
-        # its loops' exits, innermost first, then the frame's own marker
-        closing = [
-            [(lp, _EXIT) for lp in reversed(chain)] + [(-1, _FRAME)]
-            for chain in chains.chains
-        ]
-        self._close_len = np.asarray([len(c) for c in closing], dtype=np.int64)
-        self._close_start = np.cumsum(self._close_len) - self._close_len
-        flat = np.asarray([e for c in closing for e in c], dtype=np.int64)
-        self._close_loop, self._close_kind = flat.reshape(-1, 2).T
+        # per chain id: its loops innermost first, the order a frame
+        # holding that chain exits them
+        self._chain_len = np.asarray([len(c) for c in chains.chains], dtype=np.int64)
+        self._chain_start = np.cumsum(self._chain_len) - self._chain_len
+        self._chain_exits = np.asarray(
+            [lp for c in chains.chains for lp in reversed(c)], dtype=np.int64
+        )
+        # closes per row fit below this: two per loop exit, two for a
+        # frame's own edges; a close's key is row * it + rank in the row
+        self._row_keys = 2 * int(self._chain_len.max()) + 2
+        #: work counts of the last trace built: runs of header rows, and
+        #: the other loop-moving rows, which take the event table
+        self.runs = self.general_rows = 0
         self._moves: Dict[int, Optional[List[Tuple[int, int, int]]]] = {}
 
     # -- static transitions ------------------------------------------------
@@ -323,88 +337,128 @@ class SpanBuilder:
 
     # -- one trace -----------------------------------------------------------
 
-    def _scan(self, trace: Trace, index: bool):
+    def _scan(self, trace: Trace):
         """One pass over the rows, ``_SCAN_CHUNK_ROWS`` at a time.
 
-        Returns, per block row, its chain id, the loop it heads, whether
-        it is a header row and the instructions before it (plus the
-        total at the end), then the CALL/RETURN rows and how many block
-        rows precede each of them and the end of the trace.  With
-        *index*, also the header rows' opens as lists of per-chunk
-        arrays: their trace rows, the instructions before them and the
-        loops they head.  A block's facts depend only on its address, so
-        they are looked up once per row of the trace's table (a block id
-        past the program's is clipped and the address check decides) and
-        gathered by row id: ``None`` when a block row's address is not
-        its block's.  Chunks keep the temporaries small and
-        cache-resident; only the narrow per-block columns span the
-        trace.
+        Keeps three kinds of row, each as aligned arrays, and nothing
+        that spans every block row:
+
+        * header rows: trace row, instructions before, loop headed;
+        * *general* rows, the block rows whose chain differs from the
+          previous block row's or that head a segment (the first block
+          after a CALL/RETURN row, and the trace's first): trace row,
+          instructions before, block rows before, chain, loop headed,
+          the previous block row's chain and header rows before;
+        * CALL/RETURN rows: trace row, instructions before, the chain
+          of the block row before, block rows before and header rows
+          before.
+
+        Returns those, the instruction total, the block-row count, the
+        last block row's chain and whether a used header row's chain
+        does not end in its own loop; ``None`` when a block row's
+        address is not its block's.  A block's facts depend only on its
+        address, so they are looked up once per row of the trace's table
+        (a block id past the program's is clipped and the address check
+        decides) and gathered by row id.  The running count, the
+        previous chain and a pending segment head carry across chunks.
         """
         all_ids, table = trace.ids, trace.table
         n = len(all_ids)
         block_address, block_chain, block_loop = self.chains.by_block()
-        # per table row: kind, size, and a block row's chain, loop and
+        # per table row: kind, size, and a block row's chain, loop,
         # whether its address is wrong (every block row, in a program
-        # without blocks)
+        # without blocks) and whether it heads a loop its chain does not
+        # end in
         kinds = table[:, 0].astype(np.int8)
         sizes = table[:, 3]
         wrong = kinds == K_BLOCK
+        odd = np.zeros(len(table), dtype=bool)
         chains = loops = np.zeros(len(table), dtype=block_chain.dtype)
         if len(block_address):
             bid = table[:, 1]
             wrong &= block_address.take(bid, mode="clip") != table[:, 2]
             chains = block_chain.take(bid, mode="clip")
             loops = block_loop.take(bid, mode="clip")
-        check = bool(wrong.any())
-        # sized for every row; only the pages block rows fill are touched
-        ch = np.empty(n, dtype=block_chain.dtype)
-        hd = np.empty(n, dtype=block_loop.dtype)
-        t0 = np.empty(n + 1, dtype=np.int64)
-        t0[0] = 0
-        hm = np.empty(n, dtype=bool)  # header rows
-        cr: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        le: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        opens = (
-            [np.zeros(0, dtype=np.int64)],
-            [np.zeros(0, dtype=np.int64)],
-            [np.zeros(0, dtype=block_loop.dtype)],
-        )
-        nb = 0
+            odd = (kinds == K_BLOCK) & (loops >= 0) & (self._innermost[chains] != loops)
+        check, check_odd, odd_seen = bool(wrong.any()), bool(odd.any()), False
+        row_type = np.int32 if n < 2**31 else np.int64
+        hdr: Tuple[list, ...] = ([], [], [])
+        gen: Tuple[list, ...] = ([], [], [], [], [], [], [])
+        ctl: Tuple[list, ...] = ([], [], [], [], [])
+        t = nb = nh = 0  # instructions, block rows and header rows so far
+        prev = 0  # chain of the last block row so far
+        head = True  # the next block row heads a segment
         for r0 in range(0, n, _SCAN_CHUNK_ROWS):
-            r1 = min(r0 + _SCAN_CHUNK_ROWS, n)
-            ids = all_ids[r0:r1].astype(np.intp)
+            ids = all_ids[r0 : r0 + _SCAN_CHUNK_ROWS].astype(np.intp)
             kc = kinds.take(ids)
             rows = np.flatnonzero(kc == K_BLOCK)
+            ctrl = rows[:0]  # CALL and RETURN rows; most chunks hold none
+            if kc.max() > K_BRANCH:
+                ctrl = np.flatnonzero(kc > K_BRANCH)
+                ctrl = ctrl[kc.take(ctrl) <= K_RETURN]
             k = len(rows)
+            at = np.searchsorted(rows, ctrl)  # block rows before each
+            # instructions before each block row, counted from the chunk's
+            # start; t is added to what is kept
+            tb = np.empty(k + 1, dtype=np.int64)
+            tb[0] = 0
             if k:
                 ids = ids.take(rows)
                 if check and wrong.take(ids).any():
                     return None
-                # ids are in the table (the kinds take checked them)
-                chains.take(ids, mode="clip", out=ch[nb : nb + k])
-                loops.take(ids, mode="clip", out=hd[nb : nb + k])
-                np.cumsum(sizes.take(ids), out=t0[nb + 1 : nb + k + 1])
-                t0[nb + 1 : nb + k + 1] += t0[nb]
-                np.greater_equal(hd[nb : nb + k], 0, out=hm[nb : nb + k])
-                if index:
-                    at = np.flatnonzero(hm[nb : nb + k])
-                    opens[0].append(rows.take(at) + r0)
-                    opens[1].append(t0[nb : nb + k].take(at))
-                    opens[2].append(hd[nb : nb + k].take(at))
-            ctrl = np.flatnonzero(kc > K_BRANCH)
-            ctrl = ctrl[kc[ctrl] <= K_RETURN]  # CALL and RETURN rows
-            cr.append(ctrl + r0)
-            le.append(nb + np.searchsorted(rows, ctrl))
+                if check_odd and not odd_seen:
+                    odd_seen = bool(odd.take(ids).any())
+                ch = chains.take(ids)
+                lp = loops.take(ids)
+                np.cumsum(sizes.take(ids), out=tb[1:])
+                hat = np.flatnonzero(lp >= 0)
+                hdr[0].append((rows.take(hat) + r0).astype(row_type))
+                hdr[1].append(tb.take(hat) + t)
+                hdr[2].append(lp.take(hat))
+                mark = np.empty(k, dtype=bool)
+                mark[0] = head or ch[0] != prev
+                np.not_equal(ch[1:], ch[:-1], out=mark[1:])
+                mark[at[at < k]] = True
+                gat = np.flatnonzero(mark)
+                gen[0].append(rows.take(gat) + r0)
+                gen[1].append(tb.take(gat) + t)
+                gen[2].append(gat + nb)
+                gen[3].append(ch.take(gat))
+                gen[4].append(lp.take(gat))
+                gen[5].append(np.where(gat > 0, ch.take(gat - 1), prev))
+                gen[6].append(np.searchsorted(hat, gat) + nh)
+                before = np.where(at > 0, ch.take(at - 1), prev)
+                prev = ch[-1]
+            else:
+                hat = rows
+                before = np.full(len(ctrl), prev)
+            if len(ctrl):
+                ctl[0].append(ctrl + r0)
+                ctl[1].append(tb.take(at) + t)
+                ctl[2].append(before)
+                ctl[3].append(at + nb)
+                ctl[4].append(np.searchsorted(hat, at) + nh)
+                head = bool(at[-1] == k)
+            elif k:
+                head = False
+            t += int(tb[-1])
             nb += k
-        le.append(np.asarray([nb]))
+            nh += len(hat)
+
+        def cat(parts, dtype):
+            return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+        small = block_chain.dtype
+        gen_types = (np.intp, np.int64, np.intp, small, small, small, np.intp)
+        ctl_types = (np.intp, np.int64, small, np.intp, np.intp)
         return (
-            ch[:nb],
-            hd[:nb],
-            hm[:nb],
-            t0[: nb + 1],
-            np.concatenate(cr),
-            np.concatenate(le),
-            opens,
+            (cat(hdr[0], row_type), cat(hdr[1], np.int64), cat(hdr[2], small)),
+            tuple(cat(c, d) for c, d in zip(gen, gen_types)),
+            tuple(cat(c, d) for c, d in zip(ctl, ctl_types)),
+            t,
+            nb,
+            prev,
+            odd_seen,
         )
 
     def build(
@@ -412,17 +466,21 @@ class SpanBuilder:
     ) -> Union[Tuple[EdgeMap, int, Optional[EdgeOpens]], str]:
         """``(edge map, total instructions, edge opens)`` of *trace*, or
         the reason the trace cannot be profiled from spans.  Without
-        *index* the edge opens are ``None`` and not collected."""
+        *index* the edge opens are ``None`` and not collected.  Sets
+        :attr:`runs` and :attr:`general_rows`, the work counts of the
+        last trace built."""
         chains = self.chains
         n_ch = len(chains.chains)
         n_loops = len(chains.headers)
+        n = len(trace)
+        K = self._row_keys
 
-        # -- block rows: static facts and instruction counts
-        scan = self._scan(trace, index)
+        scan = self._scan(trace)
         if scan is None:
             return "unknown_address"
-        ch, hd, move, t0, cr, le, found = scan
-        total = int(t0[-1])
+        (h_row, h_t, h_loop), gen, ctl, total, nb, last_chain, odd = scan
+        g_row, g_t, g_blk, g_ch, g_loop, g_pc, g_hidx = gen
+        cr, cr_t, cr_before, cr_le, cr_hb = ctl
 
         # -- CALL/RETURN rows: pairing, depths, outermost activations
         n_cr = len(cr)
@@ -453,7 +511,7 @@ class SpanBuilder:
 
         # -- segments (the rows before each CALL/RETURN row, and before
         # the end of the trace): frame depth and procedure, and the chain
-        # at the segment's end
+        # at the segment's start and end
         dep = np.append(depth_before, depth_after[-1] if n_cr else 1)
         d1 = int(dep.max()) + 1
         call_idx = np.flatnonzero(is_call)
@@ -466,10 +524,10 @@ class SpanBuilder:
             top = by_depth[np.searchsorted(ck, q) - 1]
             deep = dep >= 2
             frame_proc[deep] = callee[top[deep]]
-        fb = np.r_[0, le[:-1]]  # each segment's first block
-        filled = le > fb
-        cb = np.zeros(n_cr + 1, dtype=np.int64)
-        cb[filled] = ch[le[filled] - 1]
+        fb = np.append(0, cr_le)  # each segment's first block
+        filled = np.append(cr_le, nb) > fb
+        cb = np.append(cr_before, last_chain).astype(np.int64)
+        cb[~filled] = 0
         # an empty segment keeps its initial chain: empty after a CALL,
         # the chain at the matching CALL after a RETURN
         ptr = np.full(n_cr + 1, -1, dtype=np.int64)
@@ -481,152 +539,193 @@ class SpanBuilder:
             cb[ready] = cb[ptr[ready]]
             pend[ready] = False
         init = np.where(ptr >= 0, cb[np.maximum(ptr, 0)], 0)
-        t_bound = t0[le]
+        t_bound = np.append(cr_t, total)
 
-        # -- loop events at the block rows that can move a loop stack
-        move[1:] |= ch[1:] != ch[:-1]  # header rows, and chain changes
-        # a segment's first block follows the segment's initial chain
-        heads = fb[filled]
-        move[heads] = (ch[heads] != init[filled]) | (hd[heads] >= 0)
-        ii = np.flatnonzero(move)
-        del move
-        n_keys = n_ch * n_ch * (n_loops + 1)
-        pc = ch[ii - 1].astype(_small(n_keys))
-        at_head = np.searchsorted(ii, heads)
-        hit = at_head < len(ii)
-        hit[hit] = ii[at_head[hit]] == heads[hit]
-        pc[at_head[hit]] = init[filled][hit]
-        key = (pc * n_ch + ch[ii]) * (n_loops + 1) + (hd[ii] + 1)
-        del pc, ch, hd
-        uniq, tid = _compact(key, n_keys)
-        tid = tid.astype(np.intp)  # indexes two gathers below: convert once
-        del key
+        # -- general rows: a segment's first block follows the segment's
+        # initial chain; heads that move nothing are dropped
+        g_seg = np.searchsorted(cr_le, g_blk, side="right")
+        is_head = g_blk == fb[g_seg]
+        g_pc = np.where(is_head, init[g_seg], g_pc)
+        keep = ~is_head | (g_pc != g_ch) | (g_loop >= 0)
+        g_row, g_t, g_ch, g_loop, g_pc, g_hidx, g_seg = (
+            a[keep] for a in (g_row, g_t, g_ch, g_loop, g_pc, g_hidx, g_seg)
+        )
+        key = (g_pc.astype(np.int64) * n_ch + g_ch) * (n_loops + 1) + (g_loop + 1)
+        _, _, uniq = _group(key, n_ch * n_ch * (n_loops + 1))
+        tid = np.searchsorted(uniq, key)
         moves = [self._move(k) for k in uniq.tolist()]
-        if any(m is None for m in moves):
+        if odd or any(m is None for m in moves):
             return "off_header"
+        self.general_rows = len(g_row)
         mv_len = np.asarray([len(m) for m in moves], dtype=np.int64)
         mv_loop, mv_kind, mv_parent = (
             np.asarray([e for m in moves for e in m], dtype=np.int64).reshape(-1, 3).T
         )
         mv_start = np.cumsum(mv_len) - mv_len
-        g_frame = n_loops * d1  # the frame markers' group sorts last
-        gtype = _small(g_frame)
-        fd_row = np.repeat(
-            dep.astype(gtype), np.diff(np.append(np.searchsorted(ii, fb), len(ii)))
+        # each event's general row and its place in the row's list: a
+        # row's closes come innermost first, two to an exit (body, head)
+        item, pos = _expand(mv_len[tid])
+        ev = mv_start[tid[item]] + pos
+        kind = mv_kind[ev]
+        ev_key = g_row[item] * K + 2 * pos
+        ent = np.flatnonzero(kind == _ENTRY)
+        en_item = item[ent]
+        en_loop = mv_loop[ev[ent]]
+        en_seg = g_seg[en_item]
+        en_t = g_t[en_item]
+        en_hidx = g_hidx[en_item]
+        par = mv_parent[ev[ent]]
+        en_ctx = np.where(
+            par >= 0, self.loop_body[par], self.proc_body[frame_proc[en_seg]]
         )
-        counts = mv_len[tid]
-        ev_end = np.cumsum(counts)
-        ev = np.repeat(mv_start[tid] - (ev_end - counts), counts)
-        ev += np.arange(len(ev))
-        ii = np.repeat(ii, counts)
-        fd_row = np.repeat(fd_row, counts)
-        del ev_end, counts, tid
-        t_ev = t0[ii]
-        kind_ev = mv_kind.astype(np.int8)[ev]
-        group_ev = (mv_loop * d1).astype(gtype)[ev] + fd_row
-        del fd_row
-        entry = np.flatnonzero(kind_ev == _ENTRY)
-        entry_loop = mv_loop[ev[entry]]
-        par = mv_parent[ev[entry]]
-        entry_seg = np.searchsorted(fb, ii[entry], side="right") - 1
-        entry_ctx = np.where(
-            par >= 0, self.loop_body[par], self.proc_body[frame_proc[entry_seg]]
-        )
-        entry_src = entry_ctx[np.argsort(group_ev[entry], kind="stable")]
-        # each header row has one entry or back-edge event, and the rest
-        # are exits: the header row of each entry
-        entered = entry - np.searchsorted(np.flatnonzero(kind_ev == _EXIT), entry)
-        del ev, par, entry, entry_seg
+        back = np.flatnonzero(kind == _BACK)
+        back_hidx = g_hidx[item[back]]
+        back_key = ev_key[back]
+        ex = np.flatnonzero(kind == _EXIT)
 
-        # -- RETURN rows close their frame's loops, then the frame; so
-        # does the end of the trace, from the top frame down.  Merged
-        # into the block events by row, the stream is in callback order.
+        # -- exits: at general rows; at RETURN rows, the frame's loops
+        # innermost first, then the frame's own edges; at the end of the
+        # trace (row n), every open frame's from the top down
         ret = np.flatnonzero(~is_call)
-        item, pos = _expand(self._close_len[cb[ret]])
-        ce = self._close_start[cb[ret]][item] + pos
-        r_loop = self._close_loop[ce]
-        r_kind = self._close_kind[ce]
-        r_group = np.where(r_loop >= 0, r_loop * d1 + depth_before[ret][item], g_frame)
-        r_at = np.searchsorted(ii, le[ret])[item]
-        r_mark = (r_at + np.arange(len(r_at)))[r_kind == _FRAME]
-        del ii
-        if len(r_at):
-            into = r_at + np.arange(len(r_at))
-            stay = np.ones(len(t_ev) + len(into), dtype=bool)
-            stay[into] = False
-            t_ev = _merge(t_ev, t_bound[ret][item], into, stay)
-            kind_ev = _merge(kind_ev, r_kind, into, stay)
-            group_ev = _merge(group_ev, r_group, into, stay)
-            del into, stay
-        del item, pos, ce, r_loop, r_kind, r_group, r_at
+        rc = cb[ret]
+        r_item, r_pos = _expand(self._chain_len[rc])
+        ret_key = cr[ret] * K + 2 * self._chain_len[rc]  # the frame's body close
         open_calls = call_idx[match[call_idx] < 0]
-        frame_chain = np.append(cb[open_calls], cb[n_cr])  # by depth 1..top
-        e_kind: List[int] = []
-        e_group: List[int] = []
-        e_mark: List[int] = []  # merged index of each frame's marker, by depth
+        frame_chain = np.append(cb[open_calls], cb[n_cr]).tolist()  # by depth
+        end_exits: List[Tuple[int, int, int]] = []  # (loop, frame depth, rank)
+        end_mark: List[int] = []  # each frame's body close, by depth
+        rank = 0
         for fd in range(len(frame_chain), 0, -1):
             for lp in reversed(chains.chains[frame_chain[fd - 1]]):
-                e_kind.append(_EXIT)
-                e_group.append(lp * d1 + fd)
-            e_mark.append(len(t_ev) + len(e_kind))
-            e_kind.append(_FRAME)
-            e_group.append(g_frame)
-        e_mark.reverse()
-        t_ev = np.append(t_ev, np.full(len(e_kind), total, dtype=np.int64))
-        kind_ev = np.append(kind_ev, np.asarray(e_kind, dtype=np.int8))
-        group_ev = np.append(group_ev, np.asarray(e_group, dtype=gtype))
+                end_exits.append((lp, fd, rank))
+                rank += 2
+            end_mark.append(n * K + rank)
+            rank += 2
+        end_mark.reverse()
+        end_loop, end_dep, end_rank = np.asarray(end_exits, dtype=np.int64).reshape(-1, 3).T
+        r_loop = self._chain_exits[self._chain_start[rc][r_item] + r_pos]
+        x_loop = np.concatenate([mv_loop[ev[ex]], r_loop, end_loop])
+        x_dep = np.concatenate([dep[g_seg[item[ex]]], depth_before[ret][r_item], end_dep])
+        x_t = np.concatenate(
+            [g_t[item[ex]], t_bound[ret][r_item], np.full(len(end_loop), total)]
+        )
+        x_key = np.concatenate(
+            [ev_key[ex], cr[ret][r_item] * K + 2 * r_pos, n * K + end_rank]
+        )
+        del item, pos, ev, kind, ev_key, ent, en_item, par, ex, r_item, r_pos
 
-        # -- group by (loop, frame depth), time order kept in a group:
-        # each close's span starts at the previous event of its group,
-        # and the k-th exit pairs with the k-th entry.  A close's key is
-        # its event's index in the callback-order stream (x4: body,
-        # head), so the smallest key is an edge's first close.
-        o = np.argsort(group_ev, kind="stable")
-        o = o[: len(o) - len(r_mark) - len(e_mark)]  # drop the markers
-        t_ev = t_ev[o]
-        kind_ev = kind_ev[o]
-        group_ev = group_ev[o]
+        # -- runs: header rows cut where the (loop, frame depth) group
+        # changes or a loop is entered.  Inside a run each header row
+        # closes the iteration the one before it opened; a run that does
+        # not start with an entry closes the one its group's previous run
+        # left open; an exit closes the last header row of its activation
+        # and, with the activation's entry, the edge into the loop's head.
+        h = len(h_row)
+        cut = np.zeros(h, dtype=np.int8)  # 1: new loop, 2: entry, 4: new depth
+        if h:
+            cut[0] = 1
+            np.not_equal(h_loop[1:], h_loop[:-1], out=cut[1:].view(bool))
+        cut[en_hidx] |= 2
+        if n_cr:
+            # the CALL/RETURN rows between two header rows: the first and
+            # the last of each such stretch
+            new = np.flatnonzero(np.r_[True, cr_hb[1:] != cr_hb[:-1]])
+            last = np.r_[new[1:], n_cr] - 1
+            moved = (depth_before[new] != depth_after[last]) & (cr_hb[new] > 0)
+            at_hdr = cr_hb[new[moved]]
+            cut[at_hdr[at_hdr < h]] |= 4
+        starts = np.flatnonzero(cut)
+        flags = cut[starts]
+        del cut
+        self.runs = n_runs = len(starts)
+        ends = np.append(starts[1:], h)
+        run_loop = h_loop[starts].astype(np.int64)
+        run_dep = dep[np.searchsorted(cr_hb, starts, side="right")]
+        group = (run_loop * d1 + run_dep).astype(_small(n_loops * d1))
+        by_group = np.argsort(group, kind="stable")
+        entry_run = (flags[by_group] & 2) != 0
+        last_t = h_t[ends[by_group] - 1]  # each run's last header row
+        acts = np.flatnonzero(entry_run)  # activations, in group order
+        act_last_t = last_t[np.append(acts[1:], n_runs)[: len(acts)] - 1]
+        resumed = np.flatnonzero(~entry_run)
+        res_run = by_group[resumed]
+        res_start = starts[res_run]
+        # a resumed run's first close: the back-edge event at its row, or
+        # rank 0 for a plain back-edge
+        res_key = h_row[res_start].astype(np.int64) * K
+        q = np.searchsorted(back_hidx, res_start)
+        hit = np.flatnonzero(q < len(back_hidx))
+        hit = hit[back_hidx[q[hit]] == res_start[hit]]
+        res_key[hit] = back_key[q[hit]]
+
+        # activations pair in (group, time) order: the k-th exit of a
+        # group with its k-th entry
+        x_order = np.lexsort((x_key, x_loop * d1 + x_dep))
+        en_order = np.argsort(en_loop * d1 + dep[en_seg], kind="stable")
+        x_t = x_t[x_order]
+        x_key = x_key[x_order]
+        x_loop = x_loop[x_order]
+
+        # -- every close as partial moments (count, sum, sum of squares,
+        # max, min) with its first close's key, by edge code
         nn = len(self.table.nodes)
-        per_edge = []
-        codes: List[np.ndarray] = []
-        vals: List[np.ndarray] = []
-        keys: List[np.ndarray] = []
-        if len(o):
-            # iteration spans: a loop's closes are contiguous here
-            gs = np.flatnonzero(np.r_[True, group_ev[1:] != group_ev[:-1]])
-            g_loop = group_ev[gs] // d1
-            lg = np.flatnonzero(np.r_[True, g_loop[1:] != g_loop[:-1]])
-            closes = np.flatnonzero(kind_ev != _ENTRY)
-            body = _moments(
-                t_ev[closes] - t_ev[closes - 1], np.searchsorted(closes, gs[lg])
-            )
-            if body is None:
-                return "overflow"
-            loops = g_loop[lg]
-            per_edge.append(
+        parts = []
+        multi = np.flatnonzero(ends - starts >= 2)
+        if len(multi):
+            s, e = starts[multi], ends[multi]
+            gaps = np.empty(h, dtype=np.int64)
+            np.subtract(h_t[1:], h_t[:-1], out=gaps[:-1])
+            gaps[-1] = 0
+            cuts = np.empty(2 * len(s), dtype=np.intp)
+            cuts[0::2] = s
+            cuts[1::2] = e - 1
+            hi = np.maximum.reduceat(gaps, cuts)[0::2]
+            lo = np.minimum.reduceat(gaps, cuts)[0::2]
+            np.multiply(gaps, gaps, out=gaps)
+            sumsq = np.add.reduceat(gaps, cuts)[0::2]
+            del gaps, cuts
+            loops = run_loop[multi]
+            parts.append(
                 (
-                    (self.loop_head[loops] * nn + self.loop_body[loops]).tolist(),
-                    *body,
-                    # a group's first close follows its first entry
-                    np.minimum.reduceat(4 * o[gs + 1], lg).tolist(),
+                    self.loop_head[loops] * nn + self.loop_body[loops],
+                    e - s - 1,
+                    h_t[e - 1] - h_t[s],
+                    sumsq,
+                    hi,
+                    lo,
+                    h_row[s + 1].astype(np.int64) * K,
                 )
             )
-            del closes, gs, g_loop, lg
-            entries = np.flatnonzero(kind_ev == _ENTRY)
-            exits = np.flatnonzero(kind_ev == _EXIT)
-            vals.append(t_ev[exits] - t_ev[entries])
-            codes.append(entry_src * nn + self.loop_head[group_ev[exits] // d1])
-            keys.append(4 * o[exits] + 1)
-            del entries, exits
-        del o, t_ev, kind_ev, group_ev, entry_src
+        res_loop = run_loop[res_run]
+        parts.append(
+            _singles(
+                self.loop_head[res_loop] * nn + self.loop_body[res_loop],
+                h_t[res_start] - last_t[resumed - 1],
+                res_key,
+            )
+        )
+        parts.append(
+            _singles(
+                self.loop_head[x_loop] * nn + self.loop_body[x_loop],
+                x_t - act_last_t,
+                x_key,
+            )
+        )
+        parts.append(
+            _singles(
+                en_ctx[en_order] * nn + self.loop_head[x_loop],
+                x_t - en_t[en_order],
+                x_key + 1,
+            )
+        )
 
         # -- frame closes: the body edge at every CALL, the head edge at
         # outermost ones, plus the entry procedure's two edges
         matched = match[call_idx]
         closed = matched >= 0
-        mark = np.empty(len(call_idx), dtype=np.int64)  # marker of each frame
-        mark[closed] = r_mark[(np.cumsum(~is_call) - 1)[matched[closed]]]
-        mark[~closed] = np.asarray(e_mark, dtype=np.int64)[
+        mark = np.empty(len(call_idx), dtype=np.int64)  # body close of each frame
+        mark[closed] = ret_key[(np.cumsum(~is_call) - 1)[matched[closed]]]
+        mark[~closed] = np.asarray(end_mark, dtype=np.int64)[
             depth_after[call_idx[~closed]] - 1
         ]
         f_proc = callee[call_idx]
@@ -640,52 +739,46 @@ class SpanBuilder:
         entry_body = entry_head * nn + int(self.proc_body[self.entry_id])
         body_codes = self.proc_head[f_proc] * nn + self.proc_body[f_proc]
         site_codes = f_src[out] * nn + self.proc_head[f_proc[out]]
-        site_keys = 4 * mark[out] + 1
-        codes += [
-            body_codes,
-            site_codes,
-            np.asarray([entry_body, entry_head], dtype=np.int64),
-        ]
-        vals += [f_val, f_val[out], np.asarray([total, total], dtype=np.int64)]
-        keys += [
-            4 * mark,
-            site_keys,
-            np.asarray([4 * e_mark[0], 4 * e_mark[0] + 1], dtype=np.int64),
+        site_keys = mark[out] + 1
+        parts += [
+            _singles(body_codes, f_val, mark),
+            _singles(site_codes, f_val[out], site_keys),
+            _singles(
+                np.asarray([entry_body, entry_head], dtype=np.int64),
+                np.asarray([total, total], dtype=np.int64),
+                np.asarray([end_mark[0], end_mark[0] + 1], dtype=np.int64),
+            ),
         ]
         site = cr_rows[call_idx[out], 1]
 
-        # -- exact moments of the other edges, then every edge in
-        # first-close order
-        uniq, cid = _compact(np.concatenate(codes), nn * nn)
-        o = np.argsort(cid, kind="stable")
-        cid = cid[o]
-        starts = np.flatnonzero(np.r_[True, cid[1:] != cid[:-1]])
-        rest = _moments(np.concatenate(vals)[o], starts)
-        if rest is None:
+        # -- exact moments per edge, then every edge in first-close order
+        folded = _fold(parts, nn * nn)
+        if folded is None:
             return "overflow"
-        firsts = np.minimum.reduceat(np.concatenate(keys)[o], starts).tolist()
-        per_edge.append((uniq.tolist(), *rest, firsts))
-        del codes, vals, keys, o, cid
+        del parts
         sources = self._sources(nn, site_codes, site, site_keys)
         opens = None
         if index:
             call_rows = cr[call_idx]
             call_t = t_bound[call_idx]
+            loop_starts = starts[(flags & 1) != 0]
             opens = self._opens(
                 nn,
-                len(trace),
+                n,
                 total,
-                found,
-                entered,
-                entry_ctx * nn + self.loop_head[entry_loop],
+                h_row,
+                h_t,
+                loop_starts,
+                h_loop[loop_starts],
+                en_hidx,
+                en_ctx * nn + self.loop_head[en_loop],
                 # the entry procedure's opens first: its body edge also
                 # opens at every (recursive) call of it
                 (np.asarray([entry_head, entry_body]), [-1, -1], [0, 0], [False, True]),
                 (body_codes, call_rows, call_t, out),
                 (site_codes, call_rows[out], call_t[out], False),
             )
-        rows = [r for part in per_edge for r in zip(*part)]
-        rows.sort(key=lambda r: r[6])
+        rows = sorted(zip(*folded), key=lambda r: r[6])
         edges: EdgeMap = {}
         for code, count, tot, sumsq, hi, lo, _ in rows:
             stats = MomentStats()
@@ -698,31 +791,37 @@ class SpanBuilder:
         return edges, total, opens
 
     def _opens(
-        self, nn: int, n: int, total: int, found, entered, entry_codes, *parts
+        self,
+        nn: int,
+        n: int,
+        total: int,
+        h_row: np.ndarray,
+        h_t: np.ndarray,
+        run_start: np.ndarray,
+        run_loop: np.ndarray,
+        entered: np.ndarray,
+        entry_codes: np.ndarray,
+        *parts,
     ) -> EdgeOpens:
         """The :class:`EdgeOpens` of one *n*-row trace.
 
-        *found* is what :meth:`_scan` collected: the header rows' trace
-        rows, instructions and loops, in per-chunk arrays.  *entered*
-        says which header rows are loop entries, and *entry_codes* the
-        edge each of them opens into its loop's head.  *parts* are the
-        other opens, ``(edge codes, rows, ts, resets)`` in row order.
-        The header rows come first, cut into runs of one loop; a stable
-        sort groups the other opens by edge after them.  A loop's runs
-        keep their order, so its opens stay in row order.
+        *h_row* and *h_t* are the header rows' trace rows and
+        instructions, cut into runs of one loop at *run_start* (the
+        loop of each in *run_loop*).  *entered* says which header rows
+        are loop entries, and *entry_codes* the edge each of them opens
+        into its loop's head.  *parts* are the other opens, ``(edge
+        codes, rows, ts, resets)`` in row order.  The header rows come
+        first; a stable sort groups the other opens by edge after them.
+        A loop's runs keep their order, so its opens stay in row order.
         """
-        row_chunks, ts_chunks, loop_chunks = found
-        loops = np.concatenate(loop_chunks)
-        h = len(loops)
+        h = len(h_row)
         codes = np.concatenate([p[0] for p in parts] + [entry_codes])
         m = len(codes)
         rows = np.empty(h + m, dtype=np.int32 if n < 2**31 else np.int64)
         ts = np.empty(h + m, dtype=np.int64)
-        np.concatenate(row_chunks, out=rows[:h])
-        np.concatenate(ts_chunks, out=ts[:h])
-        uniq, cid = _compact(codes, nn * nn)
-        o = np.argsort(cid, kind="stable")
-        cid = cid[o]
+        rows[:h] = h_row
+        ts[:h] = h_t
+        o, first, uniq = _group(codes, nn * nn)
         # a loop entry opens the edge into the head at its header row
         rows[h:] = np.concatenate([np.asarray(p[1]) for p in parts] + [rows[entered]])[o]
         ts[h:] = np.concatenate([np.asarray(p[2]) for p in parts] + [ts[entered]])[o]
@@ -730,14 +829,9 @@ class SpanBuilder:
             [np.broadcast_to(np.asarray(p[3], dtype=bool), len(p[0])) for p in parts]
             + [np.zeros(len(entered), dtype=bool)]
         )[o]
-        new_run = np.ones(h, dtype=bool)
-        np.not_equal(loops[1:], loops[:-1], out=new_run[1:])
-        run_start = np.flatnonzero(new_run)
-        run_loop = loops[run_start]
         by = np.argsort(run_loop, kind="stable")
         run_stop = np.append(run_start[1:], h)[: len(run_start)]
         loop_runs = np.stack([run_start, run_stop], axis=1)[by]
-        first = np.flatnonzero(np.r_[True, cid[1:] != cid[:-1]])
         edge_runs = np.stack([first, np.append(first[1:], m)], axis=1) + h
         nodes = self.table.nodes
         edges = {}

@@ -93,10 +93,11 @@ def span_edges(program, trace):
     return _flat(edges), total, by_edge
 
 
-def assert_matches_walk(program, trace):
-    """Equal with dense lookup tables, and with ``np.unique`` (the arm
-    a program too large for the tables takes); a pass that collects no
-    index builds the same edge map."""
+def assert_matches_walk(program, trace, chunk_rows=7):
+    """Equal as built, and with the row scan cut into *chunk_rows*-row
+    chunks, so the running count, the previous chain and a pending
+    segment head cross chunk edges; a pass that collects no index builds
+    the same edge map."""
     want = (*walk_edges(program, trace), every_nth(walk_opens(program, trace)))
     assert span_edges(program, trace) == want
     edges, total, opens = SpanBuilder(program, NodeTable(program)).build(
@@ -104,7 +105,7 @@ def assert_matches_walk(program, trace):
     )
     assert opens is None and (_flat(edges), total) == want[:2]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spans, "_DENSE_LIMIT", 0)
+        mp.setattr(spans, "_SCAN_CHUNK_ROWS", chunk_rows)
         assert span_edges(program, trace) == want
 
 
@@ -149,7 +150,8 @@ def without_block(trace, block, which=slice(None)):
 def test_matches_the_walk_on_corpus_ref_traces(workload):
     (w,) = [w for w in all_workloads() if w.name == workload]
     program = w.build()
-    assert_matches_walk(program, record_trace(Machine(program, w.ref_input)))
+    trace = record_trace(Machine(program, w.ref_input))
+    assert_matches_walk(program, trace, chunk_rows=1000)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -246,6 +248,82 @@ def test_loops_inside_recursion():
     trace = record(program, seed=11)
     assert (trace.kinds == K_RETURN).sum() > 12  # it did recurse
     assert_matches_walk(program, trace)
+
+
+# -- runs of header rows ------------------------------------------------------
+
+
+def _built(program, trace):
+    """A builder that has built *trace*, for its work counts."""
+    builder = SpanBuilder(program, NodeTable(program))
+    assert not isinstance(builder.build(trace), str)
+    return builder
+
+
+def _loop_calling(callee_has_loop):
+    b = ProgramBuilder("calls")
+    with b.proc("main"):
+        with b.loop("spin", trips=5):
+            b.code(3)
+            b.call("f")
+        b.code(1)
+    with b.proc("f"):
+        b.code(2)
+        if callee_has_loop:
+            with b.loop("inner", trips=3):
+                b.code(4)
+    return b.build()
+
+
+def test_run_continues_across_a_loop_free_call():
+    """The CALL/RETURN rows between two header rows of one loop cut no
+    run when the callee has no loop: the loop's five header rows are one
+    run."""
+    program = _loop_calling(callee_has_loop=False)
+    trace = record(program)
+    assert_matches_walk(program, trace)
+    assert _built(program, trace).runs == 1
+
+
+def test_run_breaks_and_resumes_around_a_call_with_loops():
+    """The callee's header rows cut the caller's run: each of spin's
+    later runs starts by closing the iteration its previous run left
+    open, and each inner activation is a run of its own."""
+    program = _loop_calling(callee_has_loop=True)
+    trace = record(program)
+    assert_matches_walk(program, trace)
+    assert _built(program, trace).runs == 10
+
+
+def test_plain_back_edge_on_the_first_block_after_a_return():
+    """Without the latch, spin's header is the first block row after
+    the call in its body returns: a segment head that only closes an
+    iteration, inside a run that continues across the call."""
+    program = _loop_calling(callee_has_loop=False)
+    trace = without_block(record(program), block_named(program, "spin.latch"))
+    assert_matches_walk(program, trace)
+    assert _built(program, trace).runs == 1
+
+
+def test_unused_table_row_with_a_wrong_address_does_not_decline():
+    """Addresses are checked once per table row, but only the rows the
+    trace uses count."""
+    program = _nest()
+    trace = record(program)
+    header = block_named(program, "inner.header")
+    table = np.vstack([trace.table, [K_BLOCK, header.block_id, 0x7FFF_FFFF, 4]])
+    assert_matches_walk(program, Trace(trace.ids, table))
+
+
+def test_runs_and_general_rows_counted_once_per_profile():
+    program = _loop_calling(callee_has_loop=True)
+    trace = record(program)
+    built = _built(program, trace)
+    with telemetry_session() as tm:
+        CallLoopProfiler(program).profile_trace(trace)
+    counters = tm.metrics.counters
+    assert counters["callloop.profile.runs"] == built.runs == 10
+    assert counters["callloop.profile.general_rows"] == built.general_rows > 0
 
 
 # -- declines: counted, then walked ------------------------------------------
